@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race determinism lockstep bench bench-parallel bench-smoke fmt-check fuzz-smoke faults staticcheck govulncheck serve-smoke obs-smoke fleet-smoke storage-faults net-faults fsck-smoke sync-vet pgo release
+.PHONY: all ci vet build test race determinism lockstep bench fmt-check fuzz-smoke faults staticcheck govulncheck serve-smoke obs-smoke fleet-smoke storage-faults net-faults fsck-smoke sync-vet pgo release
 
 all: ci
 
-ci: fmt-check vet sync-vet staticcheck govulncheck build race determinism faults storage-faults net-faults fuzz-smoke bench-smoke bench-parallel serve-smoke obs-smoke fleet-smoke fsck-smoke
+ci: fmt-check vet sync-vet staticcheck govulncheck build race determinism faults storage-faults net-faults fuzz-smoke serve-smoke obs-smoke fleet-smoke fsck-smoke
 
 vet:
 	$(GO) vet ./...
@@ -32,29 +32,12 @@ determinism:
 lockstep:
 	$(GO) test -race -run TestLockstepAllWorkloads ./internal/lockstep/ -count 1
 
-# Full benchmark sweep through the regression harness: 3 averaged
-# repetitions of every benchmark, appended to BENCH_pipeline.json and
-# compared against the previous recorded run (>10% IPS drop fails).
-# The machine-saturation trajectory runs after it: one simulator per
-# worker at 1, 2 and NumCPU workers appended to BENCH_parallel.json,
-# gating both scaling efficiency at full width (>= 0.75x linear) and
-# aggregate per-machine throughput vs the previous entry.
+# The benchmark ledger: four end-to-end workloads (sim-hot, figures,
+# serve, fleet) plus the per-layer ns/inst breakdown, one JSON record
+# per workload (see internal/bench/README.md). `go test ./internal/bench/`
+# smoke-runs the same harness at a tiny budget.
 bench:
-	$(GO) run ./cmd/benchreg -compare
-	$(GO) run ./cmd/benchreg -parallel -compare
-
-# CI fast path: one short BenchmarkSimulator repetition through the same
-# harness, written to a throwaway file — proves the benchmark and the
-# harness still work without touching the tracked trajectory.
-bench-smoke:
-	$(GO) run ./cmd/benchreg -smoke -out BENCH_smoke.json
-	@rm -f BENCH_smoke.json
-
-# CI fast path for the saturation benchmark: one short repetition of
-# BenchmarkSimulatorParallel through the harness to a throwaway file.
-bench-parallel:
-	$(GO) run ./cmd/benchreg -smoke -parallel -out BENCH_parallel_smoke.json
-	@rm -f BENCH_parallel_smoke.json
+	bash cmd/rvpbench/run.sh
 
 # Short fuzzing pass: 30s per native fuzz target. Long exploratory runs
 # stay manual (go test -fuzz FuzzAssemble -fuzztime 10m ./internal/asm).

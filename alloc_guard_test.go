@@ -11,6 +11,7 @@ package rvpsim_test
 // shows up here as thousands of allocations and fails loudly.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func allocsForRun(t *testing.T, insts uint64) float64 {
 	}
 	cfg := rvpsim.BaselineConfig()
 	return testing.AllocsPerRun(3, func() {
-		if _, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), insts); err != nil {
+		if _, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: insts}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,22 +18,17 @@ package rvpsim_test
 // unit tests in internal/exp.
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rvpsim"
 	"rvpsim/internal/core"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
-	"rvpsim/internal/server"
 	"rvpsim/internal/stats"
 	"rvpsim/internal/workloads"
 )
@@ -176,7 +171,7 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), benchInsts)
+		st, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: benchInsts})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,10 +184,8 @@ func BenchmarkSimulator(b *testing.B) {
 // goroutines, each owning a private simulator and predictor (reused
 // across iterations, exercising the recycled-runState path sweeps use),
 // all committing against one shared metrics registry. Sub-benchmarks at
-// 1, 2, and GOMAXPROCS workers expose the scaling curve; benchreg
-// distills sim_insts_per_machine/s per point and gates the full-width
-// scaling efficiency (IPS at GOMAXPROCS over GOMAXPROCS x IPS at 1)
-// against benchreg.MinScalingEfficiency.
+// 1, 2, and GOMAXPROCS workers expose the scaling curve. `make pgo`
+// profiles it, together with BenchmarkFigure5.
 func BenchmarkSimulatorParallel(b *testing.B) {
 	prog, err := workloads.ByName("li")
 	if err != nil {
@@ -232,106 +225,4 @@ func BenchmarkSimulatorParallel(b *testing.B) {
 			b.ReportMetric(float64(cpus), "machine_cpus")
 		})
 	}
-}
-
-// BenchmarkServeObserved guards the service-layer observability cost:
-// the same job pushed end to end through a full in-process daemon with
-// telemetry disabled (bare) and with the always-on production shape
-// enabled (observed: tracer, per-job event feed, progress and
-// checkpoint hooks, flight recorder, slog). Both report jobs/s; the
-// benchreg harness gates the observed-vs-bare gap at 5%.
-func BenchmarkServeObserved(b *testing.B) {
-	const serveInsts = 20_000
-	serve := func(b *testing.B, disable bool) {
-		srv, err := server.New(server.Config{
-			StateDir:         b.TempDir(),
-			Workers:          2,
-			QueueDepth:       64,
-			DefaultInsts:     serveInsts,
-			JobTimeout:       time.Minute,
-			DrainTimeout:     5 * time.Second,
-			ProgressEvery:    5_000,
-			DisableTelemetry: disable,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		body := []byte(fmt.Sprintf(`{"kind":"run","workload":"go","predictor":"rvp","insts":%d}`, serveInsts))
-
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var st server.JobStatus
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				b.Fatalf("submit: HTTP %d", resp.StatusCode)
-			}
-			for st.State != server.StateSucceeded {
-				if st.State == server.StateFailed {
-					b.Fatalf("job failed: %+v", st.Error)
-				}
-				time.Sleep(time.Millisecond)
-				r, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-					b.Fatal(err)
-				}
-				r.Body.Close()
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-	}
-	b.Run("bare", func(b *testing.B) { serve(b, true) })
-	b.Run("observed", func(b *testing.B) { serve(b, false) })
-}
-
-// BenchmarkObserverOverhead guards the observability layer's hot-path
-// cost: run the same workload bare and with an observer attached (metrics
-// registry live, no event sinks — the always-on production shape) and
-// report both throughputs. The sub-benchmark deltas should stay within
-// ~5%; compare with
-//
-//	go test -bench BenchmarkObserverOverhead -count 5
-func BenchmarkObserverOverhead(b *testing.B) {
-	prog, err := rvpsim.Workload("li")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := rvpsim.BaselineConfig()
-
-	b.Run("baseline", func(b *testing.B) {
-		var insts uint64
-		for i := 0; i < b.N; i++ {
-			st, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), benchInsts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			insts += st.Committed
-		}
-		b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim_insts/s")
-	})
-	b.Run("observed", func(b *testing.B) {
-		reg := rvpsim.NewObserver().Registry()
-		var insts uint64
-		for i := 0; i < b.N; i++ {
-			o := rvpsim.NewObserverWith(reg)
-			st, err := rvpsim.RunObserved(prog, cfg, rvpsim.DynamicRVP(), benchInsts, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			insts += st.Committed
-		}
-		b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim_insts/s")
-	})
 }

@@ -49,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"rvpsim/internal/benchreg"
 	"rvpsim/internal/exp"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/server/shutdown"
@@ -73,7 +72,6 @@ func run() int {
 	watchdog := flag.Int("watchdog", 0, "abort a run if no instruction commits for N simulated cycles (0 = off)")
 	resumeDir := flag.String("resume", "", "state directory for crash-safe sweeps: journal finished cells, checkpoint and resume in-flight runs")
 	ckptEvery := flag.Uint64("ckpt-every", 500_000, "auto-checkpoint cadence in committed instructions for in-flight runs (needs -resume; 0 = off)")
-	benchOut := flag.String("bench-out", "", "append per-figure wall-time/IPS sweep records to this BENCH JSON trajectory")
 	flag.Parse()
 
 	ctx, stop := shutdown.Context(context.Background())
@@ -97,7 +95,7 @@ func run() int {
 	}
 
 	reg := obs.NewRegistry()
-	if *manifestDir != "" || *metricsOut != "" || *benchOut != "" {
+	if *manifestDir != "" || *metricsOut != "" {
 		opts.Registry = reg
 	}
 
@@ -208,13 +206,9 @@ func run() int {
 		}},
 	}
 	gitRev := ""
-	if *manifestDir != "" || *benchOut != "" {
+	if *manifestDir != "" {
 		gitRev = obs.GitDescribe("")
 	}
-	// committed feeds the per-figure IPS in -bench-out records: the
-	// counter's delta across a job is the instructions that job simulated.
-	committed := reg.Counter("rvpsim_committed_total", "committed instructions")
-	var sweeps []benchreg.SweepRecord
 	var failed []string
 	for _, j := range jobs {
 		if !sel(j.key) {
@@ -222,7 +216,6 @@ func run() int {
 		}
 		jobTables = nil
 		start := time.Now()
-		c0 := committed.Value()
 		if err := j.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", j.key, err)
 			failed = append(failed, j.key)
@@ -235,24 +228,6 @@ func run() int {
 				return 1
 			}
 		}
-		if *benchOut != "" {
-			rec := benchreg.SweepRecord{
-				Name:        j.key,
-				WallSeconds: elapsed.Seconds(),
-			}
-			if d := committed.Value() - c0; d > 0 && elapsed > 0 {
-				rec.Insts = uint64(d)
-				rec.IPS = float64(d) / elapsed.Seconds()
-			}
-			sweeps = append(sweeps, rec)
-		}
-	}
-	if *benchOut != "" && len(sweeps) > 0 {
-		if err := appendSweeps(*benchOut, gitRev, sweeps); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench-out: %v\n", err)
-			return 1
-		}
-		fmt.Printf("sweep bench records appended to %s\n", *benchOut)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, reg); err != nil {
@@ -282,24 +257,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// appendSweeps adds one trajectory Run carrying the sweep's per-figure
-// wall-time/IPS records to the BENCH JSON file (same schema the
-// benchreg harness writes).
-func appendSweeps(path, gitRev string, sweeps []benchreg.SweepRecord) error {
-	f, err := benchreg.Load(path)
-	if err != nil {
-		return err
-	}
-	f.Runs = append(f.Runs, benchreg.Run{
-		GitSHA:    gitRev,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Label:     "experiments sweep",
-		Sweeps:    sweeps,
-	})
-	return f.Save(path)
 }
 
 // manifestConfig is the reproducibility-relevant slice of exp.Options.

@@ -8,9 +8,10 @@
 //	       [-trace out.json] [-events out.jsonl] [-metrics out.prom] [-json]
 //	       [-timeout 30s] [-watchdog cycles] [-lockstep [-check-every n]]
 //
-// Predictors: none, drvp, drvp_loads, lvp, lvp_loads, grp, and the
-// hint-assisted drvp variants drvp_dead, drvp_dead_lv (which profile the
-// program first). -wide selects the 16-issue machine.
+// Predictors: the built-in names (none, rvp, rvp_loads, lvp, lvp_all,
+// gabbay, stride, context; see rvpsim.Predictors) and the hint-assisted
+// dynamic RVP variants rvp_dead and rvp_dead_lv, which profile the
+// program first. -wide selects the 16-issue machine.
 //
 // -lockstep replaces the normal run with a differential validation run:
 // the timing pipeline and the architectural reference emulator execute
@@ -23,6 +24,7 @@
 // chrome://tracing or https://ui.perfetto.dev), -events a JSONL event
 // stream, -metrics a Prometheus text exposition snapshot, and -json
 // replaces the human summary with the full Stats as one JSON object.
+// -trace, -events and -top all read the run's one commit stream.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"rvpsim"
 )
@@ -39,7 +42,7 @@ import (
 func main() {
 	wl := flag.String("w", "li", "workload name (see -list)")
 	file := flag.String("f", "", "assembly file to run instead of a workload")
-	predName := flag.String("p", "drvp", "predictor: none|drvp|drvp_loads|drvp_dead|drvp_dead_lv|lvp|lvp_loads|grp")
+	predName := flag.String("p", "rvp", "predictor: "+strings.Join(append(rvpsim.Predictors(), hinted...), "|"))
 	n := flag.Uint64("n", 2_000_000, "committed-instruction budget (0 = to HALT)")
 	recovery := flag.String("recovery", "selective", "value-mispredict recovery: refetch|reissue|selective")
 	wide := flag.Bool("wide", false, "use the 16-issue machine")
@@ -78,15 +81,8 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	switch *recovery {
-	case "refetch":
-		cfg.Recovery = rvpsim.RecoverRefetch
-	case "reissue":
-		cfg.Recovery = rvpsim.RecoverReissue
-	case "selective":
-		cfg.Recovery = rvpsim.RecoverSelective
-	default:
-		fatal(fmt.Errorf("unknown recovery %q", *recovery))
+	if cfg.Recovery, err = rvpsim.ParseRecovery(*recovery); err != nil {
+		fatal(err)
 	}
 
 	if *lock {
@@ -115,68 +111,71 @@ func main() {
 		lat                       int64
 	}
 	perInst := map[int]*agg{}
-	record := func(index int, dispatch, done int64, predicted, correct bool) {
-		a := perInst[index]
+	record := func(tr rvpsim.TraceRecord) {
+		a := perInst[tr.Index]
 		if a == nil {
 			a = &agg{}
-			perInst[index] = a
+			perInst[tr.Index] = a
 		}
 		a.execs++
-		a.lat += done - dispatch
-		if predicted {
+		a.lat += tr.DoneAt - tr.Dispatch
+		if tr.Predicted {
 			a.predicted++
-			if correct {
+			if tr.Correct {
 				a.correct++
 			}
 		}
 	}
 
-	needObs := *traceOut != "" || *eventsOut != "" || *metricsOut != ""
-	var st rvpsim.Stats
-	var observer *rvpsim.Observer
-	switch {
-	case needObs:
-		observer = rvpsim.NewObserver()
-		var files []*os.File
-		create := func(path string) *os.File {
-			f, cerr := os.Create(path)
-			if cerr != nil {
-				fatal(cerr)
+	// One tracer closure feeds every consumer of the commit stream.
+	opts := rvpsim.RunOptions{MaxInsts: *n}
+	var ct *rvpsim.ChromeTrace
+	var jl *rvpsim.JSONLTrace
+	var closers []func() error // each writer, then its file
+	create := func(path string) *os.File {
+		f, cerr := os.Create(path)
+		if cerr != nil {
+			fatal(cerr)
+		}
+		return f
+	}
+	if *traceOut != "" {
+		f := create(*traceOut)
+		ct = rvpsim.NewChromeTrace(f)
+		// One lane per window slot keeps concurrently in-flight
+		// instructions on separate trace rows.
+		ct.Lanes = cfg.Window
+		closers = append(closers, ct.Close, f.Close)
+	}
+	if *eventsOut != "" {
+		f := create(*eventsOut)
+		jl = rvpsim.NewJSONLTrace(f)
+		closers = append(closers, jl.Close, f.Close)
+	}
+	if ct != nil || jl != nil || *top > 0 {
+		opts.Trace = func(tr rvpsim.TraceRecord) {
+			if ct != nil {
+				ct.Trace(tr)
 			}
-			files = append(files, f)
-			return f
+			if jl != nil {
+				jl.Trace(tr)
+			}
+			if *top > 0 {
+				record(tr)
+			}
 		}
-		if *traceOut != "" {
-			ct := rvpsim.NewChromeTrace(create(*traceOut))
-			// One lane per window slot keeps concurrently in-flight
-			// instructions on separate trace rows.
-			ct.Lanes = cfg.Window
-			observer.AddSink(ct)
-		}
-		if *eventsOut != "" {
-			observer.AddSink(rvpsim.NewJSONLTrace(create(*eventsOut)))
-		}
-		if *top > 0 {
-			observer.AddSink(topSink(record))
-		}
-		st, err = rvpsim.RunObservedContext(ctx, prog, cfg, pred, *n, observer)
-		if cerr := observer.Close(); cerr != nil && err == nil {
+	}
+	if *metricsOut != "" {
+		opts.Metrics = rvpsim.NewRegistry()
+	}
+	st, err := rvpsim.Run(ctx, prog, cfg, pred, opts)
+	for _, c := range closers {
+		if cerr := c(); cerr != nil && err == nil {
 			err = cerr
 		}
-		for _, f := range files {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if err == nil && *metricsOut != "" {
-			err = writeMetrics(*metricsOut, observer.Registry())
-		}
-	case *top > 0:
-		st, err = rvpsim.RunTracedContext(ctx, prog, cfg, pred, *n, func(tr rvpsim.TraceRecord) {
-			record(tr.Index, tr.Dispatch, tr.DoneAt, tr.Predicted, tr.Correct)
-		})
-	default:
-		st, err = rvpsim.RunContext(ctx, prog, cfg, pred, *n)
+	}
+	if err == nil && opts.Metrics != nil {
+		err = writeMetrics(*metricsOut, opts.Metrics)
 	}
 	if err != nil {
 		fatal(err)
@@ -237,52 +236,28 @@ func loadProgram(wl, file string) (*rvpsim.Program, error) {
 	return rvpsim.Workload(wl)
 }
 
+// hinted are the command's own predictor names beyond the built-in ones:
+// dynamic RVP with compiler hints at the dead and dead+LV support levels,
+// derived from profiling the program first.
+var hinted = []string{"rvp_dead", "rvp_dead_lv"}
+
+// makePredictor builds a built-in predictor by name, or one of the
+// hinted variants.
 func makePredictor(name string, prog *rvpsim.Program, budget uint64) (rvpsim.Predictor, error) {
-	profileHints := func(level rvpsim.Support, loadsOnly bool) (rvpsim.ReuseHints, error) {
-		pr, err := rvpsim.ProfileProgram(prog, budget/4)
-		if err != nil {
-			return nil, err
-		}
-		return pr.Hints(0.8, level, loadsOnly), nil
-	}
+	level := rvpsim.SupportDead
 	switch name {
-	case "none":
-		return rvpsim.NoPrediction(), nil
-	case "drvp":
-		return rvpsim.DynamicRVP(), nil
-	case "drvp_loads":
-		return rvpsim.DynamicRVPLoads(), nil
-	case "drvp_dead":
-		h, err := profileHints(rvpsim.SupportDead, false)
-		if err != nil {
-			return nil, err
-		}
-		return rvpsim.DynamicRVPWithHints(h, false), nil
-	case "drvp_dead_lv":
-		h, err := profileHints(rvpsim.SupportDeadLV, false)
-		if err != nil {
-			return nil, err
-		}
-		return rvpsim.DynamicRVPWithHints(h, false), nil
-	case "lvp":
-		return rvpsim.LastValue(false), nil
-	case "lvp_loads":
-		return rvpsim.LastValue(true), nil
-	case "grp":
-		return rvpsim.GabbayRegisterPredictor(), nil
+	case "rvp_dead":
+	case "rvp_dead_lv":
+		level = rvpsim.SupportDeadLV
+	default:
+		return rvpsim.NewPredictor(name)
 	}
-	return nil, fmt.Errorf("unknown predictor %q", name)
+	pr, err := rvpsim.ProfileProgram(prog, budget/4)
+	if err != nil {
+		return nil, err
+	}
+	return rvpsim.DynamicRVPWithHints(pr.Hints(0.8, level, false), false), nil
 }
-
-// topSink adapts the -top aggregation callback into an event sink.
-type topSink func(index int, dispatch, done int64, predicted, correct bool)
-
-func (s topSink) Emit(e *rvpsim.Event) error {
-	s(e.Index, e.Dispatch, e.Done, e.Predicted, e.Correct)
-	return nil
-}
-
-func (topSink) Close() error { return nil }
 
 // writeMetrics dumps the registry as Prometheus text exposition.
 func writeMetrics(path string, reg *rvpsim.Registry) error {

@@ -1,6 +1,7 @@
 package rvpsim_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,11 +40,11 @@ table:  .quad 7, 7, 7, 7, 7, 7, 7, 7
 		log.Fatal(err)
 	}
 	cfg := rvpsim.BaselineConfig()
-	base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), 50_000)
+	base, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: 50_000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rvp, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 50_000)
+	rvp, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: 50_000})
 	if err != nil {
 		log.Fatal(err)
 	}

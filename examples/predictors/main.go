@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,15 +17,12 @@ func main() {
 	const budget = 1_000_000
 	workloadNames := []string{"m88ksim", "hydro2d", "turb3d", "li"}
 
-	preds := []struct {
-		name string
-		mk   func() rvpsim.Predictor
-	}{
-		{"drvp (storageless)", rvpsim.DynamicRVP},
-		{"G&M register pred.", rvpsim.GabbayRegisterPredictor},
-		{"lvp", func() rvpsim.Predictor { return rvpsim.LastValue(false) }},
-		{"stride", rvpsim.Stride},
-		{"context (order 2)", rvpsim.Context},
+	preds := []struct{ label, name string }{
+		{"drvp (storageless)", "rvp"},
+		{"G&M register pred.", "gabbay"},
+		{"lvp", "lvp_all"},
+		{"stride", "stride"},
+		{"context (order 2)", "context"},
 	}
 
 	fmt.Printf("%-20s %10s", "predictor", "storage")
@@ -39,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), rvpsim.NoPrediction(), budget)
+		st, err := rvpsim.Run(context.Background(), prog, rvpsim.BaselineConfig(), rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,14 +45,14 @@ func main() {
 	}
 
 	for _, p := range preds {
-		bits := rvpsim.StorageBits(p.mk())
-		fmt.Printf("%-20s %9.1fKb", p.name, float64(bits)/1024)
+		bits := rvpsim.MustPredictor(p.name).StorageBits()
+		fmt.Printf("%-20s %9.1fKb", p.label, float64(bits)/1024)
 		for _, w := range workloadNames {
 			prog, err := rvpsim.Workload(w)
 			if err != nil {
 				log.Fatal(err)
 			}
-			st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), p.mk(), budget)
+			st, err := rvpsim.Run(context.Background(), prog, rvpsim.BaselineConfig(), rvpsim.MustPredictor(p.name), rvpsim.RunOptions{MaxInsts: budget})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,11 +57,11 @@ func main() {
 	cfg := rvpsim.BaselineConfig()
 	const budget = 500_000
 
-	base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), budget)
+	base, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: budget})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rvp, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), budget)
+	rvp, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: budget})
 	if err != nil {
 		log.Fatal(err)
 	}

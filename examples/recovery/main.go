@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg := rvpsim.BaselineConfig()
-		base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), budget)
+		base, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func main() {
 		for _, s := range schemes {
 			cfg := rvpsim.BaselineConfig()
 			cfg.Recovery = s.rec
-			st, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), budget)
+			st, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: budget})
 			if err != nil {
 				log.Fatal(err)
 			}

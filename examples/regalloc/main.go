@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,15 +36,15 @@ func main() {
 
 		// Measure: baseline, RVP on the original, RVP on the rewritten.
 		cfg := rvpsim.BaselineConfig()
-		base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), budget)
+		base, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
-		before, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), budget)
+		before, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
-		after, err := rvpsim.Run(rewritten, cfg, rvpsim.DynamicRVP(), budget)
+		after, err := rvpsim.Run(context.Background(), rewritten, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: budget})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,7 +16,7 @@ import (
 const budget = 500_000
 
 func run(prog *rvpsim.Program, cfg rvpsim.Config, pred rvpsim.Predictor) rvpsim.Stats {
-	st, err := rvpsim.Run(prog, cfg, pred, budget)
+	st, err := rvpsim.Run(context.Background(), prog, cfg, pred, rvpsim.RunOptions{MaxInsts: budget})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := rvpsim.BaselineConfig()
-	base := run(prog, cfg, rvpsim.NoPrediction())
+	base := run(prog, cfg, rvpsim.MustPredictor("none"))
 
 	fmt.Println("== confidence threshold sweep (dynamic RVP, m88ksim) ==")
 	for _, th := range []uint8{1, 3, 5, 7} {
@@ -70,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bigBase := run(big, cfg, rvpsim.NoPrediction())
+	bigBase := run(big, cfg, rvpsim.MustPredictor("none"))
 
 	fmt.Println("== tagged vs untagged RVP counters (2K-instruction loop) ==")
 	for _, tagged := range []bool{false, true} {
@@ -94,7 +95,7 @@ func main() {
 	for _, ports := range []int{1, 2, 4, 0} {
 		pcfg := cfg
 		pcfg.PredictPorts = ports
-		st := run(prog, pcfg, rvpsim.DynamicRVP())
+		st := run(prog, pcfg, rvpsim.MustPredictor("rvp"))
 		label := fmt.Sprint(ports)
 		if ports == 0 {
 			label = "unbounded"

@@ -5,7 +5,7 @@ import "rvpsim/internal/obs"
 // PublishMetrics folds the predictor's counters into the registry. The
 // predictor is per-run state, so one publish at the end of a run adds
 // exactly that run's totals.
-func (p *Predictor) PublishMetrics(reg *obs.Registry) {
+func (p *Predictor) PublishMetrics(reg *obs.CounterCache) {
 	reg.Counter("rvpsim_bpred_cond_seen_total", "conditional branches predicted").Add(int64(p.CondSeen))
 	reg.Counter("rvpsim_bpred_cond_mispredict_total", "conditional direction mispredicts").Add(int64(p.CondMispred))
 	reg.Counter("rvpsim_bpred_target_miss_total", "taken transfers with unknown target").Add(int64(p.TargetMiss))

@@ -90,6 +90,11 @@ type Predictor interface {
 	Commit(idx int, in isa.Inst, predicted, actual uint64)
 	// Reset clears all dynamic state.
 	Reset()
+	// StorageBits is the dedicated value-prediction hardware the
+	// predictor needs, in bits: values, tags, strides, histories and
+	// counters. RVP's is its counters alone — the asymmetry the paper's
+	// title is about.
+	StorageBits() int
 }
 
 // SizeHinter is implemented by predictors whose per-static-instruction

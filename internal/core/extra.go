@@ -147,8 +147,8 @@ func (p *StridePredictor) Reset() {
 	}
 }
 
-// StorageBits reports the hardware storage the predictor needs: value +
-// stride per entry, a 20-bit tag, and the counter.
+// StorageBits implements Predictor: value + stride per entry, a 20-bit
+// tag, and the counter.
 func (p *StridePredictor) StorageBits() int {
 	return p.cfg.Entries * (64 + 64 + 20 + int(p.cfg.Bits))
 }
@@ -311,8 +311,8 @@ func (p *ContextPredictor) Reset() {
 	}
 }
 
-// StorageBits reports the (large) hardware cost: per-entry history and
-// tag at the first level, value + counter at the second.
+// StorageBits implements Predictor. The cost is large: per-entry history
+// and tag at the first level, value + counter at the second.
 func (p *ContextPredictor) StorageBits() int {
 	l1 := p.cfg.Entries * (64*p.cfg.HistDepth + 20)
 	l2 := p.cfg.PatEntries * (64 + int(p.cfg.Bits))

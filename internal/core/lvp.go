@@ -193,9 +193,9 @@ func (p *LVP) Reset() {
 // Config returns the configuration.
 func (p *LVP) Config() LVPConfig { return p.cfg }
 
-// StorageBits reports the hardware storage the predictor needs, in bits —
-// the cost the paper's RVP eliminates. Values are 64 bits per entry, tags
-// (when present) are modelled at 20 bits, and the counter bits.
+// StorageBits implements Predictor: the value storage the paper's RVP
+// eliminates. Values are 64 bits per entry, tags (when present) are
+// modelled at 20 bits, plus the counter bits.
 func (p *LVP) StorageBits() int {
 	bits := p.cfg.Entries * (64 + int(p.cfg.Bits))
 	if p.cfg.Tagged {

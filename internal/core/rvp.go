@@ -223,6 +223,10 @@ func (p *DynamicRVP) LastOut(idx int) uint64 {
 	return 0
 }
 
+// StorageBits implements Predictor: the confidence counters, and no
+// values.
+func (p *DynamicRVP) StorageBits() int { return RVPStorageBits(p.counters.Config()) }
+
 // Reset implements Predictor: all dynamic state is cleared in place so
 // sweep cells that reuse a predictor do not churn the heap.
 func (p *DynamicRVP) Reset() {
@@ -359,6 +363,10 @@ func (p *StaticRVP) LastOut(idx int) uint64 {
 	return 0
 }
 
+// StorageBits implements Predictor: the compiler marks the predicted
+// loads, so static RVP needs no prediction hardware at all.
+func (p *StaticRVP) StorageBits() int { return 0 }
+
 // Reset implements Predictor: clears dynamic state in place.
 func (p *StaticRVP) Reset() {
 	for i := range p.lastOut {
@@ -466,6 +474,10 @@ func (p *GabbayRVP) Commit(idx int, in isa.Inst, predicted, actual uint64) {
 	p.counters.Update(int(in.Rd), predicted == actual)
 }
 
+// StorageBits implements Predictor: one counter per architectural
+// register.
+func (p *GabbayRVP) StorageBits() int { return RVPStorageBits(p.cfg) }
+
 // Reset implements Predictor.
 func (p *GabbayRVP) Reset() {
 	p.counters.Reset()
@@ -488,3 +500,6 @@ func (NoPredictor) Commit(int, isa.Inst, uint64, uint64) {}
 
 // Reset implements Predictor.
 func (NoPredictor) Reset() {}
+
+// StorageBits implements Predictor.
+func (NoPredictor) StorageBits() int { return 0 }

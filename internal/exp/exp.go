@@ -675,16 +675,9 @@ type predictorSpec struct {
 	make  func(r *Runner, name string) (core.Predictor, error)
 }
 
-// lvpLoads builds the paper's load-only LVP baseline.
-func lvpLoads() core.Predictor {
-	cfg := core.DefaultLVPConfig()
-	cfg.LoadOnly = true
-	return core.MustLVP(cfg, "lvp")
-}
-
-// lvpAll builds the all-instruction LVP baseline.
-func lvpAll() core.Predictor {
-	return core.MustLVP(core.DefaultLVPConfig(), "lvp_all")
+// builtin is a predictorSpec constructor for a registry predictor.
+func builtin(name string) func(*Runner, string) (core.Predictor, error) {
+	return func(*Runner, string) (core.Predictor, error) { return core.NewPredictor(name) }
 }
 
 // staticPredictor builds a StaticRVP from a workload's profile at the

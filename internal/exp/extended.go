@@ -20,21 +20,13 @@ func (r *Runner) StorageTable() (*stats.Table, error) {
 	t := stats.NewTable("Extension: predictor cost/benefit (avg speedup vs storage)",
 		[]string{"storage Kbit", "avg speedup"})
 
-	specs := []struct {
-		label string
-		bits  int
-		mk    func() core.Predictor
-	}{
-		{"drvp (storageless)", core.RVPStorageBits(core.DefaultCounterConfig()),
-			func() core.Predictor { return core.MustDynamicRVP(core.DefaultCounterConfig()) }},
-		{"G&M register pred", 64 * 3,
-			func() core.Predictor { return core.MustGabbayRVP(core.DefaultCounterConfig(), false) }},
-		{"lvp", core.MustLVP(core.DefaultLVPConfig(), "x").StorageBits(),
-			lvpAll},
-		{"stride", core.MustStridePredictor(core.DefaultStrideConfig()).StorageBits(),
-			func() core.Predictor { return core.MustStridePredictor(core.DefaultStrideConfig()) }},
-		{"context (order 2)", core.MustContextPredictor(core.DefaultContextConfig()).StorageBits(),
-			func() core.Predictor { return core.MustContextPredictor(core.DefaultContextConfig()) }},
+	// Rows name built-in predictors by their registry wire names.
+	specs := []struct{ label, name string }{
+		{"drvp (storageless)", "rvp"},
+		{"G&M register pred", "gabbay"},
+		{"lvp", "lvp_all"},
+		{"stride", "stride"},
+		{"context (order 2)", "context"},
 	}
 
 	type key struct{ spec, wl string }
@@ -46,7 +38,11 @@ func (r *Runner) StorageTable() (*stats.Table, error) {
 			return err
 		}
 		for _, sp := range specs {
-			st, err := r.run("ext_storage", name, pipeline.BaselineConfig(), sp.mk())
+			pred, err := core.NewPredictor(sp.name)
+			if err != nil {
+				return err
+			}
+			st, err := r.run("ext_storage", name, pipeline.BaselineConfig(), pred)
 			if err != nil {
 				return err
 			}
@@ -57,13 +53,14 @@ func (r *Runner) StorageTable() (*stats.Table, error) {
 		return nil
 	})
 	for _, sp := range specs {
+		pred, _ := core.NewPredictor(sp.name) // a registry name, as above
 		var all []float64
 		for _, n := range names {
 			if v, ok := speed[key{sp.label, n}]; ok {
 				all = append(all, v)
 			}
 		}
-		row := map[string]float64{"storage Kbit": float64(sp.bits) / 1024}
+		row := map[string]float64{"storage Kbit": float64(pred.StorageBits()) / 1024}
 		if len(all) > 0 {
 			row["avg speedup"] = stats.Mean(all)
 		} else {

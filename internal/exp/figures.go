@@ -90,8 +90,8 @@ func (r *Runner) Figure3() (*stats.Table, error) {
 		label string
 		mk    func(name string) (core.Predictor, error)
 	}{
-		{"no_predict", func(string) (core.Predictor, error) { return core.NoPredictor{}, nil }},
-		{"lvp", func(string) (core.Predictor, error) { return lvpLoads(), nil }},
+		{"no_predict", func(string) (core.Predictor, error) { return core.NewPredictor("none") }},
+		{"lvp", func(string) (core.Predictor, error) { return core.NewPredictor("lvp") }},
 		{"srvp_same", func(n string) (core.Predictor, error) {
 			return r.staticPredictor(n, profile.SupportNone, r.opts.Threshold)
 		}},
@@ -199,7 +199,7 @@ func (r *Runner) Figure4() (*stats.Table, error) {
 // all restricted to load instructions; speedup over no prediction.
 func (r *Runner) Figure5() (*stats.Table, error) {
 	specs := []predictorSpec{
-		{"lvp", func(*Runner, string) (core.Predictor, error) { return lvpLoads(), nil }},
+		{"lvp", builtin("lvp")},
 		{"drvp", func(rr *Runner, n string) (core.Predictor, error) {
 			return rr.dynamicPredictor(n, profile.SupportNone, true)
 		}},
@@ -218,10 +218,8 @@ func (r *Runner) Figure5() (*stats.Table, error) {
 // including the Gabbay & Mendelson register predictor.
 func (r *Runner) Figure6() (*stats.Table, error) {
 	specs := []predictorSpec{
-		{"lvp_all", func(*Runner, string) (core.Predictor, error) { return lvpAll(), nil }},
-		{"Grp_all", func(*Runner, string) (core.Predictor, error) {
-			return core.NewGabbayRVP(core.DefaultCounterConfig(), false)
-		}},
+		{"lvp_all", builtin("lvp_all")},
+		{"Grp_all", builtin("gabbay")},
 		{"drvp_all", func(rr *Runner, n string) (core.Predictor, error) {
 			return rr.dynamicPredictor(n, profile.SupportNone, false)
 		}},
@@ -250,10 +248,8 @@ func (r *Runner) Table2() (*stats.Table, *stats.Table, error) {
 		{"dead_lv", func(rr *Runner, n string) (core.Predictor, error) {
 			return rr.dynamicPredictor(n, profile.SupportDeadLV, false)
 		}},
-		{"lvp", func(*Runner, string) (core.Predictor, error) { return lvpAll(), nil }},
-		{"G&M RP", func(*Runner, string) (core.Predictor, error) {
-			return core.NewGabbayRVP(core.DefaultCounterConfig(), false)
-		}},
+		{"lvp", builtin("lvp_all")},
+		{"G&M RP", builtin("gabbay")},
 	}
 	type key struct{ row, wl string }
 	covV := map[key]float64{}
@@ -324,7 +320,11 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 			mu.Unlock()
 		}
 		// LVP (all instructions, as in Figure 6).
-		st, err := r.run("fig7", name, pipeline.BaselineConfig(), lvpAll())
+		lvp, err := core.NewPredictor("lvp_all")
+		if err != nil {
+			return err
+		}
+		st, err := r.run("fig7", name, pipeline.BaselineConfig(), lvp)
 		if err != nil {
 			return err
 		}
@@ -384,7 +384,7 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 // prediction on the doubled machine.
 func (r *Runner) Figure8() (*stats.Table, error) {
 	specs := []predictorSpec{
-		{"lvp_all", func(*Runner, string) (core.Predictor, error) { return lvpAll(), nil }},
+		{"lvp_all", builtin("lvp_all")},
 		{"drvp_all", func(rr *Runner, n string) (core.Predictor, error) {
 			return rr.dynamicPredictor(n, profile.SupportNone, false)
 		}},

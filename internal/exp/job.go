@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rvpsim/internal/core"
@@ -58,25 +59,16 @@ var jobFigures = map[string]func(*Runner) (*stats.Table, error){
 	"fig8": (*Runner).Figure8,
 }
 
-// jobPredictors maps predictor names to constructors. Each build must
-// return a fresh predictor: retries rebuild rather than reuse dirty
-// predictor state.
-var jobPredictors = map[string]func() core.Predictor{
-	"none":      func() core.Predictor { return core.NoPredictor{} },
-	"rvp":       func() core.Predictor { return core.MustDynamicRVP(core.DefaultCounterConfig()) },
-	"rvp_loads": func() core.Predictor { return core.MustDynamicRVP(core.DefaultCounterConfig(), core.LoadsOnly()) },
-	"lvp":       func() core.Predictor { return lvpLoads() },
-	"lvp_all":   func() core.Predictor { return lvpAll() },
-	"gabbay":    func() core.Predictor { return core.MustGabbayRVP(core.DefaultCounterConfig(), false) },
-	"stride":    func() core.Predictor { return core.MustStridePredictor(core.DefaultStrideConfig()) },
-	"context":   func() core.Predictor { return core.MustContextPredictor(core.DefaultContextConfig()) },
-}
-
 // JobFigures lists the figure names a "figure" job accepts, sorted.
 func JobFigures() []string { return sortedKeys(jobFigures) }
 
-// JobPredictors lists the predictor names a "run" job accepts, sorted.
-func JobPredictors() []string { return sortedKeys(jobPredictors) }
+// JobPredictors lists the predictor names a "run" job accepts, sorted:
+// the built-in predictor registry's wire names (core.PredictorNames).
+func JobPredictors() []string {
+	names := core.PredictorNames()
+	sort.Strings(names)
+	return names
+}
 
 // JobRecoveries lists the recovery-scheme names a "run" job accepts,
 // sorted. Fleet sweeps use it to validate their recovery axis against
@@ -97,6 +89,16 @@ var jobRecoveries = map[string]pipeline.Recovery{
 	"refetch":   pipeline.RecoverRefetch,
 	"reissue":   pipeline.RecoverReissue,
 	"selective": pipeline.RecoverSelective,
+}
+
+// ParseRecovery resolves a recovery-scheme wire name (see JobRecoveries).
+// Unknown names are reported as errors wrapping simerr.ErrConfig.
+func ParseRecovery(name string) (pipeline.Recovery, error) {
+	rec, ok := jobRecoveries[name]
+	if !ok {
+		return 0, simerr.New("job", fmt.Errorf("unknown recovery %q (have %v): %w", name, JobRecoveries(), simerr.ErrConfig))
+	}
+	return rec, nil
 }
 
 // Normalize fills defaulted fields in place: recovery defaults to
@@ -143,7 +145,7 @@ func (s JobSpec) Validate() error {
 		if !known {
 			return bad("unknown workload %q (have %v)", s.Workload, workloads.Names())
 		}
-		if _, ok := jobPredictors[s.Predictor]; !ok {
+		if !slices.Contains(core.PredictorNames(), s.Predictor) {
 			return bad("unknown predictor %q (have %v)", s.Predictor, JobPredictors())
 		}
 		if s.Recovery != "" {
@@ -290,7 +292,8 @@ func RunJob(ctx context.Context, spec JobSpec, opts Options) (*JobResult, error)
 		for attempt := 0; ; attempt++ {
 			// A fresh predictor per attempt: a failed run leaves dirty
 			// predictor state behind.
-			st, err = r.run("job", spec.Workload, cfg, jobPredictors[spec.Predictor]())
+			pred, _ := core.NewPredictor(spec.Predictor) // Validate accepted the name
+			st, err = r.run("job", spec.Workload, cfg, pred)
 			if err == nil || attempt >= retries || !simerr.IsTransient(err) {
 				break
 			}

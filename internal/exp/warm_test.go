@@ -176,15 +176,18 @@ func BenchmarkWarmupSharing(b *testing.B) {
 // path: with mutex profiling at full fidelity, a parallel sweep (several
 // workers, shared registry, shared warm states) must produce zero
 // contention events inside the simulator's hot packages — pipeline, mem,
-// core, emu, bpred. Coordination locks (the runner's own memoization,
-// the metrics registry's name table) are allowed; the run loop itself
-// must never serialize workers.
+// core, emu, bpred. Coordination locks (the runner's own memoization)
+// are allowed; the run loop itself must never serialize workers. The
+// mutex profile is cumulative for the process, so the audit counts only
+// the contention this sweep added on top of what earlier tests (or
+// earlier -count iterations) left behind.
 func TestParallelSweepContentionFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates ~1M instructions; skipped with -short")
 	}
 	prev := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(prev)
+	before := mutexContention(t)
 
 	reg := obs.NewRegistry()
 	r := NewRunner(Options{
@@ -210,13 +213,11 @@ func TestParallelSweepContentionFree(t *testing.T) {
 		t.Fatalf("%s: %v", name, ferr)
 	}
 
-	var buf bytes.Buffer
-	if err := pprof.Lookup("mutex").WriteTo(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	profile := buf.String()
 	var offending []string
-	for _, block := range strings.Split(profile, "\n\n") {
+	for stack, c := range mutexContention(t) {
+		if c.count <= before[stack].count {
+			continue
+		}
 		for _, pkg := range []string{
 			"rvpsim/internal/pipeline.",
 			"rvpsim/internal/mem.",
@@ -224,8 +225,8 @@ func TestParallelSweepContentionFree(t *testing.T) {
 			"rvpsim/internal/emu.",
 			"rvpsim/internal/bpred.",
 		} {
-			if strings.Contains(block, pkg) {
-				offending = append(offending, fmt.Sprintf("%s:\n%s", pkg, block))
+			if strings.Contains(c.block, pkg) {
+				offending = append(offending, fmt.Sprintf("%s:\n%s", pkg, c.block))
 			}
 		}
 	}
@@ -233,4 +234,35 @@ func TestParallelSweepContentionFree(t *testing.T) {
 		t.Fatalf("parallel sweep contends on locks in simulator hot packages:\n%s",
 			strings.Join(offending, "\n---\n"))
 	}
+}
+
+// contention is one mutex-profile entry: its contention event count and
+// its text block (the counts line and the symbolized stack).
+type contention struct {
+	count int64
+	block string
+}
+
+// mutexContention reads the process's mutex profile, keyed by stack.
+func mutexContention(t *testing.T) map[string]contention {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("mutex").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]contention{}
+	for _, block := range strings.Split(buf.String(), "\n\n") {
+		// An entry starts "<cycles> <count> @ <pc> <pc> ...".
+		head, _, _ := strings.Cut(block, "\n")
+		counts, stack, ok := strings.Cut(head, " @ ")
+		if !ok {
+			continue
+		}
+		var cycles, count int64
+		if _, err := fmt.Sscan(counts, &cycles, &count); err != nil {
+			t.Fatalf("mutex profile entry %q: %v", head, err)
+		}
+		out[stack] = contention{count: count, block: block}
+	}
+	return out
 }

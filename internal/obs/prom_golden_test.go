@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestPrometheusExpositionGolden pins the exact text exposition the
 // /metrics endpoint serves — one instrument of every kind, including a

@@ -1,9 +1,9 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// (counters, gauges, fixed-bucket histograms), a structured event-trace
-// sink chain, and exporters for three formats — Prometheus text
-// exposition, Chrome trace_event JSON (chrome://tracing / Perfetto), and
-// JSONL event streams — plus run manifests, a progress heartbeat, and
-// pprof capture helpers for the experiment harness.
+// (counters, gauges, fixed-bucket histograms) with a Prometheus text
+// exposition exporter, request spans with Chrome trace_event and JSONL
+// exporters, run manifests, a progress heartbeat, and pprof capture
+// helpers for the experiment harness. Per-instruction commit records are
+// the pipeline's (pipeline.TraceRecord), and so are their writers.
 //
 // Design for the hot path: instruments are updated with single atomic
 // adds and allocate nothing after registration. Single-writer loops (the
@@ -361,80 +361,86 @@ func LinearBuckets(start, width int64, n int) []int64 {
 
 // Registry holds named instruments. Registration is idempotent: asking
 // for an existing name returns the existing instrument (histograms must
-// re-state identical bounds). Lookups take a mutex; hold the returned
-// instrument, not the registry, in hot code.
+// re-state identical bounds). Lookups never block: the name table is an
+// immutable map published through an atomic pointer, and registering a
+// new name copies it and swaps the copy in with compare-and-swap. Parallel
+// simulators resolving their instruments at the same moment therefore
+// never wait on one another; hot code should still hold the returned
+// instrument rather than the registry.
 type Registry struct {
-	mu    sync.Mutex
-	order []string
-	kinds map[string]string // name -> counter|gauge|countervec|gaugevec|histogram
-	ctrs  map[string]*Counter
-	gaus  map[string]*Gauge
-	cvecs map[string]*CounterVec
-	gvecs map[string]*GaugeVec
-	hists map[string]*Histogram
+	tab atomic.Pointer[regTable]
+}
+
+// regTable is one immutable generation of a registry's name table.
+type regTable struct {
+	order []string       // names in registration order
+	inst  map[string]any // *Counter, *Gauge, *CounterVec, *GaugeVec or *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		kinds: map[string]string{},
-		ctrs:  map[string]*Counter{},
-		gaus:  map[string]*Gauge{},
-		cvecs: map[string]*CounterVec{},
-		gvecs: map[string]*GaugeVec{},
-		hists: map[string]*Histogram{},
+	r := &Registry{}
+	r.tab.Store(&regTable{inst: map[string]any{}})
+	return r
+}
+
+// instrument returns the instrument registered under name, registering
+// mk's result when the name is new. kind names the expected instrument
+// type for the panic a clashing registration raises.
+func (r *Registry) instrument(name, kind string, mk func() any) any {
+	var made any
+	for {
+		t := r.tab.Load()
+		if v, ok := t.inst[name]; ok {
+			if kindOf(v) != kind {
+				panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, kindOf(v), kind))
+			}
+			return v
+		}
+		if made == nil {
+			made = mk()
+		}
+		next := &regTable{order: append(t.order[:len(t.order):len(t.order)], name), inst: make(map[string]any, len(t.inst)+1)}
+		for k, v := range t.inst {
+			next.inst[k] = v
+		}
+		next.inst[name] = made
+		if r.tab.CompareAndSwap(t, next) {
+			return made
+		}
 	}
 }
 
-func (r *Registry) claim(name, kind string) {
-	if have, ok := r.kinds[name]; ok {
-		if have != kind {
-			panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, have, kind))
-		}
-		return
+func kindOf(v any) string {
+	switch v.(type) {
+	case *Counter:
+		return "counter"
+	case *Gauge:
+		return "gauge"
+	case *CounterVec:
+		return "countervec"
+	case *GaugeVec:
+		return "gaugevec"
 	}
-	r.kinds[name] = kind
-	r.order = append(r.order, name)
+	return "histogram"
 }
 
 // Counter returns (registering if needed) the named counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "counter")
-	c, ok := r.ctrs[name]
-	if !ok {
-		c = &Counter{name: name, help: help}
-		r.ctrs[name] = c
-	}
-	return c
+	return r.instrument(name, "counter", func() any { return &Counter{name: name, help: help} }).(*Counter)
 }
 
 // Gauge returns (registering if needed) the named gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gauge")
-	g, ok := r.gaus[name]
-	if !ok {
-		g = &Gauge{name: name, help: help}
-		r.gaus[name] = g
-	}
-	return g
+	return r.instrument(name, "gauge", func() any { return &Gauge{name: name, help: help} }).(*Gauge)
 }
 
 // CounterVec returns (registering if needed) the named labeled counter
 // family. A second registration must use the same label name.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "countervec")
-	v, ok := r.cvecs[name]
-	if !ok {
-		v = &CounterVec{name: name, help: help, label: label, ctrs: map[string]*Counter{}}
-		r.cvecs[name] = v
-		return v
-	}
+	v := r.instrument(name, "countervec", func() any {
+		return &CounterVec{name: name, help: help, label: label, ctrs: map[string]*Counter{}}
+	}).(*CounterVec)
 	if v.label != label {
 		panic(fmt.Sprintf("obs: counter vec %q registered with labels %q and %q", name, v.label, label))
 	}
@@ -444,15 +450,9 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // GaugeVec returns (registering if needed) the named labeled gauge
 // family. A second registration must use the same label name.
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gaugevec")
-	v, ok := r.gvecs[name]
-	if !ok {
-		v = &GaugeVec{name: name, help: help, label: label, gauges: map[string]*Gauge{}}
-		r.gvecs[name] = v
-		return v
-	}
+	v := r.instrument(name, "gaugevec", func() any {
+		return &GaugeVec{name: name, help: help, label: label, gauges: map[string]*Gauge{}}
+	}).(*GaugeVec)
 	if v.label != label {
 		panic(fmt.Sprintf("obs: gauge vec %q registered with labels %q and %q", name, v.label, label))
 	}
@@ -468,21 +468,15 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
 		panic(fmt.Sprintf("obs: histogram %s: bounds not strictly ascending", name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "histogram")
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{
+	h := r.instrument(name, "histogram", func() any {
+		return &Histogram{
 			name:   name,
 			help:   help,
 			bounds: append([]int64(nil), bounds...),
 			pow2:   isPow2Bounds(bounds),
 			counts: make([]atomic.Int64, len(bounds)+1),
 		}
-		r.hists[name] = h
-		return h
-	}
+	}).(*Histogram)
 	if len(h.bounds) != len(bounds) {
 		panic(fmt.Sprintf("obs: histogram %s re-registered with different bounds", name))
 	}
@@ -505,33 +499,30 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current values.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.ctrs)),
-		Gauges:     make(map[string]int64, len(r.gaus)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Counters:   map[string]int64{},
+		Gauges:     map[string]int64{},
+		Histograms: map[string]HistogramSnapshot{},
 	}
-	for n, c := range r.ctrs {
-		s.Counters[n] = c.Value()
-	}
-	for n, g := range r.gaus {
-		s.Gauges[n] = g.Value()
-	}
-	if len(r.cvecs) > 0 {
-		s.CounterVecs = make(map[string]map[string]int64, len(r.cvecs))
-		for n, v := range r.cvecs {
+	for n, v := range r.tab.Load().inst {
+		switch v := v.(type) {
+		case *Counter:
+			s.Counters[n] = v.Value()
+		case *Gauge:
+			s.Gauges[n] = v.Value()
+		case *CounterVec:
+			if s.CounterVecs == nil {
+				s.CounterVecs = map[string]map[string]int64{}
+			}
 			s.CounterVecs[n] = v.Values()
-		}
-	}
-	if len(r.gvecs) > 0 {
-		s.GaugeVecs = make(map[string]map[string]int64, len(r.gvecs))
-		for n, v := range r.gvecs {
+		case *GaugeVec:
+			if s.GaugeVecs == nil {
+				s.GaugeVecs = map[string]map[string]int64{}
+			}
 			s.GaugeVecs[n] = v.Values()
+		case *Histogram:
+			s.Histograms[n] = v.Snapshot()
 		}
-	}
-	for n, h := range r.hists {
-		s.Histograms[n] = h.Snapshot()
 	}
 	return s
 }
@@ -540,49 +531,25 @@ func (r *Registry) Snapshot() Snapshot {
 // missing names. Counter values add, gauges take the other's value, and
 // histograms merge per bucket (bounds must match).
 func (r *Registry) Merge(o *Registry) error {
-	o.mu.Lock()
-	names := append([]string(nil), o.order...)
-	kinds := make(map[string]string, len(o.kinds))
-	for k, v := range o.kinds {
-		kinds[k] = v
-	}
-	o.mu.Unlock()
-	for _, name := range names {
-		switch kinds[name] {
-		case "counter":
-			o.mu.Lock()
-			v := o.ctrs[name].Value()
-			help := o.ctrs[name].help
-			o.mu.Unlock()
-			r.Counter(name, help).Add(v)
-		case "gauge":
-			o.mu.Lock()
-			v := o.gaus[name].Value()
-			help := o.gaus[name].help
-			o.mu.Unlock()
-			r.Gauge(name, help).Set(v)
-		case "countervec":
-			o.mu.Lock()
-			ov := o.cvecs[name]
-			o.mu.Unlock()
+	t := o.tab.Load()
+	for _, name := range t.order {
+		switch ov := t.inst[name].(type) {
+		case *Counter:
+			r.Counter(name, ov.help).Add(ov.Value())
+		case *Gauge:
+			r.Gauge(name, ov.help).Set(ov.Value())
+		case *CounterVec:
 			v := r.CounterVec(name, ov.help, ov.label)
 			for label, val := range ov.Values() {
 				v.With(label).Add(val)
 			}
-		case "gaugevec":
-			o.mu.Lock()
-			ov := o.gvecs[name]
-			o.mu.Unlock()
+		case *GaugeVec:
 			v := r.GaugeVec(name, ov.help, ov.label)
 			for label, val := range ov.Values() {
 				v.With(label).Set(val)
 			}
-		case "histogram":
-			o.mu.Lock()
-			oh := o.hists[name]
-			o.mu.Unlock()
-			h := r.Histogram(name, oh.help, oh.bounds)
-			if err := h.Merge(oh); err != nil {
+		case *Histogram:
+			if err := r.Histogram(name, ov.help, ov.bounds).Merge(ov); err != nil {
 				return err
 			}
 		}
@@ -593,118 +560,106 @@ func (r *Registry) Merge(o *Registry) error {
 // WritePrometheus renders every instrument in Prometheus text exposition
 // format (version 0.0.4), in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	kinds := make(map[string]string, len(r.kinds))
-	for k, v := range r.kinds {
-		kinds[k] = v
-	}
-	r.mu.Unlock()
-	for _, name := range order {
-		switch kinds[name] {
-		case "counter":
-			r.mu.Lock()
-			c := r.ctrs[name]
-			r.mu.Unlock()
-			if c.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, c.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, c.Value()); err != nil {
+	t := r.tab.Load()
+	for _, name := range t.order {
+		var help, typ string
+		switch v := t.inst[name].(type) {
+		case *Counter:
+			help, typ = v.help, "counter"
+		case *Gauge:
+			help, typ = v.help, "gauge"
+		case *CounterVec:
+			help, typ = v.help, "counter"
+		case *GaugeVec:
+			help, typ = v.help, "gauge"
+		case *Histogram:
+			help, typ = v.help, "histogram"
+		}
+		if help != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
 				return err
 			}
-		case "gauge":
-			r.mu.Lock()
-			g := r.gaus[name]
-			r.mu.Unlock()
-			if g.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, g.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, g.Value()); err != nil {
-				return err
-			}
-		case "countervec":
-			r.mu.Lock()
-			v := r.cvecs[name]
-			r.mu.Unlock()
-			if v.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, v.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
-				return err
-			}
-			vals := v.Values()
-			labels := make([]string, 0, len(vals))
-			for label := range vals {
-				labels = append(labels, label)
-			}
-			sort.Strings(labels)
-			for _, label := range labels {
-				if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, label, vals[label]); err != nil {
-					return err
-				}
-			}
-		case "gaugevec":
-			r.mu.Lock()
-			v := r.gvecs[name]
-			r.mu.Unlock()
-			if v.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, v.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", name); err != nil {
-				return err
-			}
-			vals := v.Values()
-			labels := make([]string, 0, len(vals))
-			for label := range vals {
-				labels = append(labels, label)
-			}
-			sort.Strings(labels)
-			for _, label := range labels {
-				if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, label, vals[label]); err != nil {
-					return err
-				}
-			}
-		case "histogram":
-			r.mu.Lock()
-			h := r.hists[name]
-			r.mu.Unlock()
-			s := h.Snapshot()
-			if h.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, h.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-				return err
-			}
-			var cum int64
-			for i, b := range s.Bounds {
-				cum += s.Counts[i]
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b, cum); err != nil {
-					return err
-				}
-			}
-			cum += s.Counts[len(s.Bounds)]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-				name, cum, name, s.Sum, name, cum); err != nil {
-				return err
-			}
+		}
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
+			return err
+		}
+		var err error
+		switch v := t.inst[name].(type) {
+		case *Counter:
+			_, err = fmt.Fprintf(w, "%s %d\n", name, v.Value())
+		case *Gauge:
+			_, err = fmt.Fprintf(w, "%s %d\n", name, v.Value())
+		case *CounterVec:
+			err = writeLabeled(w, name, v.label, v.Values())
+		case *GaugeVec:
+			err = writeLabeled(w, name, v.label, v.Values())
+		case *Histogram:
+			err = writeHistogram(w, name, v.Snapshot())
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// writeLabeled renders one labeled family's members, sorted by label.
+func writeLabeled(w io.Writer, name, label string, vals map[string]int64) error {
+	labels := make([]string, 0, len(vals))
+	for l := range vals {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for _, l := range labels {
+		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, l, vals[l]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeHistogram renders cumulative buckets, sum and count.
+func writeHistogram(w io.Writer, name string, s HistogramSnapshot) error {
+	var cum int64
+	for i, b := range s.Bounds {
+		cum += s.Counts[i]
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b, cum); err != nil {
+			return err
+		}
+	}
+	cum += s.Counts[len(s.Bounds)]
+	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
+		name, cum, name, s.Sum, name, cum)
+	return err
+}
+
 // Publisher is implemented by subsystems that can publish their internal
-// counters into a registry at the end of a run (memory hierarchy, branch
-// predictor, value predictors).
+// counters at the end of a run (memory hierarchy, branch predictor, value
+// predictors).
 type Publisher interface {
-	PublishMetrics(*Registry)
+	PublishMetrics(*CounterCache)
+}
+
+// CounterCache remembers one registry's counters by name for a single
+// goroutine, so a publisher that runs again and again (once per
+// simulation run) consults the registry once per name, not once per run.
+// It is not safe for concurrent use.
+type CounterCache struct {
+	reg  *Registry
+	ctrs map[string]*Counter
+}
+
+// NewCounterCache returns an empty cache over reg.
+func NewCounterCache(reg *Registry) *CounterCache {
+	return &CounterCache{reg: reg, ctrs: map[string]*Counter{}}
+}
+
+// Counter returns (registering if needed) the named counter.
+func (c *CounterCache) Counter(name, help string) *Counter {
+	ctr, ok := c.ctrs[name]
+	if !ok {
+		ctr = c.reg.Counter(name, help)
+		c.ctrs[name] = ctr
+	}
+	return ctr
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,11 @@ func TestRegistryConcurrentSafety(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each worker also registers names of its own, so concurrent
+			// registrations of different names race to publish the table.
+			for i := 0; i < 20; i++ {
+				r.Counter(fmt.Sprintf("w%d_%d_total", w, i), "").Inc()
+			}
 			c := r.Counter("shared_total", "")
 			h := r.Histogram("shared_hist", "", []int64{8, 64})
 			g := r.Gauge("shared_gauge", "")
@@ -206,6 +212,9 @@ func TestRegistryConcurrentSafety(t *testing.T) {
 	}
 	if got := r.Histogram("shared_hist", "", []int64{8, 64}).Snapshot().Count; got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
+	}
+	if got, want := len(r.Snapshot().Counters), 1+workers*20; got != want {
+		t.Errorf("%d counters registered, want %d", got, want)
 	}
 }
 
@@ -267,39 +276,3 @@ func TestWritePrometheus(t *testing.T) {
 		t.Error("exposition should preserve registration order")
 	}
 }
-
-func TestObserverSeqAndSinks(t *testing.T) {
-	o := NewObserver()
-	if o.HasSinks() {
-		t.Error("fresh observer should have no sinks")
-	}
-	var nilObs *Observer
-	if nilObs.HasSinks() {
-		t.Error("nil observer must report no sinks")
-	}
-	var got []uint64
-	o.AddSink(sinkFunc(func(e *Event) error {
-		got = append(got, e.Seq)
-		return nil
-	}))
-	for i := 0; i < 5; i++ {
-		o.Emit(&Event{Index: i})
-	}
-	if o.Events() != 5 {
-		t.Errorf("events = %d, want 5", o.Events())
-	}
-	for i, s := range got {
-		if s != uint64(i) {
-			t.Errorf("seq[%d] = %d, want %d", i, s, i)
-		}
-	}
-	if err := o.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// sinkFunc adapts a function into an EventSink.
-type sinkFunc func(*Event) error
-
-func (f sinkFunc) Emit(e *Event) error { return f(e) }
-func (sinkFunc) Close() error          { return nil }

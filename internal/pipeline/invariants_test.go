@@ -78,23 +78,11 @@ func TestTimingInvariants(t *testing.T) {
 	}
 }
 
-// checkSink records events for TestObserverInvariants.
-type checkSink struct {
-	events []obs.Event
-}
-
-func (s *checkSink) Emit(e *obs.Event) error {
-	s.events = append(s.events, *e)
-	return nil
-}
-
-func (*checkSink) Close() error { return nil }
-
-// TestObserverInvariants routes runs through the observability layer and
-// checks the same ordering guarantees hold at the sink boundary: events
-// arrive in commit order with increasing sequence numbers, stage
-// timestamps are ordered, and both the event count and the prediction
-// accounting reconcile with the registry snapshot and the run Stats.
+// TestObserverInvariants runs with both a metrics observer and a tracer
+// attached and checks that the commit stream and the registry agree:
+// records arrive in commit order, stage timestamps are ordered, and both
+// the record count and the prediction accounting reconcile with the
+// registry snapshot and the run Stats.
 func TestObserverInvariants(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -104,30 +92,24 @@ func TestObserverInvariants(t *testing.T) {
 		p := progtest.Random(uint64(seed))
 		sim := pipeline.MustNew(pipeline.BaselineConfig())
 		o := obs.NewObserver()
-		sink := &checkSink{}
-		o.AddSink(sink)
 		sim.SetObserver(o)
+		var events []pipeline.TraceRecord
+		sim.SetTracer(func(tr pipeline.TraceRecord) { events = append(events, tr) })
 		st, err := sim.Run(p, core.MustDynamicRVP(core.DefaultCounterConfig()), 20_000)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		var lastCommit int64
 		var predicted, correct uint64
-		for i, e := range sink.events {
-			if e.Seq != uint64(i) {
-				t.Fatalf("seed %d: event %d has seq %d", seed, i, e.Seq)
+		for i, e := range events {
+			if !(e.FetchAt <= e.Dispatch && e.Dispatch < e.IssueAt && e.IssueAt < e.DoneAt && e.DoneAt < e.CommitAt) {
+				t.Fatalf("seed %d: record %d stage order violated: %+v", seed, i, e)
 			}
-			if !(e.Fetch <= e.Dispatch && e.Dispatch < e.Issue && e.Issue < e.Done && e.Done < e.Commit) {
-				t.Fatalf("seed %d: event %d stage order violated: %+v", seed, i, e)
+			if e.CommitAt < lastCommit {
+				t.Fatalf("seed %d: record %d commit %d regressed below %d", seed, i, e.CommitAt, lastCommit)
 			}
-			if e.Commit < lastCommit {
-				t.Fatalf("seed %d: event %d commit %d regressed below %d", seed, i, e.Commit, lastCommit)
-			}
-			lastCommit = e.Commit
+			lastCommit = e.CommitAt
 			if e.Predicted {
 				predicted++
 				if e.Correct {
@@ -135,11 +117,11 @@ func TestObserverInvariants(t *testing.T) {
 				}
 			}
 		}
-		if uint64(len(sink.events)) != st.Committed {
-			t.Errorf("seed %d: %d events != %d committed", seed, len(sink.events), st.Committed)
+		if uint64(len(events)) != st.Committed {
+			t.Errorf("seed %d: %d records != %d committed", seed, len(events), st.Committed)
 		}
 		if predicted != st.Predicted || correct != st.PredictCorrect {
-			t.Errorf("seed %d: event prediction counts (%d/%d) disagree with stats (%d/%d)",
+			t.Errorf("seed %d: record prediction counts (%d/%d) disagree with stats (%d/%d)",
 				seed, predicted, correct, st.Predicted, st.PredictCorrect)
 		}
 

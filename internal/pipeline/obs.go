@@ -12,11 +12,13 @@ const flushEvery = 8192
 // as before — zero allocations, zero atomics — and every flushEvery
 // committed instructions the deltas are folded into the shared registry,
 // so concurrent readers (heartbeats, exporters) see near-live values.
-// One meters is built per Run; the registry persists across runs, so its
+// A Sim builds one meters per registry and reuses it run after run (see
+// Sim.meters), so a run never consults the shared registry; its
 // counters are monotone run-over-run aggregates.
 type meters struct {
 	reg  *obs.Registry
-	prev Stats // values already flushed into the registry
+	pub  *obs.CounterCache // the memory/bpred/predictor publish handles
+	prev Stats             // values already flushed into the registry
 
 	cycles      *obs.Counter
 	committed   *obs.Counter
@@ -36,6 +38,7 @@ type meters struct {
 	stallIntIQ  *obs.Counter
 	stallFPIQ   *obs.Counter
 
+	hists       [3]*obs.Histogram
 	instLatency *obs.LocalHistogram // fetch -> commit
 	issueWait   *obs.LocalHistogram // dispatch -> issue (queue wait)
 	residency   *obs.LocalHistogram // dispatch -> commit (window occupancy span)
@@ -46,8 +49,9 @@ type meters struct {
 var latencyBounds = obs.ExpBuckets(2, 2, 14)
 
 func newMeters(reg *obs.Registry) *meters {
-	return &meters{
+	m := &meters{
 		reg:         reg,
+		pub:         obs.NewCounterCache(reg),
 		cycles:      reg.Counter("rvpsim_cycles_total", "simulated cycles"),
 		committed:   reg.Counter("rvpsim_committed_total", "committed instructions"),
 		loads:       reg.Counter("rvpsim_loads_total", "committed loads"),
@@ -65,10 +69,38 @@ func newMeters(reg *obs.Registry) *meters {
 		stallWindow: reg.Counter("rvpsim_stall_window_cycles_total", "dispatch cycles lost to a full instruction window"),
 		stallIntIQ:  reg.Counter("rvpsim_stall_intiq_cycles_total", "dispatch cycles lost to a full integer issue queue"),
 		stallFPIQ:   reg.Counter("rvpsim_stall_fpiq_cycles_total", "dispatch cycles lost to a full FP issue queue"),
-		instLatency: reg.Histogram("rvpsim_inst_latency_cycles", "per-instruction fetch-to-commit latency", latencyBounds).Local(),
-		issueWait:   reg.Histogram("rvpsim_issue_wait_cycles", "per-instruction dispatch-to-issue queue wait", latencyBounds).Local(),
-		residency:   reg.Histogram("rvpsim_window_residency_cycles", "per-instruction dispatch-to-commit window residency", latencyBounds).Local(),
+		hists: [3]*obs.Histogram{
+			reg.Histogram("rvpsim_inst_latency_cycles", "per-instruction fetch-to-commit latency", latencyBounds),
+			reg.Histogram("rvpsim_issue_wait_cycles", "per-instruction dispatch-to-issue queue wait", latencyBounds),
+			reg.Histogram("rvpsim_window_residency_cycles", "per-instruction dispatch-to-commit window residency", latencyBounds),
+		},
 	}
+	m.locals()
+	return m
+}
+
+// locals binds fresh local accumulators to the shared histograms.
+func (m *meters) locals() {
+	m.instLatency, m.issueWait, m.residency = m.hists[0].Local(), m.hists[1].Local(), m.hists[2].Local()
+}
+
+// meters returns the current run's meters, nil without an observer. The
+// instruments are resolved against a registry once per Sim: a run only
+// rebuilds them when the observer's registry changed since the last run.
+func (s *Sim) meters() *meters {
+	if s.obs == nil {
+		return nil
+	}
+	if s.met == nil || s.met.reg != s.obs.Registry() {
+		s.met = newMeters(s.obs.Registry())
+	}
+	m := s.met
+	m.prev = Stats{}
+	if m.instLatency.Pending()+m.issueWait.Pending()+m.residency.Pending() > 0 {
+		// A run that panicked never flushed; drop its observations.
+		m.locals()
+	}
+	return m
 }
 
 // observe records one committed instruction's stage timings locally.

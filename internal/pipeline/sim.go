@@ -107,43 +107,6 @@ type instInfo struct {
 	isMem  bool
 }
 
-// Concrete predictor dispatch kinds (runState.predKind). The loop
-// type-switches once per run instead of making interface calls per
-// commit; predGeneric falls back to the interface for predictors outside
-// the built-in set.
-const (
-	predGeneric = iota
-	predNone
-	predDynamic
-	predStatic
-	predLVP
-	predGabbay
-)
-
-// TraceRecord is the per-committed-instruction record delivered to a
-// Tracer: when the instruction moved through each pipeline event, how
-// value prediction treated it, and what it architecturally did (PC and
-// destination write) — the latter lets differential harnesses compare
-// the committed stream against a reference emulator.
-type TraceRecord struct {
-	Index     int // static instruction index
-	FetchAt   int64
-	Dispatch  int64
-	IssueAt   int64
-	DoneAt    int64
-	CommitAt  int64
-	Predicted bool
-	Correct   bool
-
-	PC      uint64  // simulated-memory address of the instruction
-	WroteRd bool    // instruction architecturally wrote Rd
-	Rd      isa.Reg // destination register (valid when WroteRd)
-	Value   uint64  // value written to Rd (valid when WroteRd)
-}
-
-// Tracer receives one record per committed instruction, in commit order.
-type Tracer func(TraceRecord)
-
 // FaultInjector perturbs a run for robustness testing (see
 // internal/faultinject). All hooks run on the simulation goroutine; an
 // injector must not be shared between concurrent Sims.
@@ -170,15 +133,6 @@ type runState struct {
 	prog *program.Program
 	pred core.Predictor
 	st   *emu.State
-
-	// Devirtualized predictor dispatch: predKind selects one of the
-	// concrete fields below (set once by newRunState) so the per-commit
-	// Decide/Commit calls are direct, not through the interface.
-	predKind int
-	drvp     *core.DynamicRVP
-	srvp     *core.StaticRVP
-	lvp      *core.LVP
-	grvp     *core.GabbayRVP
 
 	// Per-static-instruction decode table (see instInfo).
 	info []instInfo
@@ -249,6 +203,7 @@ type Sim struct {
 	bp     *bpred.Predictor
 	tracer Tracer
 	obs    *obs.Observer
+	met    *meters // obs's instruments, resolved once per registry
 	faults FaultInjector
 
 	cur       *runState // state of the current / most recent run
@@ -264,12 +219,12 @@ func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
 // SetFaults installs a fault injector (nil disables).
 func (s *Sim) SetFaults(f FaultInjector) { s.faults = f }
 
-// SetObserver attaches an observability sink (nil disables). With an
+// SetObserver attaches a metrics observer (nil disables). With an
 // observer attached, each Run publishes its statistics, stage-latency
 // histograms, and the memory/branch/value-predictor counters into the
-// observer's registry (batched off the hot path), and — when the
-// observer has event sinks — emits one structured trace event per
-// committed instruction, in commit order.
+// observer's registry, batched off the hot path. The instruments are
+// resolved once per Sim and registry, not once per run. Per-commit
+// records go to the tracer (SetTracer), not the observer.
 func (s *Sim) SetObserver(o *obs.Observer) { s.obs = o }
 
 // SetCheckpoint arms periodic checkpointing: fn receives a fresh
@@ -351,7 +306,7 @@ func (s *Sim) newRunState(prog *program.Program, pred core.Predictor, st *emu.St
 		r.portCap = newCapRing(cfg.PredictPorts)
 	}
 	r.info = buildInfo(prog)
-	r.bindPred(pred)
+	sizeHint(pred, len(r.info))
 	return r
 }
 
@@ -410,7 +365,7 @@ func (s *Sim) resetRunState(r *runState, prog *program.Program, pred core.Predic
 	r.lastDispatch, r.lastCommit, r.lastCycle = 0, 0, 0
 	r.lastCkpt, r.lastProg = 0, 0
 	r.coherent = true
-	r.bindPred(pred)
+	sizeHint(pred, len(r.info))
 }
 
 // buildInfo decodes every static instruction once; the loop indexes this
@@ -432,60 +387,11 @@ func buildInfo(prog *program.Program) []instInfo {
 	return info
 }
 
-// bindPred devirtualizes the four built-in predictors (and skips the
-// baseline's no-op calls entirely); anything else stays on the interface
-// path. It also pre-sizes per-static-instruction predictor state so the
+// sizeHint pre-sizes per-static-instruction predictor state so the
 // commit path never grows a slice mid-run.
-func (r *runState) bindPred(pred core.Predictor) {
-	r.predKind, r.drvp, r.srvp, r.lvp, r.grvp = predGeneric, nil, nil, nil, nil
-	switch p := pred.(type) {
-	case core.NoPredictor:
-		r.predKind = predNone
-	case *core.DynamicRVP:
-		r.predKind, r.drvp = predDynamic, p
-	case *core.StaticRVP:
-		r.predKind, r.srvp = predStatic, p
-	case *core.LVP:
-		r.predKind, r.lvp = predLVP, p
-	case *core.GabbayRVP:
-		r.predKind, r.grvp = predGabbay, p
-	}
+func sizeHint(pred core.Predictor, n int) {
 	if sh, ok := pred.(core.SizeHinter); ok {
-		sh.SizeHint(len(r.info))
-	}
-}
-
-// decide dispatches Decide through the devirtualized fast path.
-func (r *runState) decide(idx int, in isa.Inst) core.Decision {
-	switch r.predKind {
-	case predNone:
-		return core.Decision{}
-	case predDynamic:
-		return r.drvp.Decide(idx, in)
-	case predStatic:
-		return r.srvp.Decide(idx, in)
-	case predLVP:
-		return r.lvp.Decide(idx, in)
-	case predGabbay:
-		return r.grvp.Decide(idx, in)
-	}
-	return r.pred.Decide(idx, in)
-}
-
-// commitPred dispatches Commit through the devirtualized fast path.
-func (r *runState) commitPred(idx int, in isa.Inst, predicted, actual uint64) {
-	switch r.predKind {
-	case predNone:
-	case predDynamic:
-		r.drvp.Commit(idx, in, predicted, actual)
-	case predStatic:
-		r.srvp.Commit(idx, in, predicted, actual)
-	case predLVP:
-		r.lvp.Commit(idx, in, predicted, actual)
-	case predGabbay:
-		r.grvp.Commit(idx, in, predicted, actual)
-	default:
-		r.pred.Commit(idx, in, predicted, actual)
+		sh.SizeHint(n)
 	}
 }
 
@@ -620,14 +526,8 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 	prog, pred, st := r.prog, r.pred, r.st
 	var e emu.Exec // reused across iterations (StepInto)
 
-	// Observability: batched metrics and (when sinks are attached)
-	// per-instruction structured events.
-	var m *meters
-	if s.obs != nil {
-		m = newMeters(s.obs.Registry())
-	}
-	emitEvents := s.obs.HasSinks()
-	var ev obs.Event
+	// Observability: batched metrics.
+	m := s.meters()
 
 	resetFetch := func(to int64) {
 		r.fetchCycle = to
@@ -650,10 +550,10 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		r.stats.TargetMispred = s.bp.TargetMiss + s.bp.RASWrong
 		if m != nil {
 			m.flush(&r.stats)
-			s.hier.PublishMetrics(m.reg)
-			s.bp.PublishMetrics(m.reg)
+			s.hier.PublishMetrics(m.pub)
+			s.bp.PublishMetrics(m.pub)
 			if pub, ok := pred.(obs.Publisher); ok {
-				pub.PublishMetrics(m.reg)
+				pub.PublishMetrics(m.pub)
 			}
 		}
 	}
@@ -795,7 +695,7 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		correct := false
 		if e.WroteRd {
 			r.stats.Eligible++
-			dec = r.decide(idx, in)
+			dec = pred.Decide(idx, in)
 			if s.faults != nil && dec.Kind != core.KindNone && s.faults.FlipPredict(idx) {
 				dec.Predict = !dec.Predict
 			}
@@ -1044,7 +944,7 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 
 		// ---- Train the value predictor (in program order).
 		if e.WroteRd {
-			r.commitPred(idx, in, predVal, e.NewDest)
+			pred.Commit(idx, in, predVal, e.NewDest)
 		}
 
 		if s.tracer != nil {
@@ -1062,19 +962,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 				Rd:        in.Rd,
 				Value:     e.NewDest,
 			})
-		}
-		if emitEvents {
-			ev = obs.Event{
-				Index:     idx,
-				Fetch:     myFetch,
-				Dispatch:  dispatch,
-				Issue:     issueAt,
-				Done:      doneAt,
-				Commit:    commitAt,
-				Predicted: predicted,
-				Correct:   correct,
-			}
-			s.obs.Emit(&ev)
 		}
 
 		r.coherent = true

@@ -7,11 +7,15 @@
 //
 // The package is a facade over the internal subsystems. A minimal session:
 //
+//	ctx := context.Background()
 //	prog, _ := rvpsim.Workload("hydro2d")
 //	cfg := rvpsim.BaselineConfig()
-//	base, _ := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), 1_000_000)
-//	rvp, _ := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 1_000_000)
-//	fmt.Printf("speedup %.3f\n", float64(base.Cycles)/float64(rvp.Cycles))
+//	opts := rvpsim.RunOptions{MaxInsts: 1_000_000}
+//	none, _ := rvpsim.NewPredictor("none")
+//	rvp, _ := rvpsim.NewPredictor("rvp")
+//	b, _ := rvpsim.Run(ctx, prog, cfg, none, opts)
+//	r, _ := rvpsim.Run(ctx, prog, cfg, rvp, opts)
+//	fmt.Printf("speedup %.3f\n", float64(b.Cycles)/float64(r.Cycles))
 //
 // Custom programs are written in the simulator's assembly dialect (see
 // package internal/asm for the syntax) and assembled with Assemble. Every
@@ -148,106 +152,96 @@ var (
 	ErrDivergence = simerr.ErrDivergence
 )
 
-// Run simulates prog on the configured machine under the given value
-// predictor for at most maxInsts committed instructions (0 = to HALT).
-func Run(prog *Program, cfg Config, pred Predictor, maxInsts uint64) (Stats, error) {
-	return RunContext(context.Background(), prog, cfg, pred, maxInsts)
-}
-
-// RunContext is Run honoring ctx: cancellation and deadlines are checked
-// at commit-batch granularity (every 1024 committed instructions), so a
-// canceled run stops within one batch and returns the context's error
-// wrapped in a SimError, together with coherent partial Stats for the
-// work completed. Arming cfg.WatchdogCycles additionally bounds the
-// simulated-cycle gap between commits, converting a hung run into a
-// structured ErrNoProgress failure:
-//
-//	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-//	defer cancel()
-//	st, err := rvpsim.RunContext(ctx, prog, cfg, rvpsim.DynamicRVP(), 0)
-func RunContext(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts uint64) (Stats, error) {
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
-}
-
-// TraceRecord is the per-committed-instruction timing record produced by
-// RunTraced: pipeline event cycles plus the value-prediction outcome.
+// TraceRecord is one committed instruction in the run's commit stream:
+// pipeline event cycles, the value-prediction outcome, and the
+// architectural effect (PC, destination register and value).
 type TraceRecord = pipeline.TraceRecord
 
-// RunTraced is Run with a per-instruction trace callback (commit order).
-func RunTraced(prog *Program, cfg Config, pred Predictor, maxInsts uint64, fn func(TraceRecord)) (Stats, error) {
-	return RunTracedContext(context.Background(), prog, cfg, pred, maxInsts, fn)
-}
-
-// RunTracedContext is RunTraced honoring ctx with the same commit-batch
-// cancellation semantics as RunContext.
-func RunTracedContext(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts uint64, fn func(TraceRecord)) (Stats, error) {
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	sim.SetTracer(pipeline.Tracer(fn))
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
-}
-
-// Observability re-exports (see internal/obs). An Observer carries a
-// metrics Registry that the pipeline, branch predictor, memory
-// hierarchy, and value predictors publish into, plus optional event
-// sinks receiving one structured trace event per committed instruction.
+// Observability re-exports (see internal/obs and internal/pipeline).
 type (
-	// Observer bundles a metrics registry and event sinks for one or
-	// more observed runs.
-	Observer = obs.Observer
-	// Registry is the named-instrument metrics registry.
+	// Registry is the named-instrument metrics registry a run publishes
+	// its statistics, stage-latency histograms and memory, branch and
+	// value-predictor counters into.
 	Registry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = obs.Snapshot
-	// Event is one committed instruction's pipeline trace event.
-	Event = obs.Event
-	// EventSink consumes trace events in commit order.
-	EventSink = obs.EventSink
 	// RunManifest is the machine-readable record of an experiment run.
 	RunManifest = obs.Manifest
+	// ChromeTrace writes a commit stream as a Chrome trace_event JSON
+	// array (chrome://tracing, Perfetto); its Trace method is a tracer.
+	ChromeTrace = pipeline.ChromeTrace
+	// JSONLTrace writes a commit stream as JSON Lines; its Trace method
+	// is a tracer.
+	JSONLTrace = pipeline.JSONLTrace
 )
 
-// NewObserver returns an observer with a fresh registry and no sinks.
-func NewObserver() *Observer { return obs.NewObserver() }
+// NewRegistry returns an empty metrics registry.
+func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// NewObserverWith returns an observer publishing into an existing
-// registry, for aggregating several runs.
-func NewObserverWith(reg *Registry) *Observer { return obs.NewObserverWith(reg) }
+// NewChromeTrace returns a Chrome trace_event writer on w. Close it after
+// the run to terminate the array and flush.
+func NewChromeTrace(w io.Writer) *ChromeTrace { return pipeline.NewChromeTrace(w) }
 
-// NewChromeTrace returns an event sink writing the Chrome trace_event
-// JSON array format (chrome://tracing, Perfetto) to w.
-func NewChromeTrace(w io.Writer) *obs.ChromeTrace { return obs.NewChromeTrace(w) }
+// NewJSONLTrace returns a JSON Lines commit-stream writer on w. Close it
+// after the run to flush.
+func NewJSONLTrace(w io.Writer) *JSONLTrace { return pipeline.NewJSONLTrace(w) }
 
-// NewJSONLTrace returns an event sink writing one JSON object per event
-// per line to w.
-func NewJSONLTrace(w io.Writer) *obs.JSONLTrace { return obs.NewJSONLTrace(w) }
-
-// RunObserved is Run with an observability sink attached: the run's
-// statistics, stage-latency histograms, and subsystem counters are
-// published into o's registry, and each committed instruction is
-// delivered to o's event sinks (if any) in commit order. The caller
-// closes the observer after the run to flush event sinks.
-func RunObserved(prog *Program, cfg Config, pred Predictor, maxInsts uint64, o *Observer) (Stats, error) {
-	return RunObservedContext(context.Background(), prog, cfg, pred, maxInsts, o)
+// RunOptions carries a run's optional inputs. The zero value runs a fresh
+// simulation to HALT with no tracing, metrics or checkpoints.
+type RunOptions struct {
+	// MaxInsts bounds the run to this many committed instructions in
+	// total, counting any a resumed snapshot already committed (0 = run
+	// to HALT).
+	MaxInsts uint64
+	// Trace, when non-nil, receives every committed instruction in
+	// commit order, on the simulating goroutine.
+	Trace func(TraceRecord)
+	// Metrics, when non-nil, receives the run's metrics. A registry may
+	// be shared by several runs; counters aggregate across them, and a
+	// canceled run's metrics cover its committed prefix.
+	Metrics *Registry
+	// CheckpointEvery and OnCheckpoint arm periodic checkpointing:
+	// OnCheckpoint receives a fresh Snapshot after each further
+	// CheckpointEvery committed instructions, at the next commit-batch
+	// boundary. Its error aborts the run; return nil to treat write
+	// failures as non-fatal. Snapshots only read simulator state, so
+	// checkpointing never perturbs the committed stream.
+	CheckpointEvery uint64
+	OnCheckpoint    func(*Snapshot) error
+	// From, when non-nil, continues the run from a snapshot instead of
+	// starting fresh, committing the identical stream (and ending with
+	// identical Stats) as the uninterrupted run. prog, cfg and pred must
+	// match the run the snapshot was taken from — pred constructed
+	// identically; its dynamic state is overwritten — and mismatches
+	// fail with errors wrapping ErrCorrupt.
+	From *Snapshot
 }
 
-// RunObservedContext is RunObserved honoring ctx with the same
-// commit-batch cancellation semantics as RunContext. On early exit the
-// metrics published into o's registry cover the committed prefix, so
-// partial runs remain observable.
-func RunObservedContext(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts uint64, o *Observer) (Stats, error) {
+// Run simulates prog on the configured machine under the given value
+// predictor. ctx is honored at commit-batch granularity (every 1024
+// committed instructions): a canceled run stops within one batch and
+// returns the context's error wrapped in a SimError, together with
+// coherent partial Stats for the work completed. Arming
+// cfg.WatchdogCycles additionally bounds the simulated-cycle gap between
+// commits, converting a hung run into a structured ErrNoProgress failure:
+//
+//	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+//	defer cancel()
+//	st, err := rvpsim.Run(ctx, prog, cfg, pred, rvpsim.RunOptions{})
+func Run(ctx context.Context, prog *Program, cfg Config, pred Predictor, opts RunOptions) (Stats, error) {
 	sim, err := pipeline.New(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	sim.SetObserver(o)
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
+	sim.SetTracer(opts.Trace)
+	if opts.Metrics != nil {
+		sim.SetObserver(obs.NewObserverWith(opts.Metrics))
+	}
+	sim.SetCheckpoint(opts.CheckpointEvery, opts.OnCheckpoint)
+	if opts.From != nil {
+		return sim.ResumeContext(ctx, opts.From, prog.p, pred, opts.MaxInsts)
+	}
+	return sim.RunContext(ctx, prog.p, pred, opts.MaxInsts)
 }
 
 // Disassemble renders the program as assembler-like text.
@@ -261,16 +255,25 @@ func (p *Program) InstString(idx int) string {
 	return asm.DisassembleInst(p.p.Insts[idx], nil)
 }
 
-// NoPrediction returns the no_predict baseline.
-func NoPrediction() Predictor { return core.NoPredictor{} }
+// Predictors lists the built-in predictors' names, the vocabulary of
+// NewPredictor, the rvpsim command's -p flag and the job API: none, rvp,
+// rvp_loads, lvp (loads only), lvp_all, gabbay (the Gabbay & Mendelson
+// register predictor), stride and context (order-2 finite context).
+func Predictors() []string { return core.PredictorNames() }
 
-// DynamicRVP returns the paper's dynamic register value predictor for all
-// instructions with no compiler hints.
-func DynamicRVP() Predictor { return core.MustDynamicRVP(core.DefaultCounterConfig()) }
+// NewPredictor builds a fresh built-in predictor by name (see
+// Predictors). Every predictor reports its hardware cost through its
+// StorageBits method. Unknown names are errors wrapping ErrConfig.
+func NewPredictor(name string) (Predictor, error) { return core.NewPredictor(name) }
 
-// DynamicRVPLoads returns dynamic RVP restricted to load instructions.
-func DynamicRVPLoads() Predictor {
-	return core.MustDynamicRVP(core.DefaultCounterConfig(), core.LoadsOnly())
+// MustPredictor is NewPredictor for names known to be valid, panicking
+// on an unknown one.
+func MustPredictor(name string) Predictor {
+	p, err := core.NewPredictor(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // NewDynamicRVPWith returns dynamic RVP with a custom counter
@@ -295,46 +298,6 @@ func DynamicRVPWithHints(hints ReuseHints, loadsOnly bool) Predictor {
 // predicted (the rvp_load opcodes of Section 4.1).
 func StaticRVP(marked map[int]bool, hints ReuseHints) Predictor {
 	return core.NewStaticRVP("srvp", marked, hints)
-}
-
-// LastValue returns the buffer-based LVP baseline; loadsOnly restricts it
-// to loads as in Figures 3 and 5.
-func LastValue(loadsOnly bool) Predictor {
-	cfg := core.DefaultLVPConfig()
-	cfg.LoadOnly = loadsOnly
-	return core.MustLVP(cfg, "lvp")
-}
-
-// GabbayRegisterPredictor returns the register-indexed predictor the
-// paper compares against in Figure 6.
-func GabbayRegisterPredictor() Predictor {
-	return core.MustGabbayRVP(core.DefaultCounterConfig(), false)
-}
-
-// Stride returns the value+stride predictor (an extension comparator; the
-// paper cites it as a more expensive buffer-based scheme).
-func Stride() Predictor { return core.MustStridePredictor(core.DefaultStrideConfig()) }
-
-// Context returns the order-2 finite-context predictor (the most
-// expensive buffer-based comparator).
-func Context() Predictor { return core.MustContextPredictor(core.DefaultContextConfig()) }
-
-// StorageBits reports the value-prediction hardware storage, in bits, a
-// predictor requires: 0 for predictors without dedicated storage beyond
-// RVP's counters, and the table cost for buffer-based schemes. This is
-// the asymmetry the paper's title is about.
-func StorageBits(p Predictor) int {
-	type sized interface{ StorageBits() int }
-	if s, ok := p.(sized); ok {
-		return s.StorageBits()
-	}
-	switch p.(type) {
-	case *core.DynamicRVP:
-		return core.RVPStorageBits(core.DefaultCounterConfig())
-	case *core.GabbayRVP:
-		return 64 * 3 // one counter per architectural register
-	}
-	return 0
 }
 
 // Profile holds a program's register-reuse profile (Section 5).
@@ -456,40 +419,6 @@ func SaveCheckpoint(path string, snap *Snapshot) error { return checkpoint.Save(
 // from "checkpoint destroyed".
 func LoadCheckpoint(path string) (*Snapshot, error) { return checkpoint.Load(path) }
 
-// RunCheckpointed is RunContext with periodic checkpointing armed: fn
-// receives a fresh Snapshot after each further `every` committed
-// instructions (at the next commit-batch boundary). fn's error aborts
-// the run; return nil to treat checkpoint-write failures as non-fatal.
-// Snapshot construction only reads simulator state, so checkpointing
-// never perturbs the committed instruction/value stream.
-func RunCheckpointed(ctx context.Context, prog *Program, cfg Config, pred Predictor, maxInsts, every uint64, fn func(*Snapshot) error) (Stats, error) {
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	sim.SetCheckpoint(every, fn)
-	return sim.RunContext(ctx, prog.p, pred, maxInsts)
-}
-
-// Resume continues a run from a snapshot until maxInsts total committed
-// instructions (0 = until HALT). prog must be the program the snapshot
-// was taken from and pred a predictor constructed identically to the
-// original (its dynamic state is overwritten from the snapshot).
-// Mismatches are rejected with errors wrapping ErrCorrupt.
-func Resume(snap *Snapshot, prog *Program, pred Predictor, maxInsts uint64) (Stats, error) {
-	return ResumeContext(context.Background(), snap, prog, pred, maxInsts)
-}
-
-// ResumeContext is Resume honoring ctx with the same commit-batch
-// cancellation semantics as RunContext.
-func ResumeContext(ctx context.Context, snap *Snapshot, prog *Program, pred Predictor, maxInsts uint64) (Stats, error) {
-	sim, err := pipeline.RestoreSim(snap)
-	if err != nil {
-		return Stats{}, err
-	}
-	return sim.ResumeContext(ctx, snap, prog.p, pred, maxInsts)
-}
-
 // Service job re-exports (see internal/exp and internal/server): a
 // JobSpec is the unit of work the rvpd simulation service accepts —
 // one workload × predictor × recovery run or one figure sweep — and
@@ -507,8 +436,13 @@ type (
 // JobFigures lists the figure names a "figure" job accepts.
 func JobFigures() []string { return exp.JobFigures() }
 
-// JobPredictors lists the predictor names a "run" job accepts.
+// JobPredictors lists the predictor names a "run" job accepts: the
+// built-in predictors, sorted.
 func JobPredictors() []string { return exp.JobPredictors() }
+
+// ParseRecovery resolves a recovery-scheme name: refetch, reissue or
+// selective. Unknown names are errors wrapping ErrConfig.
+func ParseRecovery(name string) (Recovery, error) { return exp.ParseRecovery(name) }
 
 // RunJob executes one job spec with the experiment runner's crash
 // safety: with opts.StateDir set, finished cells are journaled

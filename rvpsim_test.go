@@ -40,7 +40,7 @@ func TestFacadeAssembleAndRun(t *testing.T) {
 	if prog.Name() != "t" || prog.Len() == 0 {
 		t.Errorf("program meta wrong: %s %d", prog.Name(), prog.Len())
 	}
-	st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), rvpsim.NoPrediction(), 50_000)
+	st, err := rvpsim.Run(context.Background(), prog, rvpsim.BaselineConfig(), rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,18 +79,15 @@ func TestFacadePredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := []rvpsim.Predictor{
-		rvpsim.NoPrediction(),
-		rvpsim.DynamicRVP(),
-		rvpsim.DynamicRVPLoads(),
-		rvpsim.LastValue(true),
-		rvpsim.LastValue(false),
-		rvpsim.GabbayRegisterPredictor(),
-		drvp,
-		lvp,
+	preds := []rvpsim.Predictor{drvp, lvp}
+	for _, name := range rvpsim.Predictors() {
+		preds = append(preds, rvpsim.MustPredictor(name))
+	}
+	if _, err := rvpsim.NewPredictor("drvp"); !errors.Is(err, rvpsim.ErrConfig) {
+		t.Errorf("unknown predictor name: want ErrConfig, got %v", err)
 	}
 	for _, p := range preds {
-		st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), p, 30_000)
+		st, err := rvpsim.Run(context.Background(), prog, rvpsim.BaselineConfig(), p, rvpsim.RunOptions{MaxInsts: 30_000})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -118,7 +115,7 @@ func TestFacadeProfileHintsAndStatic(t *testing.T) {
 		t.Fatal("no loads marked for static RVP")
 	}
 	hints := prof.Hints(0.8, rvpsim.SupportDeadLV, false)
-	st, err := rvpsim.Run(prog, rvpsim.BaselineConfig(), rvpsim.StaticRVP(marked, hints), 50_000)
+	st, err := rvpsim.Run(context.Background(), prog, rvpsim.BaselineConfig(), rvpsim.StaticRVP(marked, hints), rvpsim.RunOptions{MaxInsts: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestFacadeReallocate(t *testing.T) {
 	if report.LVApplied+report.DeadApplied+report.LVDropped+report.DeadDropped == 0 {
 		t.Error("re-allocation saw no reuse candidates on hydro2d")
 	}
-	if _, err := rvpsim.Run(rewritten, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(), 50_000); err != nil {
+	if _, err := rvpsim.Run(context.Background(), rewritten, rvpsim.BaselineConfig(), rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: 50_000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -160,11 +157,11 @@ func TestFacadeSpeedupOnReusefulProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rvpsim.BaselineConfig()
-	base, err := rvpsim.Run(prog, cfg, rvpsim.NoPrediction(), 200_000)
+	base, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("none"), rvpsim.RunOptions{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvp, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 200_000)
+	rvp, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +198,17 @@ func TestFacadeRunTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int
-	st, err := rvpsim.RunTraced(prog, rvpsim.BaselineConfig(), rvpsim.DynamicRVP(), 10_000,
-		func(tr rvpsim.TraceRecord) { n++ })
+	reg := rvpsim.NewRegistry()
+	st, err := rvpsim.Run(context.Background(), prog, rvpsim.BaselineConfig(), rvpsim.MustPredictor("rvp"),
+		rvpsim.RunOptions{MaxInsts: 10_000, Metrics: reg, Trace: func(tr rvpsim.TraceRecord) { n++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uint64(n) != st.Committed {
 		t.Errorf("traced %d records, committed %d", n, st.Committed)
+	}
+	if got := reg.Counter("rvpsim_committed_total", "").Value(); got != int64(st.Committed) {
+		t.Errorf("metrics count %d commits, run %d", got, st.Committed)
 	}
 	if prog.InstString(0) == "" || prog.InstString(1<<30) != "<out of range>" {
 		t.Error("InstString misbehaves")
@@ -218,17 +219,18 @@ func TestFacadeRunTraced(t *testing.T) {
 }
 
 func TestFacadeStorageBits(t *testing.T) {
-	if rvpsim.StorageBits(rvpsim.DynamicRVP()) != 3072 {
-		t.Errorf("RVP storage = %d, want 3072", rvpsim.StorageBits(rvpsim.DynamicRVP()))
+	bits := func(name string) int { return rvpsim.MustPredictor(name).StorageBits() }
+	if bits("rvp") != 3072 {
+		t.Errorf("RVP storage = %d, want 3072", bits("rvp"))
 	}
-	if rvpsim.StorageBits(rvpsim.LastValue(false)) <= rvpsim.StorageBits(rvpsim.DynamicRVP()) {
+	if bits("lvp_all") <= bits("rvp") {
 		t.Error("LVP storage not above RVP")
 	}
-	if rvpsim.StorageBits(rvpsim.Context()) <= rvpsim.StorageBits(rvpsim.Stride()) {
+	if bits("context") <= bits("stride") {
 		t.Error("context storage not above stride")
 	}
-	if rvpsim.StorageBits(rvpsim.NoPrediction()) != 0 {
-		t.Error("NoPrediction has storage")
+	if bits("none") != 0 {
+		t.Error("no prediction has storage")
 	}
 }
 
@@ -238,7 +240,7 @@ func TestFacadeCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := rvpsim.BaselineConfig()
-	ref, err := rvpsim.Run(prog, cfg, rvpsim.DynamicRVP(), 30_000)
+	ref, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +248,14 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	// Run the first 12k instructions, checkpointing to disk along the way.
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	saves := 0
-	_, err = rvpsim.RunCheckpointed(context.Background(), prog, cfg, rvpsim.DynamicRVP(), 12_000, 4_000,
-		func(snap *rvpsim.Snapshot) error {
+	_, err = rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{
+		MaxInsts:        12_000,
+		CheckpointEvery: 4_000,
+		OnCheckpoint: func(snap *rvpsim.Snapshot) error {
 			saves++
 			return rvpsim.SaveCheckpoint(path, snap)
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +269,8 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rvpsim.Resume(snap, prog, rvpsim.DynamicRVP(), 30_000)
+	resume := rvpsim.RunOptions{MaxInsts: 30_000, From: snap}
+	got, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), resume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +283,12 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rvpsim.Resume(snap, other, rvpsim.DynamicRVP(), 30_000); !errors.Is(err, rvpsim.ErrCorrupt) {
+	if _, err := rvpsim.Run(context.Background(), other, cfg, rvpsim.MustPredictor("rvp"), resume); !errors.Is(err, rvpsim.ErrCorrupt) {
 		t.Errorf("wrong-program resume: want ErrCorrupt, got %v", err)
+	}
+	// So is a resume on a machine the snapshot was not taken on.
+	if _, err := rvpsim.Run(context.Background(), prog, rvpsim.AggressiveConfig(), rvpsim.MustPredictor("rvp"), resume); !errors.Is(err, rvpsim.ErrCorrupt) {
+		t.Errorf("wrong-config resume: want ErrCorrupt, got %v", err)
 	}
 }
 
@@ -288,7 +298,7 @@ func TestFacadeValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := rvpsim.Validate(prog, rvpsim.BaselineConfig(),
-		rvpsim.DynamicRVP, rvpsim.LockstepOptions{MaxInsts: 20_000, CheckEvery: 5_000})
+		func() rvpsim.Predictor { return rvpsim.MustPredictor("rvp") }, rvpsim.LockstepOptions{MaxInsts: 20_000, CheckEvery: 5_000})
 	if err != nil {
 		t.Fatalf("divergence on a correct machine: %v", err)
 	}
