@@ -105,9 +105,14 @@ obs-smoke:
 
 # Fleet smoke: coordinator + three workers on ephemeral ports, one
 # worker SIGKILLed mid-sweep, and the sweep must still finish with a
-# merged table. The real chaos proof (byte-identical merge, counters vs
-# ledger) lives in the fleet package's -race e2e; this target proves the
-# shipped binaries wire together.
+# merged table. The kill waits until `rvpc sweep <id>` shows the sweep
+# running with a cell leased to worker a. Cells are sized (-n 3M, about
+# 0.6s each alone) so that state lasts past the kill, and the steal age
+# (3s) stays well above a cell's run time: a cell that outlives it
+# would be stolen back and forth between idle workers. The real chaos
+# proof (byte-identical merge, counters vs ledger) lives in the fleet
+# package's -race e2e; this target proves the shipped binaries wire
+# together.
 fleet-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/rvpd" ./cmd/rvpd; \
@@ -124,16 +129,24 @@ fleet-smoke:
 	done; \
 	urls=$${urls#,}; \
 	"$$tmp/rvpcoord" -addr 127.0.0.1:0 -addr-file "$$tmp/addr-coord" -state "$$tmp/coord" \
-		-workers "$$urls" -lease 3s -steal-age 1s & cpid=$$!; \
+		-workers "$$urls" -lease 6s -steal-age 3s & cpid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$tmp/addr-coord" ] && break; sleep 0.1; done; \
 	[ -s "$$tmp/addr-coord" ] || { echo "rvpcoord never wrote its address"; kill $$pids $$cpid; exit 1; }; \
 	coord="http://$$(cat "$$tmp/addr-coord")"; \
-	"$$tmp/rvpc" -server "$$coord" sweep -workloads go,li,perl -predictors none,rvp -n 200000 \
+	"$$tmp/rvpc" -server "$$coord" sweep -workloads go,li,perl -predictors none,rvp -n 3000000 \
 		| tee "$$tmp/submit.log"; \
 	id=$$(sed -n 's/^sweep \([a-f0-9]*\):.*/\1/p' "$$tmp/submit.log" | head -1); \
 	[ -n "$$id" ] || { echo "no sweep id parsed"; kill $$pids $$cpid; exit 1; }; \
-	sleep 1; kill -9 $$(echo $$pids | awk '{print $$1}'); \
-	echo "killed worker a mid-sweep"; \
+	a=$${urls%%,*}; leased=""; \
+	for i in $$(seq 1 100); do \
+		"$$tmp/rvpc" -server "$$coord" sweep "$$id" > "$$tmp/poll.log" || true; \
+		if grep -q ": running" "$$tmp/poll.log" && grep -qF "worker $$a: live, 1 leased" "$$tmp/poll.log"; then \
+			leased=1; break; fi; \
+		sleep 0.1; \
+	done; \
+	[ -n "$$leased" ] || { echo "worker a never held a lease on a running sweep"; cat "$$tmp/poll.log"; kill $$pids $$cpid; exit 1; }; \
+	kill -9 $$(echo $$pids | awk '{print $$1}'); \
+	echo "killed worker a mid-sweep while it held a lease"; \
 	"$$tmp/rvpc" -server "$$coord" sweep -wait "$$id" | tee "$$tmp/final.log"; \
 	grep -q "average" "$$tmp/final.log" || { echo "no merged table in sweep output"; kill $$pids $$cpid; exit 1; }; \
 	grep -q ": done" "$$tmp/final.log" || { echo "sweep did not finish done"; kill $$pids $$cpid; exit 1; }; \
@@ -157,12 +170,13 @@ storage-faults:
 # Hostile-network suite under the race detector: the netfault seam's
 # own conformance tests, the client's retry/deadline/SSE-resume tests
 # against injected faults, the server's tenant/deadline/slow-loris
-# admission tests, and the fleet partition-chaos e2e (real workers
-# behind fault-injecting proxies, SIGKILL, byte-identical merge).
+# admission tests and status long-poll tests, the fleet partition-chaos
+# e2e (real workers behind fault-injecting proxies, SIGKILL,
+# byte-identical merge), and the fleet's long-poll and poll-pacing tests.
 net-faults:
 	$(GO) test -race -count 1 ./internal/netfault/ ./internal/client/
-	$(GO) test -race -count 1 -run 'Tenant|Deadline|SlowLoris|BreakerRetryAfter' ./internal/server/
-	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing' ./internal/fleet/ -timeout 10m
+	$(GO) test -race -count 1 -run 'Tenant|Deadline|SlowLoris|BreakerRetryAfter|StatusWait' ./internal/server/
+	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing|TestLongPollSeesFinishedCellsAtOnce|TestPollPacing' ./internal/fleet/ -timeout 10m
 
 # Durability-layer errcheck: no discarded Sync/SyncDir/Close error in
 # the packages that own persistent state or pooled connections.

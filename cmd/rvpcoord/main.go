@@ -49,7 +49,7 @@ func run() int {
 	state := flag.String("state", "rvpcoord-state", "state directory for the cell ledger")
 	workers := flag.String("workers", "", "comma-separated rvpd base URLs to dispatch to")
 	lease := flag.Duration("lease", 10*time.Second, "cell lease duration (expired leases return the cell to ready)")
-	heartbeat := flag.Duration("heartbeat", 0, "lease-renewing status-poll cadence (default lease/4)")
+	heartbeat := flag.Duration("heartbeat", 0, "lease-renewal long-poll window (default lease/4)")
 	stealAge := flag.Duration("steal-age", 0, "minimum lease age before an idle worker may steal it (default 2×heartbeat)")
 	poll := flag.Duration("poll", 50*time.Millisecond, "idle scheduler poll cadence")
 	attempts := flag.Int("attempts", 3, "attempts per cell before it is marked failed")

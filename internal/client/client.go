@@ -1,6 +1,6 @@
 // Package client is the retrying rvpd client: idempotency-keyed job
 // submission with capped exponential backoff + jitter that honors the
-// server's Retry-After hints, plus status polling and a wait loop.
+// server's Retry-After hints, plus long-polled status and a wait loop.
 //
 // The retry/idempotency contract: every logical submission carries one
 // idempotency key (caller-supplied or generated once per Submit call),
@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -367,7 +368,19 @@ func decodeError(resp *http.Response) error {
 
 // Status fetches one job's current state.
 func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+	return c.StatusWait(ctx, id, 0)
+}
+
+// StatusWait fetches one job's state, long-polling when wait > 0: the
+// server holds a non-terminal answer until the job's terminal record is
+// durable or wait passes (it caps wait). A daemon that predates the
+// wait parameter ignores it and answers at once.
+func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) (server.JobStatus, error) {
+	path := "/v1/jobs/" + id
+	if wait > 0 {
+		path += "?" + url.Values{"wait": {wait.String()}}.Encode()
+	}
+	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return server.JobStatus{}, err
 	}
@@ -386,17 +399,18 @@ func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error
 	return st, nil
 }
 
-// Wait polls the job until it reaches a terminal state. Transport
-// errors and 5xx during polling are tolerated (the daemon may be
-// restarting mid-drain); poll sets the cadence (default 200ms).
+// Wait long-polls the job until it reaches a terminal state, with poll
+// as each request's wait window (default 200ms). Polls start at least
+// poll apart, so a daemon that ignores the wait is not hammered.
+// Transport errors and 5xx during polling are tolerated (the daemon may
+// be restarting mid-drain).
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
 	for {
-		st, err := c.Status(ctx, id)
+		began := time.Now()
+		st, err := c.StatusWait(ctx, id, poll)
 		if err == nil && st.Terminal() {
 			return st, nil
 		}
@@ -408,8 +422,10 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 				return server.JobStatus{}, err
 			}
 		}
+		t := time.NewTimer(time.Until(began.Add(poll)))
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			return server.JobStatus{}, ctx.Err()
 		case <-t.C:
 		}

@@ -291,12 +291,14 @@ func TestBackoffShape(t *testing.T) {
 
 func TestWaitPollsToTerminal(t *testing.T) {
 	var calls int
+	var waits []string
 	var mu sync.Mutex
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		calls++
 		n := calls
+		waits = append(waits, r.URL.Query().Get("wait"))
 		mu.Unlock()
 		st := server.JobStatus{ID: "j1", State: server.StateRunning}
 		if n >= 3 {
@@ -315,6 +317,12 @@ func TestWaitPollsToTerminal(t *testing.T) {
 	if st.State != server.StateSucceeded {
 		t.Fatalf("Wait returned state %s", st.State)
 	}
+	// Each poll is a long-poll with the poll interval as its window.
+	for _, w := range waits {
+		if w != "1ms" {
+			t.Fatalf("wait parameters sent = %q, want 1ms on every poll", waits)
+		}
+	}
 }
 
 func TestWaitFailsFastOnNotFound(t *testing.T) {
@@ -331,5 +339,31 @@ func TestWaitFailsFastOnNotFound(t *testing.T) {
 	var he *httpError
 	if !errors.As(err, &he) || he.StatusCode() != http.StatusNotFound {
 		t.Fatalf("Wait on 404 = %v, want immediate 404", err)
+	}
+}
+
+func TestWaitPacesServerThatIgnoresWait(t *testing.T) {
+	var calls int
+	var mu sync.Mutex
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateRunning})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	const poll, window = 50 * time.Millisecond, time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), window)
+	defer cancel()
+	if _, err := New(ts.URL).Wait(ctx, "j1", poll); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait = %v, want the context deadline", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if limit := int(window/poll) + 2; calls > limit {
+		t.Fatalf("%d status calls in %v at a %v poll, want <= %d", calls, window, poll, limit)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rvpsim/internal/client"
@@ -33,8 +32,11 @@ type Config struct {
 	// Lease is how long a worker may hold a cell between heartbeat
 	// renewals before the cell is reassigned (default 10s).
 	Lease time.Duration
-	// Heartbeat is the status-poll cadence that renews leases (default
-	// Lease/4).
+	// Heartbeat is the lease-renewal long-poll window: each status poll
+	// asks the worker to hold its answer up to Heartbeat (or until the
+	// job is terminal), and every answer renews the lease. Polls also
+	// start at least Heartbeat apart, so a worker that ignores the wait
+	// is not hammered (default Lease/4).
 	Heartbeat time.Duration
 	// Poll is the idle scheduler's retry cadence when no cell is ready
 	// (default 50ms).
@@ -230,12 +232,11 @@ type Coordinator struct {
 	worder  []string
 	leases  map[string]*cellState // sweepID+"/"+cellID -> leased cells only
 
-	// storageDegraded is set when a ledger append fails: the
-	// coordinator stops admitting sweeps (503 + Retry-After, /readyz
-	// not ready) instead of crashing, keeps already-admitted cells
-	// schedulable, and the janitor's probe clears the flag when the
-	// disk takes durable writes again.
-	storageDegraded atomic.Bool
+	// storageDegraded trips when a ledger append fails: the coordinator
+	// stops admitting sweeps (503 + Retry-After, /readyz not ready)
+	// instead of crashing and keeps already-admitted cells schedulable
+	// until its probe, every StorageProbeEvery, sees the disk recover.
+	storageDegraded *wal.Guard
 
 	mLeases, mExpiries, mSteals     *obs.Counter
 	mCellsDone, mCellsFailed        *obs.Counter
@@ -273,6 +274,7 @@ func Open(cfg Config) (*Coordinator, error) {
 	}
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
 	c.initMetrics()
+	c.storageDegraded = wal.NewGuard(ledger.Probe, cfg.StorageProbeEvery, c.gStorageDegraded, c.log)
 	if ledger.Truncated > 0 {
 		c.log.Warn("ledger: dropped damaged tail records", "count", ledger.Truncated)
 	}
@@ -314,8 +316,12 @@ func Open(cfg Config) (*Coordinator, error) {
 	}
 	c.refreshGauges()
 
-	c.wg.Add(1)
+	c.wg.Add(2)
 	go c.janitor()
+	go func() {
+		defer c.wg.Done()
+		c.storageDegraded.Run(c.stop)
+	}()
 	for _, url := range cfg.Workers {
 		if err := c.AddWorker(url); err != nil {
 			c.Stop()
@@ -344,18 +350,6 @@ func (c *Coordinator) initMetrics() {
 	c.gDone = c.reg.Gauge("fleet_cells_done", "cells finished successfully")
 	c.gFailed = c.reg.Gauge("fleet_cells_failed", "cells terminally failed")
 	c.gStorageDegraded = c.reg.Gauge("fleet_storage_degraded", "1 while ledger appends are failing and sweep admission is shed")
-}
-
-// noteStorageFailure flips the coordinator into storage-degraded mode
-// after a failed ledger append: sweep admission sheds with 503 while
-// already-admitted cells stay schedulable (their leases and results
-// simply wait for a durable ledger), and the janitor's probe restores
-// service when the disk recovers.
-func (c *Coordinator) noteStorageFailure(err error) {
-	if c.storageDegraded.CompareAndSwap(false, true) {
-		c.gStorageDegraded.Set(1)
-		c.log.Error("storage degraded: ledger append failed; shedding sweep admission until the disk recovers", "error", err)
-	}
 }
 
 // StorageDegraded reports whether the coordinator is currently shedding
@@ -479,7 +473,7 @@ func (c *Coordinator) SubmitSweep(spec SweepSpec) (SweepStatus, error) {
 		// Write-ahead: the sweep is durable before it is acknowledged.
 		sp := spec
 		if err := c.ledger.Append(LedgerRecord{Kind: recSweep, Sweep: id, Spec: &sp}); err != nil {
-			c.noteStorageFailure(err)
+			c.storageDegraded.Trip(err)
 			c.mShedStorage.Inc()
 			return SweepStatus{}, fmt.Errorf("%w: %w", ErrStorageDegraded, err)
 		}
@@ -585,26 +579,8 @@ func (c *Coordinator) janitor() {
 			return
 		case <-t.C:
 			c.expireOverdue(time.Now())
-			c.probeStorage()
 		}
 	}
-}
-
-// probeStorage checks a degraded coordinator's disk and restores sweep
-// admission once durable writes succeed again. The janitor's ticker
-// drives it; Heartbeat and StorageProbeEvery are both short, so the
-// sooner of the two cadences applies in practice.
-func (c *Coordinator) probeStorage() {
-	if !c.storageDegraded.Load() {
-		return
-	}
-	if err := c.ledger.Probe(); err != nil {
-		c.log.Debug("storage probe failed; staying degraded", "error", err)
-		return
-	}
-	c.storageDegraded.Store(false)
-	c.gStorageDegraded.Set(0)
-	c.log.Info("storage recovered: accepting sweeps again")
 }
 
 func (c *Coordinator) expireOverdue(now time.Time) {
@@ -619,7 +595,7 @@ func (c *Coordinator) expireOverdue(now time.Time) {
 			Kind: recExpire, Sweep: cell.sweepID, Cell: cell.id, Worker: cell.worker,
 		}); err != nil {
 			c.log.Error("ledgering lease expiry failed", "cell", cell.id, "error", err)
-			c.noteStorageFailure(err)
+			c.storageDegraded.Trip(err)
 			continue
 		}
 		c.log.Warn("lease expired; cell returns to ready", "sweep", cell.sweepID,
@@ -769,7 +745,7 @@ func (c *Coordinator) leaseLocked(sw *sweepState, cell *cellState, w *workerStat
 		Kind: kind, Sweep: sw.id, Cell: cell.id, Worker: w.url,
 	}); err != nil {
 		c.log.Error("ledgering lease failed", "cell", cell.id, "error", err)
-		c.noteStorageFailure(err)
+		c.storageDegraded.Trip(err)
 		sw.ready = append(sw.ready, cell.id) // keep the cell schedulable
 		return leaseRef{}, false
 	}
@@ -814,12 +790,14 @@ func (c *Coordinator) stillMine(ref leaseRef) bool {
 	return cell != nil && cell.tok == ref.tok
 }
 
-// runCell dispatches one leased cell to w and polls it to a terminal
-// state. Every successful poll is the heartbeat that renews the lease;
-// when renewal fails (expired or stolen) the loop abandons the cell —
-// unless the job already succeeded, in which case committing the result
-// is still correct (it is deterministic) and saves the new owner the
-// work.
+// runCell dispatches one leased cell to w and long-polls it to a
+// terminal state. Each poll asks the worker to hold its answer up to
+// Heartbeat, so a finished cell is seen as soon as its result is
+// durable; every successful answer is the heartbeat that renews the
+// lease. When renewal fails (expired or stolen) the loop abandons the
+// cell — unless the job already succeeded, in which case committing the
+// result is still correct (it is deterministic) and saves the new owner
+// the work.
 func (c *Coordinator) runCell(w *workerState, ref leaseRef) {
 	js, err := w.cl.Submit(c.baseCtx, ref.spec.Spec, ref.key)
 	if err != nil {
@@ -843,19 +821,24 @@ func (c *Coordinator) runCell(w *workerState, ref leaseRef) {
 		c.release(ref)
 		return
 	}
-	t := time.NewTicker(c.cfg.Heartbeat)
-	defer t.Stop()
+	// The wait stays inside the per-call HTTP timeout, so a long-poll is
+	// never cut by the coordinator's own client.
+	wait := min(c.cfg.Heartbeat, c.cfg.HTTPTimeout/2)
+	// next is the pacing floor: a poll starts no earlier than Heartbeat
+	// after the previous one began, so a worker that ignores the wait (an
+	// older rvpd) or keeps failing the digest check is not spun on.
+	var next time.Time
 	for {
-		select {
-		case <-c.stop:
+		if !c.sleep(time.Until(next)) {
 			return
-		case <-t.C:
 		}
-		st, err := w.cl.Status(c.baseCtx, js.ID)
+		next = time.Now().Add(c.cfg.Heartbeat)
+		st, err := w.cl.StatusWait(c.baseCtx, js.ID, wait)
 		if err != nil {
-			// The janitor owns expiry; this loop just checks whether it
-			// still owns the lease before polling on.
-			if !c.stillMine(ref) {
+			// The janitor owns expiry; this loop backs off and then
+			// checks that it still owns the lease before polling again,
+			// so a stale owner never commits after its lease expired.
+			if !c.sleep(c.cfg.Heartbeat) || !c.stillMine(ref) {
 				return
 			}
 			continue
@@ -933,7 +916,7 @@ func (c *Coordinator) complete(ref leaseRef, w *workerState, st pipeline.Stats) 
 		Kind: recDone, Sweep: ref.sweepID, Cell: ref.cellID, Worker: w.url, Stats: &stc,
 	}); err != nil {
 		c.log.Error("ledgering cell result failed", "cell", ref.cellID, "error", err)
-		c.noteStorageFailure(err)
+		c.storageDegraded.Trip(err)
 		return // lease expiry will re-run the cell; never commit undurable results
 	}
 	if cell.state == cellLeased {
@@ -983,7 +966,7 @@ func (c *Coordinator) fail(ref leaseRef, reason string) {
 		Kind: recFailed, Sweep: ref.sweepID, Cell: ref.cellID, Reason: reason,
 	}); err != nil {
 		c.log.Error("ledgering cell failure failed", "cell", ref.cellID, "error", err)
-		c.noteStorageFailure(err)
+		c.storageDegraded.Trip(err)
 		cell.state = cellReady // keep it schedulable rather than losing it
 		sw.ready = append(sw.ready, cell.id)
 		return

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -32,6 +33,7 @@ type fakeWorker struct {
 	jobs        map[string]exp.JobSpec // id -> spec
 	byKey       map[string]string
 	submissions int
+	polls       int // status calls; the fake ignores ?wait=, as an older rvpd would
 }
 
 func newFakeWorker(mode string) *fakeWorker {
@@ -92,9 +94,16 @@ func (w *fakeWorker) submit(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(server.JobStatus{ID: id, Key: key, State: server.StateQueued, Spec: spec})
 }
 
+func (w *fakeWorker) pollCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.polls
+}
+
 func (w *fakeWorker) status(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.polls++
 	spec, ok := w.jobs[r.PathValue("id")]
 	if !ok {
 		rw.WriteHeader(http.StatusNotFound)
@@ -435,5 +444,92 @@ func TestFailingCellRetriesThenFailsTerminally(t *testing.T) {
 	}
 	if retries := c.Registry().Counter("fleet_cell_retries_total", "").Value(); retries != 1 {
 		t.Errorf("fleet_cell_retries_total = %d, want 1 (2 attempts)", retries)
+	}
+}
+
+// TestLongPollSeesFinishedCellsAtOnce runs a sweep on real in-process
+// rvpd workers with a 30s heartbeat. The coordinator must see each cell
+// finished when its result is durable, not at the next heartbeat.
+func TestLongPollSeesFinishedCellsAtOnce(t *testing.T) {
+	leak.Check(t)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := server.New(server.Config{StateDir: t.TempDir(), Workers: 1})
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer srv.Close()
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	c, err := Open(Config{
+		StateDir:  t.TempDir(),
+		Workers:   urls,
+		Lease:     2 * time.Minute,
+		Heartbeat: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer c.Stop()
+
+	start := time.Now()
+	spec, id := coordSweep(t, c)
+	var st SweepStatus
+	for {
+		st, _ = c.Status(id)
+		if st.Terminal() {
+			break
+		}
+		if took := time.Since(start); took > 10*time.Second {
+			t.Fatalf("4-cell sweep still %+v after %v: finished cells wait for the heartbeat", st, took)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.State != "done" || st.Done != 4 {
+		t.Fatalf("status = %+v, want done 4/0", st)
+	}
+	ref, err := Reference(context.Background(), spec, 0)
+	if err != nil {
+		t.Fatalf("Reference: %v", err)
+	}
+	if st.TableText != ref.String() {
+		t.Errorf("fleet table differs from Reference:\n--- fleet\n%s--- reference\n%s", st.TableText, ref.String())
+	}
+}
+
+// TestPollPacingAgainstWaitIgnoringWorker: a worker that answers every
+// status poll at once (it ignores ?wait=) must still be polled at most
+// once per heartbeat.
+func TestPollPacingAgainstWaitIgnoringWorker(t *testing.T) {
+	leak.Check(t)
+	w := newFakeWorker("hang")
+	defer w.ts.Close()
+	const heartbeat = 50 * time.Millisecond
+	c, err := Open(Config{
+		StateDir:  t.TempDir(),
+		Workers:   []string{w.ts.URL},
+		Lease:     time.Hour,
+		Heartbeat: heartbeat,
+		StealAge:  time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer c.Stop()
+	st, err := c.SubmitSweep(SweepSpec{Workloads: []string{"go"}, Predictors: []string{"rvp"}, Insts: 5_000})
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	waitFor(t, "the cell to be leased", func() bool {
+		got, _ := c.Status(st.ID)
+		return got.Leased == 1 && w.count() == 1
+	})
+	before := w.pollCount()
+	const window = time.Second
+	time.Sleep(window)
+	if polls, limit := w.pollCount()-before, int(window/heartbeat)+2; polls > limit {
+		t.Errorf("%d status polls in %v at a %v heartbeat, want <= %d", polls, window, heartbeat, limit)
 	}
 }

@@ -11,10 +11,15 @@
 // value): a lost worker is a mispredicted cell. Concretely:
 //
 //   - Workers hold time-bounded leases on cells, renewed by the
-//     heartbeat of successful status polls. A lease that expires —
-//     worker killed, partitioned, or wedged — returns its cell to the
-//     ready set for reassignment. Nothing is committed on assignment,
-//     only on a durably journaled result.
+//     heartbeat of successful status polls. Each poll is a long-poll
+//     (GET /v1/jobs/{id}?wait=Heartbeat): the worker answers as soon as
+//     the job's terminal record is durable, so a finished cell is seen
+//     at once, not at the next heartbeat. Polls start at least
+//     Heartbeat apart, so a worker that ignores the wait is not
+//     hammered. A lease that expires — worker killed, partitioned, or
+//     wedged — returns its cell to the ready set for reassignment.
+//     Nothing is committed on assignment, only on a durably journaled
+//     result.
 //   - Dispatch is idempotency-keyed per (sweep, cell), and every cell's
 //     simulation is deterministic, so double execution — two workers
 //     racing after an expiry or a steal — is harmless: both produce the

@@ -86,6 +86,39 @@ func TestCoordinatorENOSPCDegradesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestCoordinatorENOSPCRecoversAtStorageProbeEvery: the storage probe
+// keeps its own cadence. With an hour-long heartbeat, a coordinator
+// whose disk returns must recover within about two probe periods.
+func TestCoordinatorENOSPCRecoversAtStorageProbeEvery(t *testing.T) {
+	fault := vfs.NewFault(vfs.OS)
+	const probeEvery = 100 * time.Millisecond
+	c, err := Open(Config{
+		StateDir:          t.TempDir(),
+		FS:                fault,
+		Heartbeat:         time.Hour,
+		StorageProbeEvery: probeEvery,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer c.Stop()
+
+	fault.SetPersistent(vfs.ENOSPC)
+	if _, err := c.SubmitSweep(SweepSpec{Workloads: []string{"go"}, Predictors: []string{"rvp"}, Insts: 5_000}); !errors.Is(err, ErrStorageDegraded) {
+		t.Fatalf("submit under ENOSPC: %v, want ErrStorageDegraded", err)
+	}
+	fault.SetPersistent(nil)
+	start := time.Now()
+	// Two probe periods, plus slack for a loaded scheduler.
+	limit := 2*probeEvery + 200*time.Millisecond
+	for c.StorageDegraded() {
+		if took := time.Since(start); took > limit {
+			t.Fatalf("still degraded %v after the disk returned (StorageProbeEvery %v)", took, probeEvery)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func jsonBody(t *testing.T, v any) *bytes.Reader {
 	t.Helper()
 	b, err := json.Marshal(v)

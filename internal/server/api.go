@@ -32,6 +32,11 @@
 //     key always maps to the same job, so a client that times out and
 //     retries cannot double-submit.
 //   - GET /v1/jobs/{id} returns the job's JobStatus (404 unknown).
+//     With ?wait=<duration> (Go syntax, e.g. 2.5s; capped at 30s) it
+//     long-polls: a non-terminal job is answered once its terminal
+//     record is durable, when the wait passes (with the current
+//     record), or when the daemon finishes draining. A malformed or
+//     negative wait is 400. Without ?wait= the answer is immediate.
 //   - GET /v1/jobs/{id}/events streams the job's lifecycle as
 //     Server-Sent Events (queued, started, progress heartbeats with
 //     committed/IPC, checkpointed, requeued, done/failed); Last-Event-ID

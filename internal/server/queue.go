@@ -20,10 +20,16 @@ type job struct {
 	// under: the admission span for fresh submissions, a bare trace ID
 	// for jobs recovered from the store.
 	tctx obs.SpanContext
-	// dropped marks a job whose durable acceptance record could not be
-	// written after it entered the queue: the client got a 503, so a
-	// worker must discard it instead of running unacknowledged work.
-	dropped atomic.Bool
+	// admitted is closed by admission once it knows whether the job's
+	// acceptance record is durable (nil for jobs recovered from the
+	// store). A worker waits on it before touching the job, so the
+	// queued record can never land after the job's own running or
+	// terminal record and turn a finished job back into a queued one.
+	admitted chan struct{}
+	// dropped, set before admitted closes, marks a job whose acceptance
+	// record could not be written: the client got a 503, so a worker
+	// must discard it instead of running unacknowledged work.
+	dropped bool
 	// tenant is the quota bucket charged for the job; dequeue releases
 	// it (empty on jobs constructed outside admission in tests).
 	tenant string

@@ -207,12 +207,10 @@ type Server struct {
 
 	inflight atomic.Int64
 
-	// storageDegraded is set when a durable append fails persistently:
-	// the daemon stops accepting work (503 + Retry-After, /readyz not
-	// ready) instead of crashing or silently dropping records, and a
-	// background probe clears the flag when the disk takes durable
-	// writes again.
-	storageDegraded atomic.Bool
+	// storageDegraded trips when a durable append fails: the daemon
+	// stops accepting work (503 + Retry-After, /readyz not ready) until
+	// its probe sees the disk take durable writes again.
+	storageDegraded *wal.Guard
 	walMet          *wal.Metrics
 
 	mSubmitted, mDeduped            *obs.Counter
@@ -255,6 +253,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.initMetrics()
+	s.storageDegraded = wal.NewGuard(store.Probe, cfg.StorageProbeEvery, s.gStorageDegraded, s.log)
 	s.tenants = newTenants(cfg.TenantQueueDepth, cfg.TenantRate, cfg.TenantBurst, s.gvTenantQueued)
 	if store.Truncated > 0 {
 		s.log.Warn("jobstore: dropped damaged tail records", "count", store.Truncated)
@@ -301,46 +300,11 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	s.wg.Add(1)
-	go s.storageProbe()
+	go func() {
+		defer s.wg.Done()
+		s.storageDegraded.Run(s.stopPick)
+	}()
 	return s, nil
-}
-
-// noteStorageFailure flips the daemon into storage-degraded mode after
-// a failed durable append. From here the daemon sheds new work with 503
-// + Retry-After and reports not-ready, rather than crashing or
-// acknowledging writes it cannot persist; the probe loop clears the
-// mode once the disk recovers.
-func (s *Server) noteStorageFailure(err error) {
-	if s.storageDegraded.CompareAndSwap(false, true) {
-		s.gStorageDegraded.Set(1)
-		s.log.Error("storage degraded: durable append failed; shedding new work until the disk recovers", "error", err)
-	}
-}
-
-// storageProbe periodically checks a degraded daemon's disk and
-// restores service when durable writes succeed again (e.g. space was
-// freed after ENOSPC).
-func (s *Server) storageProbe() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.StorageProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopPick:
-			return
-		case <-t.C:
-			if !s.storageDegraded.Load() {
-				continue
-			}
-			if err := s.store.Probe(); err != nil {
-				s.log.Debug("storage probe failed; staying degraded", "error", err)
-				continue
-			}
-			s.storageDegraded.Store(false)
-			s.gStorageDegraded.Set(0)
-			s.log.Info("storage recovered: accepting work again")
-		}
-	}
 }
 
 func (s *Server) initMetrics() {
@@ -612,7 +576,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rec.DeadlineUS = deadline.UnixMicro()
 	}
 	j := &job{id: id, spec: spec, breakerKey: bkey, enqueued: time.Now(), tctx: tctx,
-		tenant: tenant, deadline: deadline}
+		tenant: tenant, deadline: deadline, admitted: make(chan struct{})}
 	if err := s.queue.admit(j); err != nil {
 		s.tenants.release(tenant) // the quota slot charged above never queued
 		var adm *admissionError
@@ -627,13 +591,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Write-ahead: the acceptance is durable before it is acknowledged.
 	// (A crash between fsync and response just means the client retries
 	// its key and finds the job already there.)
-	if err := s.store.Append(rec); err != nil {
-		// The job is already in the channel; mark it abandoned so a
-		// worker discards it instead of running unrecorded work, flip
-		// into degraded mode, and tell the client to retry elsewhere or
-		// later — an unpersisted acceptance must never be acknowledged.
-		j.dropped.Store(true)
-		s.noteStorageFailure(err)
+	err = s.store.Append(rec)
+	// The job is already in the channel. On failure, mark it abandoned
+	// so a worker discards it instead of running unrecorded work, flip
+	// into degraded mode, and tell the client to retry elsewhere or
+	// later — an unpersisted acceptance must never be acknowledged.
+	j.dropped = err != nil
+	close(j.admitted)
+	if err != nil {
+		s.storageDegraded.Trip(err)
 		s.mShedStorage.Inc()
 		reject(w, http.StatusServiceUnavailable,
 			"storage degraded: persisting job failed: "+err.Error(), 2*s.cfg.StorageProbeEvery)
@@ -672,14 +638,63 @@ func newJobID(key string) string {
 	return "j" + hex.EncodeToString(b[:])
 }
 
+// maxStatusWait caps the ?wait= long-poll window of GET /v1/jobs/{id}.
+const maxStatusWait = 30 * time.Second
+
+// parseStatusWait reads the ?wait= value (a Go duration; empty means
+// answer at once), capped at maxStatusWait.
+func parseStatusWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("invalid wait %q: want a non-negative duration such as 2.5s", v)
+	}
+	return min(d, maxStatusWait), nil
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	wait, err := parseStatusWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		reject(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	rec, ok := s.store.Get(id)
 	if !ok {
 		reject(w, http.StatusNotFound, "unknown job "+id, 0)
 		return
 	}
+	if wait > 0 && !rec.Terminal() {
+		rec = s.awaitTerminal(r.Context(), id, wait)
+	}
 	writeJSON(w, http.StatusOK, rec)
+}
+
+// awaitTerminal long-polls one job: it returns the job's record once a
+// terminal record is durable in the store, or with the current record
+// when wait passes, the client goes away, or the daemon finishes
+// draining. The store's per-job wake channel drives it, not the
+// telemetry feed, so it works with DisableTelemetry too.
+func (s *Server) awaitTerminal(ctx context.Context, id string, wait time.Duration) JobStatus {
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	for {
+		rec, changed := s.store.Watch(id)
+		if rec.Terminal() {
+			return rec
+		}
+		select {
+		case <-changed:
+		case <-t.C:
+			return rec
+		case <-ctx.Done():
+			return rec
+		case <-s.baseCtx.Done():
+			return rec
+		}
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -739,11 +754,14 @@ func (s *Server) worker() {
 
 // runJob drives one job attempt end to end and records its outcome.
 func (s *Server) runJob(j *job) {
+	if j.admitted != nil {
+		<-j.admitted
+	}
 	wait := time.Since(j.enqueued)
 	s.queue.noteDequeue(j, wait)
 	s.tenants.release(j.tenant)
 	s.gDepth.Set(int64(s.queue.depthNow()))
-	if j.dropped.Load() {
+	if j.dropped {
 		// Admission rolled this job back (its acceptance never became
 		// durable and the client was told 503); running it would do
 		// unacknowledged work.
@@ -779,7 +797,7 @@ func (s *Server) runJob(j *job) {
 	rec.Result, rec.Error = nil, nil
 	if err := s.store.Append(rec); err != nil {
 		s.log.Error("recording job start failed", "job", j.id, "error", err)
-		s.noteStorageFailure(err)
+		s.storageDegraded.Trip(err)
 	}
 	s.inflight.Add(1)
 	s.gInflight.Set(s.inflight.Load())
@@ -846,7 +864,7 @@ func (s *Server) runJob(j *job) {
 		s.mSucceeded.Inc()
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job success failed", "job", j.id, "error", serr)
-			s.noteStorageFailure(serr)
+			s.storageDegraded.Trip(serr)
 			return // keep the state dir: the result is not durable
 		}
 		// The result is durable; the simulation scratch state is now
@@ -863,7 +881,7 @@ func (s *Server) runJob(j *job) {
 		s.mRequeued.Inc()
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job requeue failed", "job", j.id, "error", serr)
-			s.noteStorageFailure(serr)
+			s.storageDegraded.Trip(serr)
 		}
 		s.tel.publish(j.id, JobEvent{Type: EvRequeued, Attempt: rec.Attempts})
 		s.log.Info("job checkpointed and requeued by drain", "job", j.id)
@@ -896,7 +914,7 @@ func (s *Server) runJob(j *job) {
 		s.updateBreakerGauges()
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job failure failed", "job", j.id, "error", serr)
-			s.noteStorageFailure(serr)
+			s.storageDegraded.Trip(serr)
 			return
 		}
 		os.RemoveAll(s.jobDir(j.id))
@@ -927,7 +945,7 @@ func (s *Server) abandonExpired(j *job) {
 	}
 	if err := s.store.Append(rec); err != nil {
 		s.log.Error("recording deadline abandonment failed", "job", j.id, "error", err)
-		s.noteStorageFailure(err)
+		s.storageDegraded.Trip(err)
 	}
 	os.RemoveAll(s.jobDir(j.id))
 	s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: rec.Error.Message})
