@@ -103,20 +103,19 @@ obs-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	echo "obs-smoke OK"
 
-# Fleet smoke: coordinator + three workers on ephemeral ports, one
+# Fleet smoke: three rvpd workers plus a fourth rvpd whose sweep
+# coordinator dispatches to them (-peers), all on ephemeral ports, one
 # worker SIGKILLed mid-sweep, and the sweep must still finish with a
 # merged table. The kill waits until `rvpc sweep <id>` shows the sweep
 # running with a cell leased to worker a. Cells are sized (-n 3M, about
-# 0.6s each alone) so that state lasts past the kill, and the steal age
-# (3s) stays well above a cell's run time: a cell that outlives it
-# would be stolen back and forth between idle workers. The real chaos
-# proof (byte-identical merge, counters vs ledger) lives in the fleet
-# package's -race e2e; this target proves the shipped binaries wire
-# together.
+# 0.6s each alone) so that state lasts past the kill. The fleet runs at
+# its defaults: worker a's cell is stolen after the 5s steal age (or
+# its 10s lease expires). The real chaos proof (byte-identical merge,
+# counters vs ledger) lives in the fleet package's -race e2e; this
+# target proves the shipped binaries wire together.
 fleet-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/rvpd" ./cmd/rvpd; \
-	$(GO) build -o "$$tmp/rvpcoord" ./cmd/rvpcoord; \
 	$(GO) build -o "$$tmp/rvpc" ./cmd/rvpc; \
 	pids=""; urls=""; \
 	for w in a b c; do \
@@ -128,10 +127,10 @@ fleet-smoke:
 		urls="$$urls,http://$$(cat "$$tmp/addr-$$w")"; \
 	done; \
 	urls=$${urls#,}; \
-	"$$tmp/rvpcoord" -addr 127.0.0.1:0 -addr-file "$$tmp/addr-coord" -state "$$tmp/coord" \
-		-workers "$$urls" -lease 6s -steal-age 3s & cpid=$$!; \
+	"$$tmp/rvpd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr-coord" -state "$$tmp/coord" \
+		-peers "$$urls" & cpid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$tmp/addr-coord" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr-coord" ] || { echo "rvpcoord never wrote its address"; kill $$pids $$cpid; exit 1; }; \
+	[ -s "$$tmp/addr-coord" ] || { echo "coordinating rvpd never wrote its address"; kill $$pids $$cpid; exit 1; }; \
 	coord="http://$$(cat "$$tmp/addr-coord")"; \
 	"$$tmp/rvpc" -server "$$coord" sweep -workloads go,li,perl -predictors none,rvp -n 3000000 \
 		| tee "$$tmp/submit.log"; \
@@ -172,11 +171,13 @@ storage-faults:
 # against injected faults, the server's tenant/deadline/slow-loris
 # admission tests and status long-poll tests, the fleet partition-chaos
 # e2e (real workers behind fault-injecting proxies, SIGKILL,
-# byte-identical merge), and the fleet's long-poll and poll-pacing tests.
+# byte-identical merge), the fleet's long-poll, poll-pacing and
+# steal-without-ping-pong tests, and the one-daemon e2e (rvpd hosting
+# the coordinator across processes).
 net-faults:
 	$(GO) test -race -count 1 ./internal/netfault/ ./internal/client/
 	$(GO) test -race -count 1 -run 'Tenant|Deadline|SlowLoris|BreakerRetryAfter|StatusWait' ./internal/server/
-	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing|TestLongPollSeesFinishedCellsAtOnce|TestPollPacing' ./internal/fleet/ -timeout 10m
+	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing|TestLongPollSeesFinishedCellsAtOnce|TestPollPacing|TestCellLongerThanStealAgeFinishes|TestRvpdHostsSweepCoordinator' ./internal/fleet/ -timeout 10m
 
 # Durability-layer errcheck: no discarded Sync/SyncDir/Close error in
 # the packages that own persistent state or pooled connections.

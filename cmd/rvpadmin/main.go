@@ -1,5 +1,6 @@
-// Command rvpadmin is the offline operator toolbox for rvpd/rvpcoord
-// state directories.
+// Command rvpadmin is the offline operator toolbox for rvpd state
+// directories (job store, sweep journals, checkpoints and the fleet
+// coordinator's cell ledger).
 //
 // Usage:
 //

@@ -13,6 +13,8 @@
 //	rvpc -server http://host:port watch <job-id>
 //	rvpc -server http://host:port trace <job-id> [-chrome] [-o file]
 //	rvpc -server http://host:port health
+//	rvpc -server http://host:port sweep [-workloads a,b] [-predictors p,q]
+//	     [-recoveries r] [-n insts] [-wait] [-json] | sweep [-wait] <sweep-id>
 //
 // submit prints the server-assigned job and trace IDs on acceptance;
 // with -wait it polls until the job is terminal and renders the result
@@ -25,7 +27,9 @@
 // watch attaches to a job's event stream (reconnecting and resuming
 // via Last-Event-ID on hiccups). trace prints a job's daemon-side
 // spans. health checks /healthz, /readyz and /metrics, failing on any
-// non-200. -v logs every request, retry and backoff decision with the
+// non-200. sweep submits a fleet sweep to the coordinator every rvpd
+// hosts, or reports one; point -server at the rvpd whose -peers are the
+// workers. -v logs every request, retry and backoff decision with the
 // submission's trace ID.
 //
 // Rejections (429 queue shed, 503 drain/breaker) are retried with
@@ -199,9 +203,10 @@ func printEvent(ev server.JobEvent) {
 	}
 }
 
-// sweep talks to an rvpcoord (point -server at the coordinator, not an
-// rvpd): with axis flags it submits a fleet sweep; with a positional
-// sweep ID it reports (or, with -wait, waits for) an existing one.
+// sweep talks to the sweep coordinator an rvpd hosts (point -server at
+// the rvpd whose -peers are the workers): with axis flags it submits a
+// fleet sweep; with a positional sweep ID it reports (or, with -wait,
+// waits for) an existing one.
 func sweep(ctx context.Context, base string, args []string) int {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	name := fs.String("name", "", "sweep/table name (defaulted from the sweep ID)")

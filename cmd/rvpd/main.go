@@ -1,6 +1,9 @@
 // Command rvpd is the simulation service daemon: an HTTP/JSON API in
 // front of a bounded job queue with admission control, a fixed worker
-// pool, per-workload circuit breakers, and crash-safe job state.
+// pool, per-workload circuit breakers, and crash-safe job state. Every
+// rvpd also hosts a fleet sweep coordinator (internal/fleet) that
+// shards sweeps into cells, leases them to peer rvpd workers, and
+// merges the results into a table byte-identical to a single-node run.
 //
 // Usage:
 //
@@ -10,19 +13,28 @@
 //	     [-insts n] [-ckpt-every n] [-watchdog cycles] [-max-body bytes]
 //	     [-body-read-timeout dur] [-tenant-queue n] [-tenant-rate r]
 //	     [-tenant-burst n] [-log-level level] [-log-json]
-//	     [-progress-every n] [-no-telemetry]
-//	     [-advertise coord-url] [-advertise-url worker-url]
+//	     [-progress-every n] [-peers url,...]
+//	     [-advertise peer-url] [-advertise-url worker-url]
 //
-// With -advertise, the daemon self-registers its bound address with a
-// fleet coordinator (POST /v1/workers) after the listener comes up,
-// retrying with backoff while the coordinator starts.
+// -peers lists the rvpd workers this daemon's coordinator dispatches
+// cells to. With -advertise, the daemon self-registers its bound
+// address as a worker with a peer rvpd's coordinator (POST /v1/workers)
+// after the listener comes up, retrying with backoff while that peer
+// starts.
 //
 // Endpoints: POST /v1/jobs (submit; 429/503 + Retry-After under
 // overload), GET /v1/jobs/{id} (status/results), GET /v1/jobs/{id}/events
 // (live Server-Sent Events stream: progress heartbeats, checkpoints,
 // terminal state; resumable via Last-Event-ID), GET /v1/jobs/{id}/trace
 // (the job's daemon-side spans; ?format=chrome for chrome://tracing),
-// GET /healthz, GET /readyz, GET /metrics (Prometheus).
+// POST /v1/sweeps, GET /v1/sweeps, GET /v1/sweeps/{id} (fleet sweeps
+// and their merged tables), POST /v1/workers (register a worker),
+// GET /healthz, GET /readyz (job admission), GET /metrics (Prometheus:
+// srv_*, fleet_* and wal_* in one registry).
+//
+// The coordinator's write-ahead cell ledger (cells.jsonl) sits beside
+// the job store in -state, so a restarted daemon resumes its sweeps
+// with every finished cell intact.
 //
 // Logs are structured (log/slog) on stderr with job and trace IDs;
 // -log-level debug adds per-request lines, -log-json switches to JSON
@@ -54,6 +66,7 @@ import (
 	"time"
 
 	"rvpsim/internal/client"
+	"rvpsim/internal/fleet"
 	"rvpsim/internal/server"
 	"rvpsim/internal/server/shutdown"
 )
@@ -82,8 +95,8 @@ func run() int {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	progressEvery := flag.Uint64("progress-every", 100_000, "live-progress heartbeat cadence in committed instructions")
-	noTelemetry := flag.Bool("no-telemetry", false, "disable job tracing, event streams and the flight recorder (benchmarking)")
-	advertise := flag.String("advertise", "", "fleet coordinator base URL to self-register with once listening (e.g. http://127.0.0.1:9090)")
+	peers := flag.String("peers", "", "comma-separated rvpd base URLs this daemon's sweep coordinator dispatches cells to")
+	advertise := flag.String("advertise", "", "base URL of a peer rvpd to register with as a sweep worker once listening (e.g. http://127.0.0.1:8080)")
 	advertiseURL := flag.String("advertise-url", "", "worker URL to advertise (default http://<bound addr>)")
 	flag.Parse()
 
@@ -121,41 +134,70 @@ func run() int {
 		TenantBurst:      *tenantBurst,
 		Logger:           logger,
 		ProgressEvery:    *progressEvery,
-		DisableTelemetry: *noTelemetry,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rvpd: %v\n", err)
 		return 1
 	}
+	var peerURLs []string
+	for _, u := range strings.Split(*peers, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			peerURLs = append(peerURLs, u)
+		}
+	}
+	coord, err := fleet.Open(fleet.Config{
+		StateDir:     *state,
+		Workers:      peerURLs,
+		DefaultInsts: *insts,
+		Tenant:       "fleet",
+		Registry:     srv.Registry(),
+		Logger:       logger.With("component", "fleet"),
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rvpd: %v\n", err)
+		srv.Close()
+		return 1
+	}
+	closeAll := func() error {
+		coord.Stop()
+		return srv.Close()
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rvpd: listen: %v\n", err)
-		srv.Close()
+		closeAll()
 		return 1
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "rvpd: addr-file: %v\n", err)
-			srv.Close()
+			closeAll()
 			return 1
 		}
 	}
-	logger.Info("listening", "addr", bound, "state", *state, "workers", *workers, "queue", *queueDepth)
+	logger.Info("listening", "addr", bound, "state", *state, "workers", *workers,
+		"queue", *queueDepth, "peers", peerURLs)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	mux := http.NewServeMux()
+	sweeps := fleet.Handler(coord)
+	for _, p := range []string{"/v1/sweeps", "/v1/sweeps/", "/v1/workers"} {
+		mux.Handle(p, sweeps)
+	}
+	mux.Handle("/", srv.Handler())
+	httpSrv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
 	ctx, stop := shutdown.Context(context.Background())
 	defer stop()
 
-	// Self-register with the fleet coordinator once the listener is up.
-	// Registration retries in the background (the coordinator may still
-	// be starting) and gives up quietly on shutdown; a permanent
-	// rejection is logged but does not kill the daemon — it can still
-	// serve direct submissions.
+	// Self-register with the peer's coordinator once the listener is up.
+	// Registration retries in the background (the peer may still be
+	// starting) and gives up quietly on shutdown; a permanent rejection
+	// is logged but does not kill the daemon — it can still serve direct
+	// submissions.
 	if *advertise != "" {
 		self := *advertiseURL
 		if self == "" {
@@ -174,13 +216,14 @@ func run() int {
 		logger.Info("signal received; draining")
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "rvpd: serve: %v\n", err)
-		srv.Close()
+		closeAll()
 		return 1
 	}
 
 	// Drain order matters: the job layer first (stop accepting, finish
 	// or checkpoint work) while the HTTP listener keeps answering
-	// status polls, then the listener.
+	// status polls, then the listener, then the coordinator (its ledger
+	// already holds every finished cell; leased ones re-run on restart).
 	clean := srv.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -188,7 +231,7 @@ func run() int {
 		logger.Warn("http shutdown", "error", err)
 	}
 	<-serveErr // Serve has returned ErrServerClosed by now
-	if err := srv.Close(); err != nil {
+	if err := closeAll(); err != nil {
 		logger.Error("close", "error", err)
 	}
 	if !clean {

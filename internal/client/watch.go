@@ -22,8 +22,7 @@ import (
 // Dropped connections are transparently reconnected with the standard
 // Last-Event-ID header carrying the last sequence seen, so a daemon
 // hiccup costs a watcher nothing the server's event ring still holds.
-// Permanent HTTP errors (404 unknown job, 501 telemetry disabled) are
-// returned as-is.
+// Permanent HTTP errors (404 unknown job) are returned as-is.
 func (c *Client) Watch(ctx context.Context, id string, after int64, fn func(server.JobEvent)) (server.JobEvent, error) {
 	var last server.JobEvent
 	last.Seq = after

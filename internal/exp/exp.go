@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
@@ -58,15 +57,9 @@ type Options struct {
 	// MaxWorkers bounds the worker pool when Parallel is set (default
 	// GOMAXPROCS).
 	MaxWorkers int
-	// Retries is how many times a workload whose failure is marked
-	// transient (simerr.IsTransient) is retried. 0 means the default of
-	// one retry; negative disables retries.
-	Retries int
 	// Context, when non-nil, cancels in-flight sweeps: runs stop within
 	// one commit batch of the context ending.
 	Context context.Context
-	// RunTimeout, when positive, bounds each individual simulation run.
-	RunTimeout time.Duration
 	// WatchdogCycles arms the pipeline's forward-progress watchdog for
 	// every run (0 leaves it disabled).
 	WatchdogCycles int
@@ -415,11 +408,6 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if r.opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opts.RunTimeout)
-		defer cancel()
-	}
 	// The cell's simulator comes from the per-config pool and goes back
 	// when the cell finishes (any exit path). Every hook is set
 	// unconditionally — a pooled Sim carries whatever the previous cell
@@ -579,19 +567,17 @@ func lerr2str(err error) string {
 	return err.Error()
 }
 
+// transientRetries is how many times a run or workload whose failure
+// the simulator marks transient (simerr.IsTransient) is retried.
+const transientRetries = 1
+
 // forEach runs f for every workload name on a bounded worker pool. Each
 // invocation is isolated: panics are recovered into errors, failures the
-// simulator marks transient get retried (Options.Retries), and every
+// simulator marks transient get retried (transientRetries), and every
 // failure is attributed to its workload. The map carries one entry per
 // failed workload so drivers can emit partial tables; the returned error
 // joins all failures (nil when every workload succeeded).
 func (r *Runner) forEach(names []string, f func(name string) error) (map[string]error, error) {
-	retries := r.opts.Retries
-	if retries == 0 {
-		retries = 1
-	} else if retries < 0 {
-		retries = 0
-	}
 	one := func(name string) (err error) {
 		for attempt := 0; ; attempt++ {
 			err = func() (err error) {
@@ -602,7 +588,7 @@ func (r *Runner) forEach(names []string, f func(name string) error) (map[string]
 				}()
 				return f(name)
 			}()
-			if err == nil || attempt >= retries || !simerr.IsTransient(err) {
+			if err == nil || attempt >= transientRetries || !simerr.IsTransient(err) {
 				break
 			}
 		}

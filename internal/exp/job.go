@@ -281,12 +281,6 @@ func RunJob(ctx context.Context, spec JobSpec, opts Options) (*JobResult, error)
 	case "run":
 		cfg := pipeline.BaselineConfig()
 		cfg.Recovery = jobRecoveries[spec.Recovery]
-		retries := opts.Retries
-		if retries == 0 {
-			retries = 1
-		} else if retries < 0 {
-			retries = 0
-		}
 		var st pipeline.Stats
 		var err error
 		for attempt := 0; ; attempt++ {
@@ -294,7 +288,7 @@ func RunJob(ctx context.Context, spec JobSpec, opts Options) (*JobResult, error)
 			// predictor state behind.
 			pred, _ := core.NewPredictor(spec.Predictor) // Validate accepted the name
 			st, err = r.run("job", spec.Workload, cfg, pred)
-			if err == nil || attempt >= retries || !simerr.IsTransient(err) {
+			if err == nil || attempt >= transientRetries || !simerr.IsTransient(err) {
 				break
 			}
 			r.count("exp_transient_retries", "job runs retried after a transient failure")

@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-// CoordClient talks to one rvpcoord instance. It lives here rather than
-// in internal/client because the coordinator itself depends on
+// CoordClient talks to the sweep coordinator one rvpd hosts (the sweep
+// and worker routes of Handler). It lives here rather than in
+// internal/client because the coordinator itself depends on
 // internal/client for worker dispatch; putting the coordinator's own
 // wire client next to its wire types keeps the dependency a straight
 // line (fleet -> client -> server) instead of a cycle.

@@ -48,17 +48,9 @@ type Config struct {
 	// (a real job failure, not an infrastructure error) is retried
 	// before the cell is marked failed (default 3).
 	CellAttempts int
-	// SubmitAttempts bounds per-dispatch submission attempts (default 5).
-	SubmitAttempts int
 	// DefaultInsts is the per-cell budget for sweeps that omit one
 	// (default 2M).
 	DefaultInsts uint64
-	// Backoff shapes dispatch retries (default: client.DefaultBackoff
-	// capped at 2s so retries stay well inside a lease).
-	Backoff client.Backoff
-	// HTTPTimeout bounds every single worker HTTP call (default: Lease,
-	// so one hung call can never outlive the lease it renews).
-	HTTPTimeout time.Duration
 	// Registry receives fleet metrics (fresh if nil).
 	Registry *obs.Registry
 	// Logger receives structured lifecycle logs; nil discards them.
@@ -70,11 +62,6 @@ type Config struct {
 	// StorageProbeEvery is how often a storage-degraded coordinator
 	// probes the disk for recovery (default 2s).
 	StorageProbeEvery time.Duration
-	// Transport, when set, builds the HTTP transport for each worker's
-	// client (nil uses the default transport). It is the network fault
-	// seam: chaos tests wrap every worker's dispatch path in a
-	// netfault injector without touching the worker process.
-	Transport func(workerURL string) http.RoundTripper
 	// Tenant stamps every dispatch with X-Rvp-Tenant so the fleet's
 	// load is attributed (and quota'd) under its own bucket on the
 	// workers (empty: the workers' default tenant).
@@ -100,17 +87,8 @@ func (c *Config) setDefaults() error {
 	if c.CellAttempts <= 0 {
 		c.CellAttempts = 3
 	}
-	if c.SubmitAttempts <= 0 {
-		c.SubmitAttempts = 5
-	}
 	if c.DefaultInsts == 0 {
 		c.DefaultInsts = 2_000_000
-	}
-	if c.Backoff == (client.Backoff{}) {
-		c.Backoff = client.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2}
-	}
-	if c.HTTPTimeout <= 0 {
-		c.HTTPTimeout = c.Lease
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -123,6 +101,13 @@ func (c *Config) setDefaults() error {
 	}
 	return nil
 }
+
+// Every dispatch makes at most submitAttempts submission attempts,
+// backing off per dispatchBackoff: capped at 2s, so retries stay well
+// inside a lease.
+const submitAttempts = 5
+
+var dispatchBackoff = client.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2}
 
 // ErrStorageDegraded is returned by SubmitSweep while the coordinator
 // cannot persist ledger appends: the HTTP layer maps it to 503 +
@@ -428,17 +413,15 @@ func (c *Coordinator) AddWorker(url string) error {
 		c.mu.Unlock()
 		return nil
 	}
-	hc := &http.Client{Timeout: c.cfg.HTTPTimeout}
-	if c.cfg.Transport != nil {
-		hc.Transport = c.cfg.Transport(url)
-	}
+	// Every worker call is bounded by the lease, so one hung call can
+	// never outlive the lease it renews.
 	w := &workerState{
 		url: url,
 		cl: client.New(url,
-			client.WithBackoff(c.cfg.Backoff),
-			client.WithMaxAttempts(c.cfg.SubmitAttempts),
+			client.WithBackoff(dispatchBackoff),
+			client.WithMaxAttempts(submitAttempts),
 			client.WithMaxElapsed(c.cfg.Lease),
-			client.WithHTTPClient(hc),
+			client.WithHTTPClient(&http.Client{Timeout: c.cfg.Lease}),
 			client.WithTenant(c.cfg.Tenant),
 			client.WithLogger(c.log.With("worker", url))),
 	}
@@ -666,7 +649,7 @@ type readyzBody struct {
 // and requeue on its own state dir, and this coordinator's lease expiry
 // re-runs the cell elsewhere.
 func (c *Coordinator) probe(w *workerState) bool {
-	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HTTPTimeout)
+	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.Lease)
 	defer cancel()
 	body, err := w.cl.CheckEndpoint(ctx, "/readyz")
 	var rb readyzBody
@@ -794,10 +777,13 @@ func (c *Coordinator) stillMine(ref leaseRef) bool {
 // terminal state. Each poll asks the worker to hold its answer up to
 // Heartbeat, so a finished cell is seen as soon as its result is
 // durable; every successful answer is the heartbeat that renews the
-// lease. When renewal fails (expired or stolen) the loop abandons the
-// cell — unless the job already succeeded, in which case committing the
-// result is still correct (it is deterministic) and saves the new owner
-// the work.
+// lease. When renewal fails (expired or stolen) the loop keeps polling
+// its own job without renewing, until the cell is done or failed or a
+// poll fails: a success still commits (results are deterministic, first
+// writer wins), while a stale owner never fails or renews the cell.
+// Abandoning the job instead would leave this worker idle to steal the
+// cell back under a fresh key that queues behind the abandoned job, so
+// a cell longer than StealAge would change hands forever.
 func (c *Coordinator) runCell(w *workerState, ref leaseRef) {
 	js, err := w.cl.Submit(c.baseCtx, ref.spec.Spec, ref.key)
 	if err != nil {
@@ -821,9 +807,9 @@ func (c *Coordinator) runCell(w *workerState, ref leaseRef) {
 		c.release(ref)
 		return
 	}
-	// The wait stays inside the per-call HTTP timeout, so a long-poll is
-	// never cut by the coordinator's own client.
-	wait := min(c.cfg.Heartbeat, c.cfg.HTTPTimeout/2)
+	// The wait stays inside the per-call timeout (the lease), so a
+	// long-poll is never cut by the coordinator's own client.
+	wait := min(c.cfg.Heartbeat, c.cfg.Lease/2)
 	// next is the pacing floor: a poll starts no earlier than Heartbeat
 	// after the previous one began, so a worker that ignores the wait (an
 	// older rvpd) or keeps failing the digest check is not spun on.
@@ -869,10 +855,18 @@ func (c *Coordinator) runCell(w *workerState, ref leaseRef) {
 			}
 			return
 		}
-		if !mine {
+		if !mine && c.settled(ref) {
 			return
 		}
 	}
+}
+
+// settled reports whether ref's cell is done or failed.
+func (c *Coordinator) settled(ref leaseRef) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	state := c.sweeps[ref.sweepID].cells[ref.cellID].state
+	return state == cellDone || state == cellFailed
 }
 
 // release returns a cell to ready after an infrastructure failure

@@ -499,6 +499,68 @@ func TestLongPollSeesFinishedCellsAtOnce(t *testing.T) {
 	}
 }
 
+// TestCellLongerThanStealAgeFinishes: the steal age is far below one
+// cell's run time, so the idle worker steals the running cell. The old
+// owner must keep polling its own job rather than go idle and steal the
+// cell back under a fresh key, which would queue behind its abandoned
+// job on a one-slot worker, and so on forever.
+func TestCellLongerThanStealAgeFinishes(t *testing.T) {
+	leak.Check(t)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := server.New(server.Config{StateDir: t.TempDir(), Workers: 1})
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer srv.Close()
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	c, err := Open(Config{
+		StateDir:  t.TempDir(),
+		Workers:   urls,
+		Lease:     time.Hour, // expiry must not be the rescue
+		Heartbeat: 10 * time.Millisecond,
+		Poll:      10 * time.Millisecond,
+		StealAge:  30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer c.Stop()
+
+	// One cell of 2M instructions runs for hundreds of milliseconds, many
+	// steal ages.
+	spec := SweepSpec{Workloads: []string{"go"}, Predictors: []string{"rvp"}, Insts: 2_000_000}
+	st, err := c.SubmitSweep(spec)
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for !st.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("cell never finished: %+v (steals %d)", st,
+				c.Registry().Counter("fleet_steals_total", "").Value())
+		}
+		time.Sleep(10 * time.Millisecond)
+		st, _ = c.Status(st.ID)
+	}
+	if st.State != "done" || st.Done != 1 {
+		t.Fatalf("status = %+v, want done 1/0", st)
+	}
+	if steals := c.Registry().Counter("fleet_steals_total", "").Value(); steals < 1 {
+		t.Fatalf("no steal fired: the cell ran shorter than StealAge")
+	}
+	ref, err := Reference(context.Background(), spec, 0)
+	if err != nil {
+		t.Fatalf("Reference: %v", err)
+	}
+	if st.TableText != ref.String() {
+		t.Errorf("fleet table differs from Reference:\n--- fleet\n%s--- reference\n%s", st.TableText, ref.String())
+	}
+}
+
 // TestPollPacingAgainstWaitIgnoringWorker: a worker that answers every
 // status poll at once (it ignores ?wait=) must still be polled at most
 // once per heartbeat.

@@ -3,7 +3,10 @@
 // shards a sweep spec into cells — one workload × predictor × recovery
 // simulation each, identified by the digest of its normalized job spec —
 // and dispatches them to registered workers over the existing HTTP job
-// API via internal/client.
+// API via internal/client. Every rvpd hosts one coordinator on its own
+// state directory and serves its sweep API (Handler) next to the job
+// API; the workers are other rvpd daemons, named by -peers or joining
+// with -advertise.
 //
 // Robustness is the design center, and it is the distributed analogue of
 // the misprediction-recovery discipline the simulated pipeline itself

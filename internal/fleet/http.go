@@ -7,19 +7,19 @@ import (
 	"strconv"
 	"time"
 
-	"rvpsim/internal/obs"
 	"rvpsim/internal/simerr"
 )
 
-// Handler exposes the coordinator's HTTP API:
+// Handler exposes the coordinator's sweep API:
 //
-//	POST /v1/sweeps        submit a SweepSpec (idempotent by sweep ID)
+//	POST /v1/sweeps        submit a SweepSpec (idempotent by sweep ID;
+//	                       503 + Retry-After while the ledger disk fails)
 //	GET  /v1/sweeps        list sweep IDs in admission order
 //	GET  /v1/sweeps/{id}   one sweep's status (+ merged table when done)
 //	POST /v1/workers       register a worker {"url": "http://..."}
-//	GET  /healthz          liveness
-//	GET  /readyz           readiness (503 + storage_degraded while the disk is failing)
-//	GET  /metrics          fleet gauges and counters (Prometheus text)
+//
+// The host daemon (rvpd) serves /healthz, /readyz and /metrics; the
+// coordinator's fleet_* metrics ride the registry it is opened with.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -70,18 +70,6 @@ func Handler(c *Coordinator) http.Handler {
 		}
 		httpJSON(w, http.StatusOK, map[string]string{"registered": body.URL})
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		degraded := c.StorageDegraded()
-		code := http.StatusOK
-		if degraded {
-			code = http.StatusServiceUnavailable
-		}
-		httpJSON(w, code, map[string]bool{"ready": !degraded, "storage_degraded": degraded})
-	})
-	mux.Handle("GET /metrics", obs.Handler(c.Registry()))
 	return mux
 }
 

@@ -15,15 +15,15 @@ import (
 // TestCoordinatorENOSPCDegradesAndRecovers: a coordinator whose ledger
 // disk stops taking writes sheds new sweeps with a typed error (503 +
 // Retry-After over HTTP) instead of crashing, answers resubmits of
-// known sweeps from memory, and resumes admissions once the janitor's
-// storage probe sees the disk return.
+// known sweeps from memory, and resumes admissions once its storage
+// probe sees the disk return.
 func TestCoordinatorENOSPCDegradesAndRecovers(t *testing.T) {
 	fault := vfs.NewFault(vfs.OS)
 	c, err := Open(Config{
 		StateDir:  t.TempDir(),
 		FS:        fault,
 		Lease:     400 * time.Millisecond,
-		Heartbeat: 20 * time.Millisecond, // janitor (and probe) cadence
+		Heartbeat: 20 * time.Millisecond, // janitor cadence; the probe keeps StorageProbeEvery
 		Poll:      10 * time.Millisecond,
 	})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestCoordinatorENOSPCDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("idempotent resubmit while degraded: %+v, %v", st2, err)
 	}
 
-	// Over HTTP the shed is a 503 with a retry hint, and readyz flips.
+	// Over HTTP the shed is a 503 with a retry hint, and the gauge flips.
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
 		jsonBody(t, SweepSpec{Workloads: []string{"perl"}, Predictors: []string{"rvp"}, Insts: 5_000}))
 	if err != nil {
@@ -63,16 +63,11 @@ func TestCoordinatorENOSPCDegradesAndRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("degraded submit: %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	resp, err = http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatalf("GET /readyz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz while degraded: %d", resp.StatusCode)
+	if g := c.Registry().Gauge("fleet_storage_degraded", "").Value(); g != 1 {
+		t.Fatalf("fleet_storage_degraded = %d while degraded, want 1", g)
 	}
 
-	// Disk returns; the janitor's probe must clear the flag.
+	// Disk returns; the storage probe must clear the flag.
 	fault.SetPersistent(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for c.StorageDegraded() {

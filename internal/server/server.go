@@ -70,18 +70,9 @@ type Config struct {
 	// Logger receives structured lifecycle logs (with job and trace
 	// IDs); nil discards them.
 	Logger *slog.Logger
-	// DisableTelemetry turns off job tracing, event feeds and the flight
-	// recorder. It exists for the serve-path overhead benchmark — the
-	// baseline it measures against — not for production use.
-	DisableTelemetry bool
 	// ProgressEvery is the live-heartbeat cadence in committed
 	// instructions (default 100k).
 	ProgressEvery uint64
-	// FlightRecorderSize is how many recent events each job's feed
-	// retains for SSE replay and the failure dump (default 256).
-	FlightRecorderSize int
-	// TracerCapacity bounds the daemon's retained spans (default 4096).
-	TracerCapacity int
 	// FS is the filesystem seam all durability I/O (job store, sweep
 	// journals, checkpoints) goes through. Nil means the real
 	// filesystem; tests inject vfs.Mem/vfs.Fault to simulate hostile
@@ -149,12 +140,6 @@ func (c *Config) setDefaults() error {
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = 100_000
 	}
-	if c.FlightRecorderSize <= 0 {
-		c.FlightRecorderSize = 256
-	}
-	if c.TracerCapacity <= 0 {
-		c.TracerCapacity = 4096
-	}
 	if c.StorageProbeEvery <= 0 {
 		c.StorageProbeEvery = 2 * time.Second
 	}
@@ -168,8 +153,15 @@ func (c *Config) setDefaults() error {
 }
 
 // maxFeeds bounds how many per-job event feeds the telemetry hub
-// retains (terminal feeds are evicted oldest-first past this).
-const maxFeeds = 1024
+// retains (terminal feeds are evicted oldest-first past this);
+// flightRecorderSize is how many recent events each feed keeps for SSE
+// replay and the failure dump; tracerCapacity bounds the daemon's
+// retained spans.
+const (
+	maxFeeds           = 1024
+	flightRecorderSize = 256
+	tracerCapacity     = 4096
+)
 
 // Server is the simulation service: HTTP API, bounded queue, worker
 // pool, circuit breakers, and crash-safe job state.
@@ -183,8 +175,7 @@ type Server struct {
 	log     *slog.Logger
 
 	// tel and tracer are the observability layer: per-job event feeds
-	// (SSE + flight recorder) and the daemon's span collector. Both are
-	// nil with Config.DisableTelemetry, and every use is nil-safe.
+	// (SSE + flight recorder) and the daemon's span collector.
 	tel    *telemetry
 	tracer *obs.Tracer
 
@@ -246,10 +237,8 @@ func New(cfg Config) (*Server, error) {
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooloff),
 		log:      cfg.Logger,
 		stopPick: make(chan struct{}),
-	}
-	if !cfg.DisableTelemetry {
-		s.tel = newTelemetry(cfg.FlightRecorderSize, maxFeeds)
-		s.tracer = obs.NewTracer("rvpd", cfg.TracerCapacity)
+		tel:      newTelemetry(flightRecorderSize, maxFeeds),
+		tracer:   obs.NewTracer("rvpd", tracerCapacity),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.initMetrics()
@@ -566,11 +555,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// admission, measured from handler entry, and parents every later
 	// span of this job. With no client trace headers it roots a fresh
 	// trace, so daemon-side tracing works for plain curl too.
-	tctx := clientSpanContext(r)
-	if s.tracer != nil {
-		tctx = s.tracer.Record(tctx, "admission", admitStart, time.Since(admitStart),
-			map[string]string{"job": id, "kind": spec.Kind})
-	}
+	tctx := s.tracer.Record(clientSpanContext(r), "admission", admitStart, time.Since(admitStart),
+		map[string]string{"job": id, "kind": spec.Kind})
 	rec := JobStatus{ID: id, Key: key, State: StateQueued, Spec: spec, TraceID: tctx.Trace, Tenant: tenant}
 	if !deadline.IsZero() {
 		rec.DeadlineUS = deadline.UnixMicro()
@@ -676,7 +662,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // terminal record is durable in the store, or with the current record
 // when wait passes, the client goes away, or the daemon finishes
 // draining. The store's per-job wake channel drives it, not the
-// telemetry feed, so it works with DisableTelemetry too.
+// telemetry feed.
 func (s *Server) awaitTerminal(ctx context.Context, id string, wait time.Duration) JobStatus {
 	t := time.NewTimer(wait)
 	defer t.Stop()
@@ -781,9 +767,7 @@ func (s *Server) runJob(j *job) {
 	// the worker span then covers the whole attempt, and everything the
 	// experiment runner does parents under it.
 	tctx := j.tctx
-	if s.tracer != nil {
-		s.tracer.Record(tctx, "queue_wait", j.enqueued, wait, map[string]string{"job": j.id})
-	}
+	s.tracer.Record(tctx, "queue_wait", j.enqueued, wait, map[string]string{"job": j.id})
 	wsp := s.tracer.Start(tctx, "worker")
 	wsp.SetAttr("job", j.id)
 
@@ -828,23 +812,20 @@ func (s *Server) runJob(j *job) {
 		TraceParent:     wsp.Context(),
 		FS:              s.cfg.FS,
 		WALMetrics:      s.walMet,
-	}
-	if s.tel != nil {
+		ProgressEvery:   s.cfg.ProgressEvery,
 		// The heartbeat and checkpoint hooks run on simulation
 		// goroutines; publish is lock-bounded and never blocks, which is
 		// what makes them safe there.
-		id := j.id
-		opts.ProgressEvery = s.cfg.ProgressEvery
-		opts.OnProgress = func(label string, committed uint64, cycles int64) {
+		OnProgress: func(label string, committed uint64, cycles int64) {
 			ev := JobEvent{Type: EvProgress, Label: label, Committed: committed, Cycles: cycles}
 			if cycles > 0 {
 				ev.IPC = float64(committed) / float64(cycles)
 			}
-			s.tel.publish(id, ev)
-		}
-		opts.OnCheckpoint = func(label string) {
-			s.tel.publish(id, JobEvent{Type: EvCheckpointed, Label: label})
-		}
+			s.tel.publish(j.id, ev)
+		},
+		OnCheckpoint: func(label string) {
+			s.tel.publish(j.id, JobEvent{Type: EvCheckpointed, Label: label})
+		},
 	}
 	start := time.Now()
 	res, err := exp.RunJob(ctx, j.spec, opts)
@@ -962,10 +943,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.store.Get(id)
 	if !ok {
 		reject(w, http.StatusNotFound, "unknown job "+id, 0)
-		return
-	}
-	if s.tracer == nil {
-		reject(w, http.StatusNotImplemented, "telemetry disabled on this daemon", 0)
 		return
 	}
 	if rec.TraceID == "" {

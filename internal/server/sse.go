@@ -32,10 +32,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusNotFound, "unknown job "+id, 0)
 		return
 	}
-	if s.tel == nil {
-		reject(w, http.StatusNotImplemented, "telemetry disabled on this daemon", 0)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		reject(w, http.StatusInternalServerError, "streaming unsupported by this connection", 0)

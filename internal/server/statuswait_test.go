@@ -59,7 +59,7 @@ func TestStatusWaitAnswersWhenJobFinishes(t *testing.T) {
 }
 
 func TestStatusWaitTimesOutWithCurrentRecord(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) { c.DisableTelemetry = true })
+	srv, ts := newTestServer(t, nil)
 	parkJob(t, srv, "jidle")
 	code, st, took := getStatus(t, context.Background(), ts.URL+"/v1/jobs/jidle?wait=200ms")
 	if code != http.StatusOK || st.State != StateQueued || st.ID != "jidle" {

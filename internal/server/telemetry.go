@@ -169,13 +169,8 @@ func newTelemetry(ringCap, maxFeeds int) *telemetry {
 	return &telemetry{feeds: map[string]*jobFeed{}, ringCap: ringCap, maxFeeds: maxFeeds}
 }
 
-// feed returns (creating if needed) the feed for job id. Nil receiver
-// (telemetry disabled) returns nil; jobFeed methods are not nil-safe,
-// so callers gate on the returned feed.
+// feed returns (creating if needed) the feed for job id.
 func (t *telemetry) feed(id string) *jobFeed {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f, ok := t.feeds[id]; ok {
@@ -191,9 +186,6 @@ func (t *telemetry) feed(id string) *jobFeed {
 
 // lookup returns the feed for id without creating one.
 func (t *telemetry) lookup(id string) (*jobFeed, bool) {
-	if t == nil {
-		return nil, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f, ok := t.feeds[id]
@@ -220,9 +212,7 @@ func (t *telemetry) evictLocked() {
 }
 
 // publish is the server's one-line event emitter: resolve the feed and
-// publish, all nil-safe so call sites need no telemetry-enabled branch.
+// publish.
 func (t *telemetry) publish(id string, ev JobEvent) {
-	if f := t.feed(id); f != nil {
-		f.publish(ev)
-	}
+	t.feed(id).publish(ev)
 }
