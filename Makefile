@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 determinism:
-	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism' ./...
+	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism|TestCellCache' ./...
 
 # Differential validation: run the timing pipeline and the reference
 # emulator in lockstep over all nine workloads under every recovery

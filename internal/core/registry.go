@@ -9,9 +9,9 @@ import (
 // builtins is the one table of built-in predictors, in presentation
 // order: wire name → constructor. The wire names are the vocabulary the
 // job API, the service, the fleet and the command-line tools accept; the
-// constructed predictor's Name() is what reports and journal keys carry
-// (e.g. "rvp" builds a predictor named "drvp"). Each constructor returns a
-// fresh predictor, so retries and sweep cells never share dirty state.
+// constructed predictor's Name() is what reports carry (e.g. "rvp" builds
+// a predictor named "drvp"). Each constructor returns a fresh predictor,
+// so retries and sweep cells never share dirty state.
 var builtins = []struct {
 	name string
 	mk   func() Predictor

@@ -9,7 +9,7 @@ import (
 )
 
 // TestBuiltinRegistry pins, per wire name, the constructed predictor's
-// Name() (sweep journal keys and service state embed it) and its
+// Name() (reports and service state embed it) and its
 // StorageBits (the extension StorageTable prints them).
 func TestBuiltinRegistry(t *testing.T) {
 	want := []struct {

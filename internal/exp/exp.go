@@ -16,7 +16,6 @@ import (
 	"errors"
 	"io/fs"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"rvpsim/internal/checkpoint"
@@ -65,17 +64,20 @@ type Options struct {
 	WatchdogCycles int
 	// Faults maps workload name to a fault-injection configuration; the
 	// injector for a workload is created once and persists across that
-	// workload's runs and retries, so sticky faults stay stuck.
+	// workload's runs and retries, so sticky faults stay stuck. Such a
+	// workload's cells are therefore simulated every time they are asked
+	// for: never shared, journaled or checkpointed.
 	Faults map[string]faultinject.Config
 	// Registry, when non-nil, receives every simulation run's metrics
 	// (the runs attach observers publishing into it; counters aggregate
 	// across the whole sweep). Instruments are updated atomically, so
 	// parallel workloads are safe.
 	Registry *obs.Registry
-	// OnRunDone, when non-nil, is called after every completed
-	// simulation run with a short "workload/predictor" label. It must be
-	// safe for concurrent calls; the experiments binary points it at a
-	// progress heartbeat.
+	// OnRunDone, when non-nil, is called once per distinct cell with a
+	// short "workload/predictor" label: when the cell is simulated or
+	// replayed from the journal, not when a later driver reuses it from
+	// the runner's cell table. It must be safe for concurrent calls; the
+	// experiments binary points it at a progress heartbeat.
 	OnRunDone func(label string)
 	// StateDir, when set (and EnableResume is called), makes sweeps
 	// crash-safe: every finished cell is fsync'd to a write-ahead
@@ -125,12 +127,16 @@ func DefaultOptions() Options {
 	return Options{Insts: 2_000_000, ProfileInsts: 500_000, Threshold: 0.80, Parallel: true}
 }
 
-// Runner memoises per-workload programs, profiles and baseline runs
-// across experiments.
+// Runner memoises per-workload programs, profiles and warm states, and
+// keeps the cell table: every simulation result by its content key (see
+// cellKey), so a cell any driver needs is simulated at most once per
+// Runner.
 type Runner struct {
 	opts Options
 
 	mu        sync.Mutex
+	cells     map[string]*cell
+	digests   map[*program.Program]string
 	programs  map[string]*program.Program
 	profiles  map[string]*profile.Profile
 	injectors map[string]*faultinject.Injector
@@ -156,6 +162,8 @@ func NewRunner(opts Options) *Runner {
 	}
 	return &Runner{
 		opts:      opts,
+		cells:     map[string]*cell{},
+		digests:   map[*program.Program]string{},
 		programs:  map[string]*program.Program{},
 		profiles:  map[string]*profile.Profile{},
 		injectors: map[string]*faultinject.Injector{},
@@ -286,9 +294,16 @@ func (r *Runner) EnableResume() error {
 		r.warn("journal: dropped %d damaged tail record(s); their cells will be re-simulated", j.Truncated)
 		r.count("exp_journal_truncated", "journal records dropped as torn or corrupt")
 	}
+	// The journal is the cell table's persisted layer: its cells seed the
+	// table, so a resumed sweep replays them instead of simulating.
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.journal = j
-	r.mu.Unlock()
+	for key, st := range j.Cells() {
+		if _, ok := r.cells[key]; !ok {
+			r.cells[key] = &cell{done: closedDone, st: st, journaled: true}
+		}
+	}
 	return nil
 }
 
@@ -358,52 +373,52 @@ func (r *Runner) warmState(p *program.Program) (*pipeline.WarmState, error) {
 	return w, nil
 }
 
-// run simulates one workload under one predictor and machine config.
-// The scope names the experiment asking (see runKey).
-func (r *Runner) run(scope, name string, cfg pipeline.Config, pred core.Predictor) (pipeline.Stats, error) {
+// run resolves the cell for one workload under one predictor and
+// machine config.
+func (r *Runner) run(name string, cfg pipeline.Config, pred core.Predictor) (pipeline.Stats, error) {
 	p, err := r.Program(name)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	return r.runOn(scope, p, cfg, pred)
+	return r.runOn(p, cfg, pred)
 }
 
-// runOn simulates an explicit program (used for re-allocated programs).
-// The runner's context, per-run timeout, watchdog and fault injection
-// options all apply here. With a journal open, a cell that already
-// completed is replayed from the journal; otherwise the run is
-// periodically checkpointed, resumed from a prior checkpoint when one
-// exists, and journaled (fsync'd) on completion before its result is
-// returned to any aggregation.
-func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pred core.Predictor) (pipeline.Stats, error) {
+// runOn resolves the cell for an explicit program (used for re-allocated
+// programs) through the cell table: a cell already simulated by any
+// driver, or journaled by an earlier sweep, is served from there, and
+// concurrent callers of one cell share a single run. Two kinds of cell
+// bypass the table and simulate every time: those whose workload has a
+// fault injector (it is sticky across the workload's runs, so the result
+// is not a function of the key) and those whose predictor has no
+// core.Identified identity.
+func (r *Runner) runOn(p *program.Program, cfg pipeline.Config, pred core.Predictor) (pipeline.Stats, error) {
 	if cfg.WatchdogCycles == 0 {
 		cfg.WatchdogCycles = r.opts.WatchdogCycles
 	}
-	key := runKey(scope, p.Name, pred.Name(), cfg)
-	if r.opts.WarmupInsts > 0 {
-		// A warmed cell measures a different instruction window, so its
-		// journal entries and checkpoints must not collide with cold runs
-		// (or runs under a different warmup budget) of the same cell.
-		key += "|warmup=" + strconv.FormatUint(r.opts.WarmupInsts, 10)
-	}
 	label := p.Name + "/" + pred.Name()
-	r.mu.Lock()
-	journal := r.journal
-	r.mu.Unlock()
-	if journal != nil {
-		if st, ok := journal.Lookup(key); ok {
-			r.count("exp_journal_replayed", "sweep cells served from the journal instead of re-simulated")
-			rsp := r.opts.Tracer.Start(r.opts.TraceParent, "sim:"+label)
-			rsp.SetAttr("journal", "replayed")
-			rsp.End()
-			if r.opts.OnRunDone != nil {
-				r.opts.OnRunDone(label)
-			}
-			return st, nil
-		}
-	}
-
 	inj := r.injector(p.Name)
+	id, ok := pred.(core.Identified)
+	if !ok || inj != nil {
+		return r.simulate(p, cfg, pred, inj, label, "")
+	}
+	key := r.cellKey(p, id, cfg)
+	return r.resolve(key, label, func() (pipeline.Stats, error) {
+		return r.simulate(p, cfg, pred, nil, label, key)
+	})
+}
+
+// simulate runs one cell. The runner's context, watchdog, fault
+// injection and progress options all apply here. With a journal open and
+// a cell key, the run is periodically checkpointed, resumed from a prior
+// checkpoint when one exists, and journaled (fsync'd) on completion
+// before its result is returned to any aggregation.
+func (r *Runner) simulate(p *program.Program, cfg pipeline.Config, pred core.Predictor, inj *faultinject.Injector, label, key string) (pipeline.Stats, error) {
+	var journal *Journal
+	if key != "" {
+		r.mu.Lock()
+		journal = r.journal
+		r.mu.Unlock()
+	}
 	ctx := r.opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -447,11 +462,11 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 		return sim, nil
 	}
 
-	// Checkpointing applies only to unperturbed runs: a fault injector's
-	// effects are not captured in a snapshot, so resuming an injected
-	// run would not replay deterministically.
+	// Checkpointing applies only to keyed cells, which are unperturbed
+	// runs: a fault injector's effects are not captured in a snapshot, so
+	// resuming an injected run would not replay deterministically.
 	ckptable, isCkptable := pred.(core.Checkpointable)
-	canCkpt := journal != nil && r.opts.CheckpointEvery > 0 && inj == nil && isCkptable
+	canCkpt := journal != nil && r.opts.CheckpointEvery > 0 && isCkptable
 	var ckptPath string
 	var pristine core.PredictorState
 	if canCkpt {
@@ -489,13 +504,16 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 				return pipeline.Stats{}, err
 			}
 			arm(sim)
+			// The key proves the checkpoint's predictor behaves as this
+			// one; it may have been saved under another report name.
+			snap.PredictorName = pred.Name()
 			st, err = sim.ResumeContext(ctx, snap, p, pred, r.opts.Insts)
 			if err != nil && errors.Is(err, simerr.ErrCorrupt) {
 				// The checkpoint does not belong to this cell as currently
 				// configured (changed budget, predictor sizing, schema).
 				// Discard it, restore the predictor's pristine state, and
 				// run the cell from scratch.
-				r.warn("checkpoint for %s rejected (%v); re-running cell from scratch", key, lerr2str(err))
+				r.warn("checkpoint for %s rejected (%v); re-running cell from scratch", label, lerr2str(err))
 				r.count("exp_ckpt_corrupt", "checkpoints discarded as damaged or mismatched")
 				removeQuiet(r.fsys(), ckptPath)
 				_ = ckptable.RestoreState(pristine)
@@ -506,7 +524,7 @@ func (r *Runner) runOn(scope string, p *program.Program, cfg pipeline.Config, pr
 		case errors.Is(lerr, fs.ErrNotExist):
 			// Nothing to resume.
 		default:
-			r.warn("checkpoint for %s unreadable (%v); re-running cell from scratch", key, lerr2str(lerr))
+			r.warn("checkpoint for %s unreadable (%v); re-running cell from scratch", label, lerr2str(lerr))
 			r.count("exp_ckpt_corrupt", "checkpoints discarded as damaged or mismatched")
 			removeQuiet(r.fsys(), ckptPath)
 		}
@@ -696,30 +714,25 @@ func (r *Runner) dynamicPredictor(name string, level profile.Support, loadsOnly 
 }
 
 // speedupTable runs the spec list over all workloads and renders speedups
-// over no-prediction, plus a final "average" column. scope keys the
-// journal cells for this experiment.
-func (r *Runner) speedupTable(scope, title string, cfg pipeline.Config, specs []predictorSpec, names []string) (*stats.Table, error) {
+// over no-prediction, plus a final "average" column.
+func (r *Runner) speedupTable(title string, cfg pipeline.Config, specs []predictorSpec, names []string) (*stats.Table, error) {
 	cols := append(append([]string(nil), names...), "average")
 	t := stats.NewTable(title, cols)
 	type key struct{ spec, wl string }
 	results := make(map[key]float64)
-	base := make(map[string]int64)
 	var mu sync.Mutex
 
 	fails, err := r.forEach(names, func(name string) error {
-		st, err := r.run(scope, name, cfg, core.NoPredictor{})
+		st, err := r.run(name, cfg, core.NoPredictor{})
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		base[name] = st.Cycles
-		mu.Unlock()
 		for _, sp := range specs {
 			pred, err := sp.make(r, name)
 			if err != nil {
 				return err
 			}
-			ps, err := r.run(scope, name, cfg, pred)
+			ps, err := r.run(name, cfg, pred)
 			if err != nil {
 				return err
 			}
@@ -748,7 +761,6 @@ func (r *Runner) speedupTable(scope, title string, cfg pipeline.Config, specs []
 		t.AddRow(sp.label, "%.3f", vals)
 	}
 	r.noteFailures(t, names, fails)
-	_ = base
 	return t, err
 }
 

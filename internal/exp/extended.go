@@ -2,7 +2,6 @@ package exp
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"rvpsim/internal/core"
@@ -33,7 +32,7 @@ func (r *Runner) StorageTable() (*stats.Table, error) {
 	speed := map[key]float64{}
 	var mu sync.Mutex
 	fails, err := r.forEach(names, func(name string) error {
-		base, err := r.run("ext_storage", name, pipeline.BaselineConfig(), core.NoPredictor{})
+		base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
 		if err != nil {
 			return err
 		}
@@ -42,7 +41,7 @@ func (r *Runner) StorageTable() (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			st, err := r.run("ext_storage", name, pipeline.BaselineConfig(), pred)
+			st, err := r.run(name, pipeline.BaselineConfig(), pred)
 			if err != nil {
 				return err
 			}
@@ -83,14 +82,13 @@ func (r *Runner) ThresholdTable() (*stats.Table, error) {
 	allFails := map[string]error{}
 	var errs []error
 	for _, th := range []uint8{1, 3, 5, 7} {
-		scope := fmt.Sprintf("ext_threshold_%d", th)
 		cc := core.DefaultCounterConfig()
 		cc.Threshold = th
 		type acc struct{ spd, cov, accy float64 }
 		var mu sync.Mutex
 		var rows []acc
 		fails, err := r.forEach(names, func(name string) error {
-			base, err := r.run(scope, name, pipeline.BaselineConfig(), core.NoPredictor{})
+			base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
 			if err != nil {
 				return err
 			}
@@ -98,7 +96,7 @@ func (r *Runner) ThresholdTable() (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			st, err := r.run(scope, name, pipeline.BaselineConfig(), pred)
+			st, err := r.run(name, pipeline.BaselineConfig(), pred)
 			if err != nil {
 				return err
 			}

@@ -111,7 +111,7 @@ func (r *Runner) Figure3() (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			st, err := r.run("fig3", name, cfg, pred)
+			st, err := r.run(name, cfg, pred)
 			if err != nil {
 				return err
 			}
@@ -155,7 +155,7 @@ func (r *Runner) Figure4() (*stats.Table, error) {
 		{"srvp_selective", pipeline.RecoverSelective},
 	}
 	fails, err := r.forEach(names, func(name string) error {
-		base, err := r.run("fig4", name, pipeline.BaselineConfig(), core.NoPredictor{})
+		base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
 		if err != nil {
 			return err
 		}
@@ -169,7 +169,7 @@ func (r *Runner) Figure4() (*stats.Table, error) {
 		for _, rc := range recoveries {
 			cfg := pipeline.BaselineConfig()
 			cfg.Recovery = rc.rec
-			st, err := r.run("fig4", name, cfg, pred90)
+			st, err := r.run(name, cfg, pred90)
 			if err != nil {
 				return err
 			}
@@ -210,7 +210,7 @@ func (r *Runner) Figure5() (*stats.Table, error) {
 			return rr.dynamicPredictor(n, profile.SupportDeadLV, true)
 		}},
 	}
-	return r.speedupTable("fig5", "Figure 5: dynamic RVP for loads, speedup over no prediction",
+	return r.speedupTable("Figure 5: dynamic RVP for loads, speedup over no prediction",
 		pipeline.BaselineConfig(), specs, allNames())
 }
 
@@ -230,7 +230,7 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 			return rr.dynamicPredictor(n, profile.SupportDeadLV, false)
 		}},
 	}
-	return r.speedupTable("fig6", "Figure 6: dynamic RVP for all instructions, speedup over no prediction",
+	return r.speedupTable("Figure 6: dynamic RVP for all instructions, speedup over no prediction",
 		pipeline.BaselineConfig(), specs, allNames())
 }
 
@@ -261,7 +261,7 @@ func (r *Runner) Table2() (*stats.Table, *stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			st, err := r.run("tab2", name, pipeline.BaselineConfig(), pred)
+			st, err := r.run(name, pipeline.BaselineConfig(), pred)
 			if err != nil {
 				return err
 			}
@@ -310,7 +310,7 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		base, err := r.run("fig7", name, pipeline.BaselineConfig(), core.NoPredictor{})
+		base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
 		if err != nil {
 			return err
 		}
@@ -324,7 +324,7 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		st, err := r.run("fig7", name, pipeline.BaselineConfig(), lvp)
+		st, err := r.run(name, pipeline.BaselineConfig(), lvp)
 		if err != nil {
 			return err
 		}
@@ -334,7 +334,7 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		if st, err = r.run("fig7", name, pipeline.BaselineConfig(), pred); err != nil {
+		if st, err = r.run(name, pipeline.BaselineConfig(), pred); err != nil {
 			return err
 		}
 		set("drvp_all_noreallocate", st.Cycles)
@@ -349,7 +349,7 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 			return err
 		}
 		realloc := core.MustDynamicRVP(core.DefaultCounterConfig(), core.WithName("drvp_realloc"))
-		if st, err = r.runOn("fig7", res.Prog, pipeline.BaselineConfig(), realloc); err != nil {
+		if st, err = r.runOn(res.Prog, pipeline.BaselineConfig(), realloc); err != nil {
 			return err
 		}
 		set("drvp_all_dead_lv_realloc", st.Cycles)
@@ -358,7 +358,7 @@ func (r *Runner) Figure7() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		if st, err = r.run("fig7", name, pipeline.BaselineConfig(), ideal); err != nil {
+		if st, err = r.run(name, pipeline.BaselineConfig(), ideal); err != nil {
 			return err
 		}
 		set("drvp_all_dead_lv(ideal)", st.Cycles)
@@ -392,7 +392,7 @@ func (r *Runner) Figure8() (*stats.Table, error) {
 			return rr.dynamicPredictor(n, profile.SupportDeadLV, false)
 		}},
 	}
-	return r.speedupTable("fig8", "Figure 8: 16-wide processor, speedup over no prediction",
+	return r.speedupTable("Figure 8: 16-wide processor, speedup over no prediction",
 		pipeline.AggressiveConfig(), specs, allNames())
 }
 

@@ -287,7 +287,7 @@ func RunJob(ctx context.Context, spec JobSpec, opts Options) (*JobResult, error)
 			// A fresh predictor per attempt: a failed run leaves dirty
 			// predictor state behind.
 			pred, _ := core.NewPredictor(spec.Predictor) // Validate accepted the name
-			st, err = r.run("job", spec.Workload, cfg, pred)
+			st, err = r.run(spec.Workload, cfg, pred)
 			if err == nil || attempt >= transientRetries || !simerr.IsTransient(err) {
 				break
 			}

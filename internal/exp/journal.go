@@ -1,10 +1,9 @@
 package exp
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sync"
 
@@ -14,11 +13,12 @@ import (
 	"rvpsim/internal/wal"
 )
 
-// Journal is the write-ahead results log for a sweep: every finished
-// cell (one workload × predictor × experiment simulation run) is
-// appended — and fsync'd — before its result enters any table, so a
-// crash can lose at most the in-flight runs. Completed cells found in
-// the journal are replayed from it instead of re-simulated.
+// Journal is the write-ahead results log for a sweep and the persisted
+// layer of the Runner's cell table: every finished cell (one simulation,
+// named by its content key) is appended — and fsync'd — before its
+// result enters any table, so a crash can lose at most the in-flight
+// runs. On open, the journaled cells seed the table, so they are
+// replayed instead of re-simulated.
 //
 // The durability mechanics — CRC envelope, fsync-per-append, torn-tail
 // repair on open, interior-corruption refusal — live in internal/wal;
@@ -69,12 +69,11 @@ func OpenJournalFS(path string, fsys vfs.FS, met *wal.Metrics) (*Journal, error)
 	return j, nil
 }
 
-// Lookup reports the journaled result for a cell, if present.
-func (j *Journal) Lookup(key string) (pipeline.Stats, bool) {
+// Cells returns a copy of every journaled cell's result by key.
+func (j *Journal) Cells() map[string]pipeline.Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st, ok := j.done[key]
-	return st, ok
+	return maps.Clone(j.done)
 }
 
 // Len reports how many completed cells the journal holds.
@@ -104,24 +103,9 @@ func (j *Journal) Close() error {
 	return j.w.Close()
 }
 
-// runKey names one sweep cell: scope, workload, predictor, and a digest
-// of the machine configuration. The scope disambiguates cells that share
-// all three of the others but differ in how the predictor was trained
-// (Figure 3's 80% profile threshold vs Figure 4's 90%, the extended
-// sweep's four counter thresholds); the config digest separates the same
-// predictor run under different machines (Figure 4's three recovery
-// schemes, Figure 8's 16-wide core).
-func runKey(scope, workload, predictor string, cfg pipeline.Config) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", cfg)))
-	return scope + "/" + workload + "/" + predictor + "@" + hex.EncodeToString(sum[:4])
-}
-
-// ckptFile maps a cell key to its checkpoint path under dir: a digest
-// keeps arbitrary key characters out of the filesystem namespace.
-func ckptFile(dir, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, "ckpt", hex.EncodeToString(sum[:8])+".ckpt")
-}
+// ckptFile maps a cell key (a hex digest) to its checkpoint path under
+// dir.
+func ckptFile(dir, key string) string { return filepath.Join(dir, "ckpt", key+".ckpt") }
 
 // JournalPath is the journal's location inside a state directory.
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }

@@ -9,9 +9,13 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"rvpsim/internal/core"
 	"rvpsim/internal/faultinject"
+	"rvpsim/internal/obs"
+	"rvpsim/internal/pipeline"
 	"rvpsim/internal/simerr"
 	"rvpsim/internal/stats"
 )
@@ -169,5 +173,31 @@ func TestSweepContextCanceled(t *testing.T) {
 				t.Errorf("row %q column %q not marked failed after cancellation", label, n)
 			}
 		}
+	}
+}
+
+// TestFaultedCellsNeverShared: a fault injector is sticky across its
+// workload's runs, so a faulted cell's result is not a function of its
+// key. Two identical cells of a faulted workload both simulate, while
+// the same pair on a healthy workload shares one simulation.
+func TestFaultedCellsNeverShared(t *testing.T) {
+	reg := obs.NewRegistry()
+	var done atomic.Int64
+	r := NewRunner(Options{
+		Insts:     50_000,
+		Faults:    map[string]faultinject.Config{"perl": {MemEvery: 50, MemExtra: 20}},
+		Registry:  reg,
+		OnRunDone: func(string) { done.Add(1) },
+	})
+	for _, wl := range []string{"perl", "perl", "go", "go"} {
+		if _, err := r.run(wl, pipeline.BaselineConfig(), core.NoPredictor{}); err != nil {
+			t.Fatalf("%s: %v", wl, err)
+		}
+	}
+	if got := done.Load(); got != 3 {
+		t.Errorf("%d simulations, want 3 (two faulted, one shared)", got)
+	}
+	if got := reg.Counter("exp_cells_reused", "").Value(); got != 1 {
+		t.Errorf("exp_cells_reused = %d, want 1 (the healthy pair only)", got)
 	}
 }

@@ -51,7 +51,7 @@ func TestWarmupSharedAcrossCells(t *testing.T) {
 	}
 
 	for _, pred := range preds {
-		got, err := r.run("warmtest", "li", cfg, pred)
+		got, err := r.run("li", cfg, pred)
 		if err != nil {
 			t.Fatalf("%s: %v", pred.Name(), err)
 		}
@@ -95,7 +95,7 @@ func TestWarmupDisabledByDefault(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRunner(Options{Insts: budget, Registry: reg})
 	cfg := pipeline.BaselineConfig()
-	got, err := r.run("coldtest", "li", cfg, core.MustDynamicRVP(core.DefaultCounterConfig()))
+	got, err := r.run("li", cfg, core.MustDynamicRVP(core.DefaultCounterConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func BenchmarkWarmupSharing(b *testing.B) {
 			r := NewRunner(Options{Insts: budget, WarmupInsts: warmN})
 			for _, cfg := range cfgs {
 				for _, pred := range mkPreds() {
-					if _, err := r.run("bench", "li", cfg, pred); err != nil {
+					if _, err := r.run("li", cfg, pred); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -200,10 +200,10 @@ func TestParallelSweepContentionFree(t *testing.T) {
 	// Two predictors per workload so workers overlap on the same warm
 	// state and the same per-config simulator pool.
 	fails, err := r.forEach(workloads.Names(), func(name string) error {
-		if _, err := r.run("contention", name, pipeline.BaselineConfig(), core.MustDynamicRVP(core.DefaultCounterConfig())); err != nil {
+		if _, err := r.run(name, pipeline.BaselineConfig(), core.MustDynamicRVP(core.DefaultCounterConfig())); err != nil {
 			return err
 		}
-		_, err := r.run("contention", name, pipeline.BaselineConfig(), core.MustLVP(core.DefaultLVPConfig(), "lvp"))
+		_, err := r.run(name, pipeline.BaselineConfig(), core.MustLVP(core.DefaultLVPConfig(), "lvp"))
 		return err
 	})
 	if err != nil {

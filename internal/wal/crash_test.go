@@ -98,7 +98,7 @@ func TestCrashAtEveryOp(t *testing.T) {
 					t.Fatalf("recovered %d cells, only 3 ever written", j.Len())
 				}
 				for _, key := range acked {
-					if _, ok := j.Lookup(key); !ok {
+					if _, ok := j.Cells()[key]; !ok {
 						t.Fatalf("acknowledged cell %s lost", key)
 					}
 				}
