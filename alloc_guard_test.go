@@ -1,7 +1,7 @@
 package rvpsim_test
 
 // Steady-state allocation guard for the simulator hot loop. A Run has
-// unavoidable per-run setup cost (capacity rings, dense predictor
+// unavoidable per-run setup cost (bandwidth books, dense predictor
 // state, the memory page table), so absolute allocs/op is nonzero; what
 // must stay at zero is the marginal cost of simulating MORE
 // instructions. The guard therefore measures the delta between a long
@@ -12,6 +12,7 @@ package rvpsim_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -113,5 +114,36 @@ func TestZeroAllocsPerCommitParallel(t *testing.T) {
 		short, long, perCommit, workers)
 	if perCommit > 0.001 {
 		t.Fatalf("parallel steady-state allocation regression: %.6f allocs/commit (want ~0)", perCommit)
+	}
+}
+
+// runFootprintLimit bounds the heap one fresh simulator allocates to
+// run 100k instructions: its bandwidth books, queues, decode table,
+// memory hierarchy, branch predictor and the emulator's memory image.
+const runFootprintLimit = 1 << 20
+
+// TestRunFootprint guards the fixed cost of a run job, which builds a
+// fresh simulator per job: the bytes allocated by pipeline.New plus one
+// 100k-instruction Run of li under rvp must stay at or under 1 MB.
+func TestRunFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard is meaningless under -race")
+	}
+	prog, err := workloads.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := core.MustDynamicRVP(core.DefaultCounterConfig())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim := pipeline.MustNew(pipeline.BaselineConfig())
+	if _, err := sim.Run(prog, pred, allocGuardShort); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("fresh simulator + %d-instruction run allocated %d bytes", allocGuardShort, bytes)
+	if bytes > runFootprintLimit {
+		t.Fatalf("run footprint %d bytes exceeds %d", bytes, runFootprintLimit)
 	}
 }

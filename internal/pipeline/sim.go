@@ -14,70 +14,99 @@ import (
 	"rvpsim/internal/simerr"
 )
 
-// capRing is a lazily-cleared, cycle-indexed bandwidth counter used for
-// issue/dispatch/commit slot booking. Slots alias modulo its size, which
-// is far larger than any in-flight time spread.
-// capRing entries pack the stamping cycle and the booked count into one
-// word: stamp<<capCountBits | count. One load serves the probe, and the
-// ring's footprint (zeroed on every run) is a third of the two-array
-// layout. Cycles are nonnegative and bounded far below 2^48 by any
-// realistic budget; Config.Validate bounds every limit below 2^16.
+// seqBook is the bandwidth book of an in-order stage: dispatch, commit
+// and the predict ports (booked at the dispatch cycle). No booking falls
+// below the last booked cycle, so the book is exact as that cycle and
+// the count booked there.
+type seqBook struct {
+	last  int64
+	n     uint64
+	limit uint64
+}
+
+// bookFrom books the earliest cycle at or after both t and the last
+// booking that has a free slot, and returns it.
+func (b *seqBook) bookFrom(t int64) int64 {
+	switch {
+	case t > b.last:
+		b.last, b.n = t, 1
+	case b.n < b.limit:
+		b.n++
+	default:
+		b.last++
+		b.n = 1
+	}
+	return b.last
+}
+
+// tryBook books cycle t, which must not be below the last booking, if it
+// has a free slot.
+func (b *seqBook) tryBook(t int64) bool {
+	switch {
+	case t > b.last:
+		b.last, b.n = t, 1
+	case b.n < b.limit:
+		b.n++
+	default:
+		return false
+	}
+	return true
+}
+
+// capRing is the bandwidth book of an out-of-order stage: the issue slots
+// and the int, load/store and FP units. It is a lazily cleared,
+// cycle-indexed counter; cycle t maps to slot t&(len(ent)-1), and each
+// entry packs the booked cycle (its stamp) and the count booked there
+// into one word, stamp<<capCountBits | count. Cycles are nonnegative and
+// bounded far below 2^48 by any realistic budget; Config.Validate bounds
+// every limit below 2^16.
+//
+// The ring is exact. No probe or booking by the current instruction or
+// any later one falls below the current dispatch cycle, and the loop
+// grows the rings (growIssue) before it books a cycle one ring length or
+// more past that cycle. Every live entry therefore lies within one ring
+// length of the dispatch cycle, a live entry is never overwritten, and a
+// stamp mismatch means "nothing booked here".
 type capRing struct {
 	ent   []uint64
 	limit uint64
 }
 
-const capRingBits = 16
-const capRingSize = 1 << capRingBits
-
 const capCountBits = 16
 const capCountMask = 1<<capCountBits - 1
 
-func newCapRing(limit int) *capRing {
-	return &capRing{
-		ent:   make([]uint64, capRingSize),
-		limit: uint64(limit),
-	}
-}
+// issueRingStart is the length, in cycles, the issue books start at. They
+// double only when an issue lands a full ring length past its dispatch;
+// no sim-hot run at 1M instructions needs more than 512.
+const issueRingStart = 1 << 10
 
-func (c *capRing) used(cycle int64) int32 {
-	e := c.ent[cycle&(capRingSize-1)]
-	if e>>capCountBits != uint64(cycle) {
-		return 0
-	}
-	return int32(e & capCountMask)
+func newCapRing(limit int) capRing {
+	return capRing{ent: make([]uint64, issueRingStart), limit: uint64(limit)}
 }
 
 func (c *capRing) avail(cycle int64) bool {
-	e := c.ent[cycle&(capRingSize-1)]
+	e := c.ent[cycle&int64(len(c.ent)-1)]
 	return e>>capCountBits != uint64(cycle) || e&capCountMask < c.limit
 }
 
-// bookFrom books the earliest cycle >= t with a free slot and returns it.
-// Equivalent to `for !avail(t) { t++ }; book(t)` with one index/load per
-// probed cycle instead of two.
-func (c *capRing) bookFrom(t int64) int64 {
-	for {
-		i := t & (capRingSize - 1)
-		e := c.ent[i]
-		if e>>capCountBits != uint64(t) {
-			c.ent[i] = uint64(t)<<capCountBits | 1
-			return t
-		}
-		if e&capCountMask < c.limit {
-			c.ent[i] = e + 1
-			return t
-		}
-		t++
-	}
-}
-
 func (c *capRing) book(cycle int64) {
-	i := cycle & (capRingSize - 1)
+	i := cycle & int64(len(c.ent)-1)
 	if e := c.ent[i]; e>>capCountBits != uint64(cycle) {
 		c.ent[i] = uint64(cycle)<<capCountBits | 1
 	} else {
 		c.ent[i] = e + 1
+	}
+}
+
+// resize moves the ring to n slots, keeping the entries stamped at or
+// after floor. Entries stamped before it are dead: nothing probes them.
+func (c *capRing) resize(n int, floor int64) {
+	old := c.ent
+	c.ent = make([]uint64, n)
+	for _, e := range old {
+		if st := int64(e >> capCountBits); e&capCountMask != 0 && st >= floor {
+			c.ent[st&int64(n-1)] = e
+		}
 	}
 }
 
@@ -169,14 +198,15 @@ type runState struct {
 	fpIdx  int
 	winIdx int
 
-	// Bandwidth books.
-	dispatchCap *capRing
-	issueCap    *capRing
-	intCap      *capRing
-	lsCap       *capRing
-	fpCap       *capRing
-	commitCap   *capRing
-	portCap     *capRing // nil unless cfg.PredictPorts > 0
+	// Bandwidth books. The in-order books' last cycles are the last
+	// dispatch and commit cycles; the four issue rings share one length.
+	dispatchCap seqBook
+	commitCap   seqBook
+	portCap     seqBook // unused unless cfg.PredictPorts > 0
+	issueCap    capRing
+	intCap      capRing
+	lsCap       capRing
+	fpCap       capRing
 
 	// Front-end state.
 	fetchCycle  int64
@@ -185,10 +215,8 @@ type runState struct {
 	fetchBlocks int
 	curLine     uint64
 
-	lastDispatch int64
-	lastCommit   int64
-	lastCycle    int64
-	activePreds  []*pendingPred
+	lastCycle   int64
+	activePreds []*pendingPred
 
 	lastCkpt uint64 // stats.Committed at the last periodic checkpoint
 	lastProg uint64 // stats.Committed at the last progress callback
@@ -275,9 +303,9 @@ const commitBatch = 1024
 
 // newRunState builds the zeroed timing state for a fresh run. When this
 // Sim has run before, the previous run's state is recycled in place (see
-// resetRunState) instead of reallocated: the capacity rings alone are
-// ~3.5MB per run, and N simulators each reallocating them per run
-// serialize in the allocator long before they saturate N cores.
+// resetRunState) instead of reallocated: N simulators each reallocating
+// their per-instruction tables and queues per run serialize in the
+// allocator long before they saturate N cores.
 func (s *Sim) newRunState(prog *program.Program, pred core.Predictor, st *emu.State) *runState {
 	if r := s.cur; r != nil {
 		s.resetRunState(r, prog, pred, st)
@@ -293,21 +321,36 @@ func (s *Sim) newRunState(prog *program.Program, pred core.Predictor, st *emu.St
 		intIQ:       make([]int64, cfg.IntIQ),
 		fpIQ:        make([]int64, cfg.FPIQ),
 		window:      make([]int64, cfg.Window),
-		dispatchCap: newCapRing(cfg.DispatchWidth),
+		dispatchCap: seqBook{limit: uint64(cfg.DispatchWidth)},
+		commitCap:   seqBook{limit: uint64(cfg.CommitWidth)},
+		portCap:     seqBook{limit: uint64(cfg.PredictPorts)},
 		issueCap:    newCapRing(cfg.IssueWidth),
 		intCap:      newCapRing(cfg.IntALUs),
 		lsCap:       newCapRing(cfg.LoadStore),
 		fpCap:       newCapRing(cfg.FPUnits),
-		commitCap:   newCapRing(cfg.CommitWidth),
 		curLine:     ^uint64(0),
 		coherent:    true,
-	}
-	if cfg.PredictPorts > 0 {
-		r.portCap = newCapRing(cfg.PredictPorts)
 	}
 	r.info = buildInfo(prog)
 	sizeHint(pred, len(r.info))
 	return r
+}
+
+// issueBooks lists the four out-of-order books, which share one length.
+func (r *runState) issueBooks() [4]*capRing {
+	return [4]*capRing{&r.issueCap, &r.intCap, &r.lsCap, &r.fpCap}
+}
+
+// growIssue doubles the issue books until cycle t lies less than one
+// ring length past floor, the current dispatch cycle.
+func (r *runState) growIssue(floor, t int64) {
+	n := len(r.issueCap.ent)
+	for int64(n) <= t-floor {
+		n *= 2
+	}
+	for _, c := range r.issueBooks() {
+		c.resize(n, floor)
+	}
 }
 
 // resetRunState recycles the previous run's buffers for a fresh run on
@@ -348,11 +391,17 @@ func (s *Sim) resetRunState(r *runState, prog *program.Program, pred core.Predic
 	r.intN, r.fpN, r.winN = 0, 0, 0
 	r.intIdx, r.fpIdx, r.winIdx = 0, 0, 0
 
+	r.dispatchCap.last, r.dispatchCap.n = 0, 0
+	r.commitCap.last, r.commitCap.n = 0, 0
+	r.portCap.last, r.portCap.n = 0, 0
 	// The rings must be cleared, not merely reused: a stale stamp from
-	// the prior run would alias a cycle of this one.
-	for _, c := range []*capRing{r.dispatchCap, r.issueCap, r.intCap, r.lsCap, r.fpCap, r.commitCap, r.portCap} {
-		if c != nil {
+	// the prior run would alias a cycle of this one. A ring an earlier
+	// run grew goes back to the starting length.
+	for _, c := range r.issueBooks() {
+		if len(c.ent) == issueRingStart {
 			clear(c.ent)
+		} else {
+			c.ent = make([]uint64, issueRingStart)
 		}
 	}
 
@@ -362,7 +411,7 @@ func (s *Sim) resetRunState(r *runState, prog *program.Program, pred core.Predic
 	r.fetchCycle, r.minFetch = 0, 0
 	r.fetchSlots, r.fetchBlocks = 0, 0
 	r.curLine = ^uint64(0)
-	r.lastDispatch, r.lastCommit, r.lastCycle = 0, 0, 0
+	r.lastCycle = 0
 	r.lastCkpt, r.lastProg = 0, 0
 	r.coherent = true
 	sizeHint(pred, len(r.info))
@@ -659,8 +708,8 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		// ---- Dispatch: in order, gated by window, queue space, and
 		// dispatch bandwidth.
 		dispatch := myFetch + int64(cfg.FrontLatency)
-		if dispatch < r.lastDispatch {
-			dispatch = r.lastDispatch
+		if dispatch < r.dispatchCap.last {
+			dispatch = r.dispatchCap.last
 		}
 		if r.winN >= uint64(cfg.Window) {
 			if t := r.window[r.winIdx]; t > dispatch {
@@ -685,7 +734,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 			}
 		}
 		dispatch = r.dispatchCap.bookFrom(dispatch)
-		r.lastDispatch = dispatch
 
 		// ---- Value prediction decision.
 		var dec core.Decision
@@ -725,13 +773,9 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 				// register read port to fetch the prior value for the
 				// verification compare; buffer-based predictions (LVP)
 				// come with their own value datapath instead.
-				if cls != isa.ClassLoad && dec.Kind != core.KindBuffer && r.portCap != nil {
-					if r.portCap.avail(dispatch) {
-						r.portCap.book(dispatch)
-					} else {
-						predicted = false
-						r.stats.PortStarved++
-					}
+				if cls != isa.ClassLoad && dec.Kind != core.KindBuffer && cfg.PredictPorts > 0 && !r.portCap.tryBook(dispatch) {
+					predicted = false
+					r.stats.PortStarved++
 				}
 			}
 			if predicted {
@@ -786,18 +830,18 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 			t = dispatch + 1
 		}
 		isMem := inf.isMem
-		var unit *capRing
-		switch cls {
-		case isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
-			unit = r.fpCap
-		default:
-			unit = r.intCap
+		unit := &r.intCap
+		if useFPQ {
+			unit = &r.fpCap
 		}
 		for {
 			if r.issueCap.avail(t) && unit.avail(t) && (!isMem || r.lsCap.avail(t)) {
 				break
 			}
 			t++
+		}
+		if t-dispatch >= int64(len(r.issueCap.ent)) {
+			r.growIssue(dispatch, t)
 		}
 		r.issueCap.book(t)
 		unit.book(t)
@@ -912,20 +956,17 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		if predicted && verifyAt+1 > commitAt {
 			commitAt = verifyAt + 1
 		}
-		if commitAt < r.lastCommit {
-			commitAt = r.lastCommit
-		}
+		prevCommit := r.commitCap.last
 		commitAt = r.commitCap.bookFrom(commitAt)
-		if wd > 0 && commitAt-r.lastCommit > wd {
+		if wd > 0 && commitAt-prevCommit > wd {
 			finalize()
 			return r.stats, &simerr.SimError{
 				Stage: "pipeline", Workload: prog.Name,
 				PC: e.PC, Cycle: commitAt, HasPC: true, HasCycle: true,
 				Err: fmt.Errorf("no commit for %d cycles (watchdog %d): %w",
-					commitAt-r.lastCommit, wd, simerr.ErrNoProgress),
+					commitAt-prevCommit, wd, simerr.ErrNoProgress),
 			}
 		}
-		r.lastCommit = commitAt
 		r.window[r.winIdx] = commitAt
 		r.winN++
 		if r.winIdx++; r.winIdx == cfg.Window {
@@ -978,7 +1019,7 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 // direction prediction, target prediction, taken-branch fetch breaks, and
 // redirect penalties for mispredictions.
 func (s *Sim) handleCTI(e *emu.Exec, idx int, myFetch, doneAt int64, minFetch *int64, fetchBlocks *int) {
-	cfg := s.cfg
+	cfg := &s.cfg
 	redirect := func(at int64) {
 		if at > *minFetch {
 			*minFetch = at

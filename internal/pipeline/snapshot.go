@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sort"
 
 	"rvpsim/internal/bpred"
 	"rvpsim/internal/core"
@@ -91,42 +92,73 @@ type PendingPredState struct {
 	UseSeen  bool
 }
 
-// RingSlot is one live capRing entry. Rings are serialized sparsely:
-// only slots whose stamp is at or after the snapshot's booking floor
-// matter (see capRing.snapshot), so a snapshot carries a few hundred
-// entries rather than 64K per ring.
+// RingSlot is one live bandwidth-book entry. Books are serialized
+// sparsely: only entries stamped at or after the snapshot's booking floor
+// matter (see capRing.snapshot), so a snapshot carries a few dozen
+// entries, and an in-order book at most one. Slot is the entry's index in
+// the fixed 64K-cycle rings the format was defined with, Stamp&0xFFFF;
+// restore checks it and places entries by Stamp.
 type RingSlot struct {
 	Slot  int32
 	Stamp int64
 	Count int32
 }
 
+// ringSlotMask is the slot geometry of the wire format's 64K-cycle rings.
+const ringSlotMask = 1<<16 - 1
+
+func ringSlot(stamp int64, count uint64) RingSlot {
+	return RingSlot{Slot: int32(stamp & ringSlotMask), Stamp: stamp, Count: int32(count)}
+}
+
 // snapshot captures the ring's live entries. floor is the earliest cycle
 // any future booking or query can touch (the minimum of the last
 // in-order dispatch and last in-order commit): entries stamped before it
 // are either dead or indistinguishable from an unbooked slot at every
-// reachable cycle, so dropping them is exact, not approximate.
+// reachable cycle, so dropping them is exact, not approximate. Entries
+// are listed in Slot order, so the bytes do not depend on the ring's
+// length.
 func (c *capRing) snapshot(floor int64) []RingSlot {
 	var out []RingSlot
-	for i, e := range c.ent {
-		st, cnt := int64(e>>capCountBits), int32(e&capCountMask)
-		if cnt != 0 && st >= floor {
-			out = append(out, RingSlot{Slot: int32(i), Stamp: st, Count: cnt})
+	for _, e := range c.ent {
+		if st, cnt := int64(e>>capCountBits), e&capCountMask; cnt != 0 && st >= floor {
+			out = append(out, ringSlot(st, cnt))
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
 	return out
 }
 
-// restore loads sparse entries into a freshly zeroed ring.
-func (c *capRing) restore(slots []RingSlot) error {
+// snapshot captures the book's single entry if a future booking can
+// still see it.
+func (b *seqBook) snapshot(floor int64) []RingSlot {
+	if b.n == 0 || b.last < floor {
+		return nil
+	}
+	return []RingSlot{ringSlot(b.last, b.n)}
+}
+
+// restore rebuilds the book as of last, its last booked cycle, from the
+// entry stamped there. Other entries are stale: a snapshot written by
+// the fixed rings lists every cycle booked since the floor.
+func (b *seqBook) restore(last int64, slots []RingSlot) {
+	b.last, b.n = last, 0
 	for _, s := range slots {
-		if s.Slot < 0 || int(s.Slot) >= capRingSize {
-			return fmt.Errorf("pipeline: ring slot %d out of range: %w", s.Slot, simerr.ErrCorrupt)
+		if s.Stamp == last {
+			b.n = uint64(s.Count)
 		}
-		if s.Stamp < 0 || s.Count < 0 || s.Count > capCountMask {
-			return fmt.Errorf("pipeline: ring slot %d stamp/count out of range: %w", s.Slot, simerr.ErrCorrupt)
+	}
+}
+
+// checkSlots rejects entries a simulator cannot have written.
+func checkSlots(slots []RingSlot) error {
+	for _, s := range slots {
+		if s.Stamp < 0 || s.Stamp>>(64-capCountBits) != 0 || s.Slot != int32(s.Stamp&ringSlotMask) {
+			return fmt.Errorf("pipeline: ring slot %d does not hold stamp %d: %w", s.Slot, s.Stamp, simerr.ErrCorrupt)
 		}
-		c.ent[s.Slot] = uint64(s.Stamp)<<capCountBits | uint64(s.Count)
+		if s.Count < 0 || s.Count > capCountMask {
+			return fmt.Errorf("pipeline: ring slot %d count %d out of range: %w", s.Slot, s.Count, simerr.ErrCorrupt)
+		}
 	}
 	return nil
 }
@@ -174,24 +206,19 @@ func (s *Sim) buildSnapshot(r *runState) (*Snapshot, error) {
 	t.Window = append([]int64(nil), r.window...)
 	t.IntN, t.FPN, t.WinN = r.intN, r.fpN, r.winN
 
-	floor := r.lastDispatch
-	if r.lastCommit < floor {
-		floor = r.lastCommit
-	}
+	floor := min(r.dispatchCap.last, r.commitCap.last)
 	t.DispatchCap = r.dispatchCap.snapshot(floor)
 	t.IssueCap = r.issueCap.snapshot(floor)
 	t.IntCap = r.intCap.snapshot(floor)
 	t.LSCap = r.lsCap.snapshot(floor)
 	t.FPCap = r.fpCap.snapshot(floor)
 	t.CommitCap = r.commitCap.snapshot(floor)
-	if r.portCap != nil {
-		t.PortCap = r.portCap.snapshot(floor)
-	}
+	t.PortCap = r.portCap.snapshot(floor)
 
 	t.FetchCycle, t.MinFetch = r.fetchCycle, r.minFetch
 	t.FetchSlots, t.FetchBlocks = r.fetchSlots, r.fetchBlocks
 	t.CurLine = r.curLine
-	t.LastDispatch, t.LastCommit, t.LastCycle = r.lastDispatch, r.lastCommit, r.lastCycle
+	t.LastDispatch, t.LastCommit, t.LastCycle = r.dispatchCap.last, r.commitCap.last, r.lastCycle
 
 	// Dedup shared pendingPred pointers into an index space.
 	index := make(map[*pendingPred]int32)
@@ -269,8 +296,17 @@ func (s *Sim) restoreRunState(snap *Snapshot, prog *program.Program, pred core.P
 	if len(t.IntIQ) != cfg.IntIQ || len(t.FPIQ) != cfg.FPIQ || len(t.Window) != cfg.Window {
 		return bad("queue geometry")
 	}
-	if len(t.PortCap) > 0 && r.portCap == nil {
+	if len(t.PortCap) > 0 && cfg.PredictPorts == 0 {
 		return bad("predict-port booking")
+	}
+	if t.LastDispatch < 0 || t.LastDispatch>>(64-capCountBits) != 0 {
+		return nil, simerr.New("checkpoint", fmt.Errorf("snapshot dispatch cycle %d out of range: %w", t.LastDispatch, simerr.ErrCorrupt))
+	}
+	issue := [4][]RingSlot{t.IssueCap, t.IntCap, t.LSCap, t.FPCap}
+	for _, slots := range append(issue[:], t.DispatchCap, t.CommitCap, t.PortCap) {
+		if err := checkSlots(slots); err != nil {
+			return nil, simerr.New("checkpoint", err)
+		}
 	}
 
 	r.stats = snap.Stats
@@ -286,33 +322,34 @@ func (s *Sim) restoreRunState(snap *Snapshot, prog *program.Program, pred core.P
 	r.fpIdx = int(t.FPN % uint64(cfg.FPIQ))
 	r.winIdx = int(t.WinN % uint64(cfg.Window))
 
-	rings := []struct {
-		ring  *capRing
-		slots []RingSlot
-	}{
-		{r.dispatchCap, t.DispatchCap},
-		{r.issueCap, t.IssueCap},
-		{r.intCap, t.IntCap},
-		{r.lsCap, t.LSCap},
-		{r.fpCap, t.FPCap},
-		{r.commitCap, t.CommitCap},
+	r.dispatchCap.restore(t.LastDispatch, t.DispatchCap)
+	r.commitCap.restore(t.LastCommit, t.CommitCap)
+	var lastPort int64
+	for _, e := range t.PortCap {
+		lastPort = max(lastPort, e.Stamp)
 	}
-	if r.portCap != nil {
-		rings = append(rings, struct {
-			ring  *capRing
-			slots []RingSlot
-		}{r.portCap, t.PortCap})
+	r.portCap.restore(lastPort, t.PortCap)
+
+	// Size the issue books to cover their entries and the dispatch cycle
+	// the run resumes from, then place each entry by its stamp.
+	lo, hi := t.LastDispatch, t.LastDispatch
+	for _, slots := range issue {
+		for _, e := range slots {
+			lo, hi = min(lo, e.Stamp), max(hi, e.Stamp)
+		}
 	}
-	for _, rr := range rings {
-		if err := rr.ring.restore(rr.slots); err != nil {
-			return nil, err
+	r.growIssue(lo, hi)
+	for i, c := range r.issueBooks() {
+		mask := int64(len(c.ent) - 1)
+		for _, e := range issue[i] {
+			c.ent[e.Stamp&mask] = uint64(e.Stamp)<<capCountBits | uint64(e.Count)
 		}
 	}
 
 	r.fetchCycle, r.minFetch = t.FetchCycle, t.MinFetch
 	r.fetchSlots, r.fetchBlocks = t.FetchSlots, t.FetchBlocks
 	r.curLine = t.CurLine
-	r.lastDispatch, r.lastCommit, r.lastCycle = t.LastDispatch, t.LastCommit, t.LastCycle
+	r.lastCycle = t.LastCycle
 
 	// Rebuild the shared pendingPred pointer graph from indices.
 	pendings := make([]*pendingPred, len(t.Pendings))
