@@ -168,7 +168,7 @@ storage-faults:
 
 # Hostile-network suite under the race detector: the netfault seam's
 # own conformance tests, the client's retry/deadline/SSE-resume tests
-# against injected faults, the server's tenant/deadline/slow-loris
+# against injected faults, the server's deadline and slow-loris
 # admission tests and status long-poll tests, the fleet partition-chaos
 # e2e (real workers behind fault-injecting proxies, SIGKILL,
 # byte-identical merge), the fleet's long-poll, poll-pacing and
@@ -176,7 +176,7 @@ storage-faults:
 # the coordinator across processes).
 net-faults:
 	$(GO) test -race -count 1 ./internal/netfault/ ./internal/client/
-	$(GO) test -race -count 1 -run 'Tenant|Deadline|SlowLoris|BreakerRetryAfter|StatusWait' ./internal/server/
+	$(GO) test -race -count 1 -run 'Deadline|SlowLoris|StatusWait' ./internal/server/
 	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing|TestLongPollSeesFinishedCellsAtOnce|TestPollPacing|TestCellLongerThanStealAgeFinishes|TestRvpdHostsSweepCoordinator' ./internal/fleet/ -timeout 10m
 
 # Durability-layer errcheck: no discarded Sync/SyncDir/Close error in

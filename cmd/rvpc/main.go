@@ -32,9 +32,9 @@
 // workers. -v logs every request, retry and backoff decision with the
 // submission's trace ID.
 //
-// Rejections (429 queue shed, 503 drain/breaker) are retried with
-// backoff under one idempotency key, so re-running a timed-out submit
-// with the same -key can never double-run the job.
+// Rejections (429 queue shed, 503 drain or storage degraded) are
+// retried with backoff under one idempotency key, so re-running a
+// timed-out submit with the same -key can never double-run the job.
 package main
 
 import (

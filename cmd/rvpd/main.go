@@ -1,20 +1,18 @@
 // Command rvpd is the simulation service daemon: an HTTP/JSON API in
 // front of a bounded job queue with admission control, a fixed worker
-// pool, per-workload circuit breakers, and crash-safe job state. Every
-// rvpd also hosts a fleet sweep coordinator (internal/fleet) that
-// shards sweeps into cells, leases them to peer rvpd workers, and
-// merges the results into a table byte-identical to a single-node run.
+// pool, and crash-safe job state. Every rvpd also hosts a fleet sweep
+// coordinator (internal/fleet) that shards sweeps into cells, leases
+// them to peer rvpd workers, and merges the results into a table
+// byte-identical to a single-node run.
 //
 // Usage:
 //
 //	rvpd [-addr host:port] [-addr-file path] [-state dir] [-workers n]
 //	     [-queue depth] [-max-wait dur] [-job-timeout dur]
-//	     [-drain-timeout dur] [-breaker-threshold n] [-breaker-cooloff dur]
-//	     [-insts n] [-ckpt-every n] [-watchdog cycles] [-max-body bytes]
-//	     [-body-read-timeout dur] [-tenant-queue n] [-tenant-rate r]
-//	     [-tenant-burst n] [-log-level level] [-log-json]
-//	     [-progress-every n] [-peers url,...]
-//	     [-advertise peer-url] [-advertise-url worker-url]
+//	     [-drain-timeout dur] [-insts n] [-ckpt-every n]
+//	     [-watchdog cycles] [-max-body bytes] [-body-read-timeout dur]
+//	     [-log-level level] [-log-json] [-progress-every n]
+//	     [-peers url,...] [-advertise peer-url] [-advertise-url worker-url]
 //
 // -peers lists the rvpd workers this daemon's coordinator dispatches
 // cells to. With -advertise, the daemon self-registers its bound
@@ -82,16 +80,11 @@ func run() int {
 	maxWait := flag.Duration("max-wait", 30*time.Second, "shed submissions when recent p99 queue wait exceeds this")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job deadline")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline before in-flight jobs are checkpointed")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive non-transient failures that trip a workload's circuit breaker (<0 disables)")
-	breakerCooloff := flag.Duration("breaker-cooloff", 30*time.Second, "how long a tripped breaker sheds before probing")
 	insts := flag.Uint64("insts", 2_000_000, "default committed-instruction budget for jobs that omit one")
 	ckptEvery := flag.Uint64("ckpt-every", 200_000, "in-flight checkpoint cadence in committed instructions (0 = off)")
 	watchdog := flag.Int("watchdog", 0, "abort a run if no instruction commits for N simulated cycles (0 = off)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST body size in bytes (larger gets 413)")
 	bodyReadTimeout := flag.Duration("body-read-timeout", 30*time.Second, "slow-loris guard: deadline for reading one submission body (408 past it)")
-	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = only the shared queue limits)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant sustained submissions/sec (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 1, "per-tenant token-bucket burst")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	progressEvery := flag.Uint64("progress-every", 100_000, "live-progress heartbeat cadence in committed instructions")
@@ -116,24 +109,19 @@ func run() int {
 		*workers = runtime.GOMAXPROCS(0)
 	}
 	srv, err := server.New(server.Config{
-		StateDir:         *state,
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		MaxWait:          *maxWait,
-		JobTimeout:       *jobTimeout,
-		DrainTimeout:     *drainTimeout,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooloff:   *breakerCooloff,
-		DefaultInsts:     *insts,
-		CheckpointEvery:  *ckptEvery,
-		WatchdogCycles:   *watchdog,
-		MaxBody:          *maxBody,
-		BodyReadTimeout:  *bodyReadTimeout,
-		TenantQueueDepth: *tenantQueue,
-		TenantRate:       *tenantRate,
-		TenantBurst:      *tenantBurst,
-		Logger:           logger,
-		ProgressEvery:    *progressEvery,
+		StateDir:        *state,
+		Workers:         *workers,
+		QueueDepth:      *queueDepth,
+		MaxWait:         *maxWait,
+		JobTimeout:      *jobTimeout,
+		DrainTimeout:    *drainTimeout,
+		DefaultInsts:    *insts,
+		CheckpointEvery: *ckptEvery,
+		WatchdogCycles:  *watchdog,
+		MaxBody:         *maxBody,
+		BodyReadTimeout: *bodyReadTimeout,
+		Logger:          logger,
+		ProgressEvery:   *progressEvery,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rvpd: %v\n", err)
@@ -149,7 +137,6 @@ func run() int {
 		StateDir:     *state,
 		Workers:      peerURLs,
 		DefaultInsts: *insts,
-		Tenant:       "fleet",
 		Registry:     srv.Registry(),
 		Logger:       logger.With("component", "fleet"),
 	})

@@ -4,11 +4,11 @@
 //
 // The retry/idempotency contract: every logical submission carries one
 // idempotency key (caller-supplied or generated once per Submit call),
-// and every retry — whether provoked by a 429 shed, a 503 drain/breaker
-// rejection, a 5xx, or a transport error — resends the same key. The
-// server maps a known key onto the existing job, so "retry until
-// accepted" can never double-run a job, and a submission interrupted by
-// a daemon restart lands on the recovered job.
+// and every retry — whether provoked by a 429 shed, a 503 drain or
+// storage-degraded rejection, a 5xx, or a transport error — resends the
+// same key. The server maps a known key onto the existing job, so
+// "retry until accepted" can never double-run a job, and a submission
+// interrupted by a daemon restart lands on the recovered job.
 package client
 
 import (
@@ -68,7 +68,6 @@ type Client struct {
 	backoff    Backoff
 	attempts   int
 	maxElapsed time.Duration
-	tenant     string
 	log        *slog.Logger
 	tracer     *obs.Tracer
 
@@ -95,12 +94,6 @@ func WithMaxAttempts(n int) Option { return func(c *Client) { c.attempts = n } }
 // resource (a fleet coordinator holding a cell lease, say) cap elapsed
 // time too. Zero leaves only the attempt cap and the caller's context.
 func WithMaxElapsed(d time.Duration) Option { return func(c *Client) { c.maxElapsed = d } }
-
-// WithTenant stamps every request with the tenant name (the server's
-// X-Rvp-Tenant header), so per-tenant quotas and rate limits attribute
-// the client's traffic correctly. Empty means the server's default
-// tenant.
-func WithTenant(t string) Option { return func(c *Client) { c.tenant = t } }
 
 // WithSeed makes the jitter deterministic (tests).
 func WithSeed(seed int64) Option {
@@ -283,9 +276,9 @@ func (c *Client) sleep(ctx context.Context, attempt int, retryAfter time.Duratio
 }
 
 // newRequest builds one API request with the client's common headers:
-// tenant identity and — when ctx carries a deadline — the propagated
-// X-Rvp-Deadline, so the server can refuse or cancel work whose caller
-// has already given up. POST bodies are buffered ([]byte) and GetBody
+// when ctx carries a deadline, the propagated X-Rvp-Deadline, so the
+// server can refuse or cancel work whose caller has already given up.
+// POST bodies are buffered ([]byte) and GetBody
 // is guaranteed non-nil, so any retry — ours or a transport-level
 // redirect/replay — rewinds a fresh reader instead of resending a
 // drained one.
@@ -306,9 +299,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 		}
 		req.ContentLength = int64(len(body))
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.tenant != "" {
-		req.Header.Set(server.TenantHeader, c.tenant)
 	}
 	if d, ok := ctx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, strconv.FormatInt(d.UnixMicro(), 10))

@@ -112,32 +112,6 @@ func TestSubmitPropagatesCallerDeadline(t *testing.T) {
 	}
 }
 
-// TestSubmitSendsTenantHeader: WithTenant stamps every request.
-func TestSubmitSendsTenantHeader(t *testing.T) {
-	var mu sync.Mutex
-	var tenants []string
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		tenants = append(tenants, r.Header.Get(server.TenantHeader))
-		mu.Unlock()
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateQueued})
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := New(ts.URL, WithBackoff(fastBackoff()), WithTenant("team-a"))
-	if _, err := c.Submit(context.Background(), testSpec, "k"); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(tenants) != 1 || tenants[0] != "team-a" {
-		t.Fatalf("tenant headers = %q, want [team-a]", tenants)
-	}
-}
-
 // sseBackend serves a job event stream that honors Last-Event-ID,
 // recording the resume points clients present. Events run 1..total with
 // the last one terminal.

@@ -28,7 +28,7 @@ import (
 )
 
 // startWorker launches one rvpd and waits for its bound address. Extra
-// flags (tenant quotas, timeouts) append after the baseline set.
+// flags (timeouts, say) append after the baseline set.
 func startWorker(t *testing.T, bin, state, addrFile string, extra ...string) (*exec.Cmd, string, *bytes.Buffer) {
 	t.Helper()
 	os.Remove(addrFile)

@@ -62,9 +62,7 @@ type Config struct {
 	// StorageProbeEvery is how often a storage-degraded coordinator
 	// probes the disk for recovery (default 2s).
 	StorageProbeEvery time.Duration
-	// Tenant stamps every dispatch with X-Rvp-Tenant so the fleet's
-	// load is attributed (and quota'd) under its own bucket on the
-	// workers (empty: the workers' default tenant).
+	// Deprecated: ignored; deleted with the next benchmark change.
 	Tenant string
 }
 
@@ -422,7 +420,6 @@ func (c *Coordinator) AddWorker(url string) error {
 			client.WithMaxAttempts(submitAttempts),
 			client.WithMaxElapsed(c.cfg.Lease),
 			client.WithHTTPClient(&http.Client{Timeout: c.cfg.Lease}),
-			client.WithTenant(c.cfg.Tenant),
 			client.WithLogger(c.log.With("worker", url))),
 	}
 	c.workers[url] = w

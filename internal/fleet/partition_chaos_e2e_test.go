@@ -5,9 +5,7 @@
 // an in-process coordinator runs a sweep across them and one worker is
 // SIGKILLed mid-lease. The sweep must still converge to a result table
 // byte-identical to the single-node reference, with every merged cell
-// digest-verified, and a noisy tenant hammering a surviving worker
-// must be shed with 429s and honest Retry-After hints while the
-// fleet's own tenant keeps its quota.
+// digest-verified.
 //
 // The fault schedules derive from one seed (RVP_CHAOS_SEED overrides
 // it); a failure prints the seed and every per-link plan, which is the
@@ -17,20 +15,15 @@ package fleet_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"rvpsim/internal/fleet"
 	"rvpsim/internal/netfault"
-	"rvpsim/internal/server"
 	"rvpsim/internal/testutil/leak"
 )
 
@@ -56,16 +49,14 @@ func TestFleetPartitionChaos(t *testing.T) {
 		t.Fatalf("building rvpd: %v\n%s", err, out)
 	}
 
-	// Three workers, each with per-tenant admission (quota 4, so the
-	// fleet tenant never trips it at one lease per worker) and each
-	// reachable only through a fault-injecting proxy.
+	// Three workers, each reachable only through a fault-injecting proxy.
 	kinds := []netfault.Kind{
 		netfault.KindReset, netfault.KindLatency, netfault.KindFlip,
 		netfault.KindSlowLoris, netfault.KindPartition, netfault.KindPartitionOneWay,
 	}
 	type worker struct {
 		cmd   *exec.Cmd
-		url   string // direct URL (the tenant hammer uses this)
+		url   string // direct URL
 		proxy *netfault.Proxy
 		plans []netfault.Plan
 		logs  *bytes.Buffer
@@ -76,7 +67,7 @@ func TestFleetPartitionChaos(t *testing.T) {
 		name := string(rune('a' + i))
 		cmd, url, logs := startWorker(t, bin,
 			filepath.Join(tmp, "w", name), filepath.Join(tmp, "addr-"+name),
-			"-tenant-queue", "4", "-body-read-timeout", "2s")
+			"-body-read-timeout", "2s")
 		plans := netfault.Schedule(seed+int64(i), 500, 12, kinds, 400*time.Millisecond)
 		inj := netfault.NewInjector()
 		inj.Apply(plans...)
@@ -109,7 +100,6 @@ func TestFleetPartitionChaos(t *testing.T) {
 		Heartbeat: 200 * time.Millisecond,
 		Poll:      20 * time.Millisecond,
 		StealAge:  1 * time.Second,
-		Tenant:    "fleet",
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -147,7 +137,6 @@ func TestFleetPartitionChaos(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	var survivor *worker
 	for _, w := range ws {
 		if w.proxy.URL() == killed {
 			if err := w.cmd.Process.Kill(); err != nil {
@@ -155,82 +144,10 @@ func TestFleetPartitionChaos(t *testing.T) {
 			}
 			w.cmd.Wait()
 			t.Logf("killed worker %s (proxy %s) while it held a lease", w.url, killed)
-		} else if survivor == nil {
-			survivor = w
 		}
 	}
 
-	// A noisy tenant floods a surviving worker directly (off-proxy, so
-	// the flood is deterministic): with a per-tenant queue quota of 4 a
-	// burst of 8 heavyweight submissions — each slow enough that the
-	// queue cannot drain between them — must draw 429s carrying an
-	// honest Retry-After, while earlier ones are accepted.
-	noisyBody, _ := json.Marshal(map[string]any{
-		"kind": "run", "workload": "m88ksim", "predictor": "rvp",
-		"insts": 6_000_000, "profile_insts": 500_000,
-	})
-	var accepted, shed int
-	for i := 0; i < 8; i++ {
-		req, _ := http.NewRequest("POST", survivor.url+"/v1/jobs", bytes.NewReader(noisyBody))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(server.TenantHeader, "noisy")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("noisy submit %d: %v", i, err)
-		}
-		switch resp.StatusCode {
-		case http.StatusAccepted, http.StatusOK:
-			accepted++
-		case http.StatusTooManyRequests:
-			shed++
-			ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-			if err != nil || ra < 1 {
-				t.Errorf("429 Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
-			}
-			var body struct {
-				Error             string `json:"error"`
-				RetryAfterSeconds int    `json:"retry_after_seconds"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-				t.Errorf("decoding 429 body: %v", err)
-			} else {
-				if body.RetryAfterSeconds != ra {
-					t.Errorf("429 body retry_after_seconds = %d, header = %d", body.RetryAfterSeconds, ra)
-				}
-				if !strings.Contains(body.Error, "noisy") {
-					t.Errorf("429 error %q does not name the shed tenant", body.Error)
-				}
-			}
-		default:
-			t.Errorf("noisy submit %d: unexpected status %d", i, resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	if shed == 0 {
-		t.Errorf("noisy tenant was never shed: %d accepted, 0 rejected", accepted)
-	}
-	if accepted == 0 {
-		t.Errorf("noisy tenant was shed outright; quota should admit a burst first")
-	}
-	t.Logf("noisy tenant: %d accepted, %d shed with Retry-After", accepted, shed)
-
-	// The worker's own metrics must attribute the shedding to the noisy
-	// tenant, not to the shared queue or the fleet tenant.
-	mresp, err := http.Get(survivor.url + "/metrics")
-	if err != nil {
-		t.Fatalf("worker metrics: %v", err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), `srv_tenant_shed_total{tenant="noisy"}`) {
-		t.Errorf("worker metrics carry no srv_tenant_shed_total for the noisy tenant")
-	}
-	if strings.Contains(string(mbody), `srv_tenant_shed_total{tenant="fleet"}`) {
-		t.Errorf("the fleet tenant was shed on the surviving worker; quotas leaked across tenants")
-	}
-
-	// The noisy tenant's quota must not have dented the fleet tenant:
-	// the sweep still converges on the surviving workers, through the
+	// The sweep still converges on the surviving workers, through the
 	// still-faulting proxies.
 	waitDeadline := time.Now().Add(4 * time.Minute)
 	var final fleet.SweepStatus

@@ -84,8 +84,8 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // GaugeVec is a family of gauges distinguished by one label ("which
-// workload's breaker", "which worker"). Member gauges register lazily on
-// first With and render as `name{label="value"} v` lines in Prometheus
+// worker", "which workload"). Member gauges register lazily on first
+// With and render as `name{label="value"} v` lines in Prometheus
 // exposition. Safe for concurrent use.
 type GaugeVec struct {
 	name  string
@@ -124,7 +124,7 @@ func (v *GaugeVec) Values() map[string]int64 {
 }
 
 // CounterVec is a family of counters distinguished by one label ("which
-// tenant", "which workload"). Member counters register lazily on first
+// worker", "which workload"). Member counters register lazily on first
 // With and render as `name{label="value"} v` lines in Prometheus
 // exposition. Safe for concurrent use.
 type CounterVec struct {

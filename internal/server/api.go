@@ -1,33 +1,24 @@
 // Package server is the hardened simulation service: an HTTP/JSON API
 // in front of a bounded job queue with admission control, a fixed
-// worker pool driving jobs through the crash-safe experiment runner, a
-// per-workload circuit breaker, and a graceful drain that checkpoints
-// unfinished work so a restarted daemon resumes instead of recomputing.
+// worker pool driving jobs through the crash-safe experiment runner,
+// and a graceful drain that checkpoints unfinished work so a restarted
+// daemon resumes instead of recomputing.
 //
 // The contract with clients:
 //
 //   - POST /v1/jobs submits a job (exp.JobSpec JSON). 202 + JobStatus on
-//     acceptance. 429 + Retry-After when the queue is full, its p99
-//     wait exceeds the admission limit, or the caller's tenant is over
-//     its queued-job quota or token-bucket rate (the Retry-After is
-//     per-tenant: the queue's p99 wait, or the time to the next token);
-//     503 + Retry-After while draining or while the workload's circuit
-//     breaker is open (the hint matches the remaining cooloff); 400 for
-//     invalid specs, malformed X-Rvp-Tenant names, and malformed or
-//     already-expired X-Rvp-Deadline values; 408 when the request body
-//     does not arrive within the body-read timeout (slow-loris defense;
-//     the connection closes); 413 for oversized bodies (rejected before
-//     decoding); 409 when an Idempotency-Key is reused with a different
-//     spec.
-//   - X-Rvp-Tenant names the caller's admission bucket ("default" when
-//     absent; up to 64 bytes of [A-Za-z0-9._-]). Per-tenant quotas and
-//     rate limits are opt-in server config; srv_tenant_* metrics
-//     attribute load either way.
+//     acceptance. 429 + Retry-After when the queue is full or its p99
+//     wait exceeds the admission limit; 503 + Retry-After while
+//     draining or while storage is degraded; 400 for invalid specs and
+//     malformed or already-expired X-Rvp-Deadline values; 408 when the
+//     request body does not arrive within the body-read timeout
+//     (slow-loris defense; the connection closes); 413 for oversized
+//     bodies (rejected before decoding); 409 when an Idempotency-Key is
+//     reused with a different spec.
 //   - X-Rvp-Deadline (unix microseconds) propagates the caller's
 //     end-to-end deadline: expired at submit is rejected, a queued job
 //     whose deadline passes is abandoned as failed/timeout without
-//     charging the workload's breaker, and a running job is cancelled
-//     at the deadline.
+//     running, and a running job is cancelled at the deadline.
 //   - An Idempotency-Key header makes submission retry-safe: the same
 //     key always maps to the same job, so a client that times out and
 //     retries cannot double-submit.
@@ -92,9 +83,6 @@ type JobStatus struct {
 	// TraceID identifies the job's distributed trace (client-supplied
 	// via X-Rvp-Trace-Id, or daemon-assigned).
 	TraceID string `json:"trace_id,omitempty"`
-	// Tenant is the quota bucket the job was admitted under
-	// (X-Rvp-Tenant, DefaultTenant for anonymous callers).
-	Tenant string `json:"tenant,omitempty"`
 	// DeadlineUS is the caller's propagated deadline (X-Rvp-Deadline,
 	// unix microseconds; 0 none). The daemon abandons queued jobs past
 	// it and cancels running ones at it.

@@ -217,18 +217,10 @@ func TestSyntheticTerminalEventAfterRestart(t *testing.T) {
 	}
 }
 
-// TestWorkerAndBreakerGauges pins the fleet-introspection metrics: the
-// worker-pool gauge and the per-workload breaker state family on
-// /metrics, flipping a breaker open via injected failures.
-func TestWorkerAndBreakerGauges(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Workers = 3
-		c.BreakerThreshold = 1
-		c.BreakerCooloff = time.Hour
-		c.Faults = map[string]faultinject.Config{"go": {FailAfter: 1}}
-	})
-	st := decodeStatus(t, postJob(t, ts, runBody, ""))
-	waitTerminal(t, ts, st.ID)
+// TestWorkerPoolGauge pins the fleet-introspection metric: the
+// worker-pool gauge on /metrics.
+func TestWorkerPoolGauge(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Workers = 3 })
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -241,14 +233,8 @@ func TestWorkerAndBreakerGauges(t *testing.T) {
 		buf.WriteString(sc.Text())
 		buf.WriteByte('\n')
 	}
-	body := buf.String()
-	for _, want := range []string{
-		"srv_workers_total 3",
-		`srv_breaker_state{key="go"} 2`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, body)
-		}
+	if body := buf.String(); !strings.Contains(body, "srv_workers_total 3") {
+		t.Fatalf("/metrics missing %q:\n%s", "srv_workers_total 3", body)
 	}
 }
 

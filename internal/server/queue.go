@@ -12,10 +12,9 @@ import (
 
 // job is one queued unit of work.
 type job struct {
-	id         string
-	spec       exp.JobSpec
-	breakerKey string
-	enqueued   time.Time
+	id       string
+	spec     exp.JobSpec
+	enqueued time.Time
 	// tctx is the span context the job's server-side spans parent
 	// under: the admission span for fresh submissions, a bare trace ID
 	// for jobs recovered from the store.
@@ -30,9 +29,6 @@ type job struct {
 	// record could not be written: the client got a 503, so a worker
 	// must discard it instead of running unacknowledged work.
 	dropped bool
-	// tenant is the quota bucket charged for the job; dequeue releases
-	// it (empty on jobs constructed outside admission in tests).
-	tenant string
 	// deadline is the caller's propagated deadline (zero: none). Jobs
 	// past it are abandoned at dequeue; running jobs are cancelled.
 	deadline time.Time

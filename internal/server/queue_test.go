@@ -10,10 +10,9 @@ import (
 
 func testJob(id string) *job {
 	return &job{
-		id:         id,
-		spec:       exp.JobSpec{Kind: "run", Workload: "go", Predictor: "rvp"},
-		breakerKey: "go",
-		enqueued:   time.Now(),
+		id:       id,
+		spec:     exp.JobSpec{Kind: "run", Workload: "go", Predictor: "rvp"},
+		enqueued: time.Now(),
 	}
 }
 

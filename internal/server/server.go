@@ -45,11 +45,9 @@ type Config struct {
 	// DrainTimeout is how long a graceful drain lets in-flight jobs
 	// finish before force-cancelling them into checkpoints (default 10s).
 	DrainTimeout time.Duration
-	// BreakerThreshold trips a workload's circuit breaker after this
-	// many consecutive non-transient failures (default 3; <0 disables).
+	// Deprecated: ignored; deleted with the next benchmark change.
 	BreakerThreshold int
-	// BreakerCooloff is how long a tripped breaker sheds before its
-	// half-open probe (default 30s).
+	// Deprecated: ignored; deleted with the next benchmark change.
 	BreakerCooloff time.Duration
 	// DefaultInsts is the per-run budget for specs that omit one
 	// (default 2M).
@@ -81,18 +79,7 @@ type Config struct {
 	// StorageProbeEvery is how often a storage-degraded daemon probes
 	// the disk for recovery (default 2s).
 	StorageProbeEvery time.Duration
-	// TenantQueueDepth caps how many jobs one tenant (X-Rvp-Tenant, or
-	// DefaultTenant) may hold queued at once, so a single tenant cannot
-	// fill the shared queue (0 disables: only the shared queue limits,
-	// which keeps single-tenant deployments on the plain admission
-	// path).
-	TenantQueueDepth int
-	// TenantRate is each tenant's sustained admission rate in jobs per
-	// second, enforced by a token bucket of TenantBurst capacity
-	// (default 0: no rate limit).
-	TenantRate float64
-	// TenantBurst is the token-bucket burst per tenant (default 1 when
-	// TenantRate is set).
+	// Deprecated: ignored; deleted with the next benchmark change.
 	TenantBurst int
 	// BodyReadTimeout bounds how long a submission may take to deliver
 	// its body, so slow-loris clients are cut with 408 instead of
@@ -119,12 +106,6 @@ func (c *Config) setDefaults() error {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooloff <= 0 {
-		c.BreakerCooloff = 30 * time.Second
-	}
 	if c.DefaultInsts == 0 {
 		c.DefaultInsts = 2_000_000
 	}
@@ -142,9 +123,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.StorageProbeEvery <= 0 {
 		c.StorageProbeEvery = 2 * time.Second
-	}
-	if c.TenantBurst <= 0 {
-		c.TenantBurst = 1
 	}
 	if c.BodyReadTimeout == 0 {
 		c.BodyReadTimeout = 30 * time.Second
@@ -164,15 +142,13 @@ const (
 )
 
 // Server is the simulation service: HTTP API, bounded queue, worker
-// pool, circuit breakers, and crash-safe job state.
+// pool, and crash-safe job state.
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	store   *Store
-	queue   *queue
-	breaker *breaker
-	tenants *tenants
-	log     *slog.Logger
+	cfg   Config
+	reg   *obs.Registry
+	store *Store
+	queue *queue
+	log   *slog.Logger
 
 	// tel and tracer are the observability layer: per-job event feeds
 	// (SSE + flight recorder) and the daemon's span collector.
@@ -204,18 +180,13 @@ type Server struct {
 	storageDegraded *wal.Guard
 	walMet          *wal.Metrics
 
-	mSubmitted, mDeduped            *obs.Counter
-	mShedQueue, mShedBreaker        *obs.Counter
-	mShedDraining, mShedStorage     *obs.Counter
-	mSucceeded, mFailed, mRequeued  *obs.Counter
-	mBreakerTrips                   *obs.Counter
-	mBodyTimeouts, mDeadlineExpired *obs.Counter
-	gDepth, gInflight, gWorkers     *obs.Gauge
-	gBreakerOpen, gDraining         *obs.Gauge
-	gStorageDegraded                *obs.Gauge
-	gvBreaker, gvTenantQueued       *obs.GaugeVec
-	cvTenantSubmitted, cvTenantShed *obs.CounterVec
-	hWaitMS, hRunMS                 *obs.Histogram
+	mSubmitted, mDeduped, mShedQueue *obs.Counter
+	mShedDraining, mShedStorage      *obs.Counter
+	mSucceeded, mFailed, mRequeued   *obs.Counter
+	mBodyTimeouts, mDeadlineExpired  *obs.Counter
+	gDepth, gInflight, gWorkers      *obs.Gauge
+	gDraining, gStorageDegraded      *obs.Gauge
+	hWaitMS, hRunMS                  *obs.Histogram
 }
 
 // New opens the state directory, replays the job store, re-enqueues
@@ -234,7 +205,6 @@ func New(cfg Config) (*Server, error) {
 		reg:      cfg.Registry,
 		store:    store,
 		walMet:   walMet,
-		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooloff),
 		log:      cfg.Logger,
 		stopPick: make(chan struct{}),
 		tel:      newTelemetry(flightRecorderSize, maxFeeds),
@@ -243,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.initMetrics()
 	s.storageDegraded = wal.NewGuard(store.Probe, cfg.StorageProbeEvery, s.gStorageDegraded, s.log)
-	s.tenants = newTenants(cfg.TenantQueueDepth, cfg.TenantRate, cfg.TenantBurst, s.gvTenantQueued)
 	if store.Truncated > 0 {
 		s.log.Warn("jobstore: dropped damaged tail records", "count", store.Truncated)
 	}
@@ -264,19 +233,13 @@ func New(cfg Config) (*Server, error) {
 				return nil, err
 			}
 		}
-		tenant := rec.Tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
 		var deadline time.Time
 		if rec.DeadlineUS > 0 {
 			deadline = time.UnixMicro(rec.DeadlineUS)
 		}
-		s.tenants.force(tenant)
 		s.queue.force(&job{
-			id: rec.ID, spec: rec.Spec, breakerKey: breakerKey(rec.Spec),
-			enqueued: time.Now(), tctx: obs.SpanContext{Trace: rec.TraceID},
-			tenant: tenant, deadline: deadline,
+			id: rec.ID, spec: rec.Spec, enqueued: time.Now(),
+			tctx: obs.SpanContext{Trace: rec.TraceID}, deadline: deadline,
 		})
 		s.tel.publish(rec.ID, JobEvent{Type: EvQueued, Attempt: rec.Attempts})
 		s.log.Info("recovered job", "job", rec.ID, "kind", rec.Spec.Kind, "trace", rec.TraceID)
@@ -300,36 +263,20 @@ func (s *Server) initMetrics() {
 	s.mSubmitted = s.reg.Counter("srv_jobs_submitted_total", "jobs accepted into the queue")
 	s.mDeduped = s.reg.Counter("srv_jobs_deduped_total", "submissions answered from an existing idempotency key")
 	s.mShedQueue = s.reg.Counter("srv_shed_queue_total", "submissions shed by queue admission control (429)")
-	s.mShedBreaker = s.reg.Counter("srv_shed_breaker_total", "submissions shed by an open circuit breaker (503)")
 	s.mShedDraining = s.reg.Counter("srv_shed_draining_total", "submissions shed while draining (503)")
 	s.mShedStorage = s.reg.Counter("srv_shed_storage_total", "submissions shed while storage-degraded (503)")
 	s.mSucceeded = s.reg.Counter("srv_jobs_succeeded_total", "jobs that reached a successful terminal state")
 	s.mFailed = s.reg.Counter("srv_jobs_failed_total", "jobs that reached a failed terminal state")
 	s.mRequeued = s.reg.Counter("srv_jobs_requeued_total", "in-flight jobs checkpointed and requeued by a drain")
-	s.mBreakerTrips = s.reg.Counter("srv_breaker_trips_total", "circuit-breaker open transitions")
 	s.mBodyTimeouts = s.reg.Counter("srv_body_timeouts_total", "submissions cut for exceeding the body-read timeout (slow-loris defense, 408)")
 	s.mDeadlineExpired = s.reg.Counter("srv_deadline_expired_total", "jobs abandoned or refused because the caller's propagated deadline passed")
 	s.gDepth = s.reg.Gauge("srv_queue_depth", "jobs currently queued")
 	s.gInflight = s.reg.Gauge("srv_inflight_jobs", "jobs currently running on workers")
 	s.gWorkers = s.reg.Gauge("srv_workers_total", "size of the worker pool (utilization = srv_inflight_jobs / this)")
-	s.gBreakerOpen = s.reg.Gauge("srv_breaker_open", "circuit breakers currently open")
-	s.gvBreaker = s.reg.GaugeVec("srv_breaker_state", "per-workload breaker state (0 closed, 1 half-open, 2 open)", "key")
-	s.gvTenantQueued = s.reg.GaugeVec("srv_tenant_queued", "jobs currently queued per tenant", "tenant")
-	s.cvTenantSubmitted = s.reg.CounterVec("srv_tenant_submitted_total", "jobs accepted per tenant", "tenant")
-	s.cvTenantShed = s.reg.CounterVec("srv_tenant_shed_total", "submissions shed by per-tenant quota or rate limit (429)", "tenant")
 	s.gDraining = s.reg.Gauge("srv_draining", "1 while the daemon is draining")
 	s.gStorageDegraded = s.reg.Gauge("srv_storage_degraded", "1 while durable appends are failing and new work is shed")
 	s.hWaitMS = s.reg.Histogram("srv_queue_wait_ms", "queue wait per job, milliseconds", obs.ExpBuckets(2, 2, 14))
 	s.hRunMS = s.reg.Histogram("srv_job_run_ms", "run time per job attempt, milliseconds", obs.ExpBuckets(2, 2, 16))
-}
-
-// breakerKey buckets a job for the circuit breaker: per workload for
-// run jobs, per figure for sweeps.
-func breakerKey(spec exp.JobSpec) string {
-	if spec.Kind == "figure" {
-		return "figure:" + spec.Figure
-	}
-	return spec.Workload
 }
 
 // jobDir is where one job's crash-safe simulation state lives. It is
@@ -348,17 +295,11 @@ const (
 	ParentSpanHeader = "X-Rvp-Parent-Span"
 )
 
-// TenantHeader names the caller's tenant for per-tenant quotas and
-// rate limits; anonymous callers are bucketed under DefaultTenant.
 // DeadlineHeader carries the caller's context deadline as unix
 // microseconds: the server refuses work it cannot start in time and
 // cancels runs whose caller has already given up, so orphaned work
 // never occupies a worker.
-const (
-	TenantHeader   = "X-Rvp-Tenant"
-	DeadlineHeader = "X-Rvp-Deadline"
-	DefaultTenant  = "default"
-)
+const DeadlineHeader = "X-Rvp-Deadline"
 
 // parseDeadline reads a DeadlineHeader value (unix microseconds; empty
 // means no deadline).
@@ -482,11 +423,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	tenant, err := tenantName(r.Header.Get(TenantHeader))
-	if err != nil {
-		reject(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
 	deadline, err := parseDeadline(r.Header.Get(DeadlineHeader))
 	if err != nil {
 		reject(w, http.StatusBadRequest, err.Error(), 0)
@@ -532,23 +468,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"storage degraded: cannot persist new jobs", 2*s.cfg.StorageProbeEvery)
 		return
 	}
-	bkey := breakerKey(spec)
-	if ok, retryAfter := s.breaker.Allow(bkey); !ok {
-		s.mShedBreaker.Inc()
-		s.updateBreakerGauges()
-		reject(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("circuit breaker open for %q", bkey), retryAfter)
-		return
-	}
-	// Per-tenant admission runs after the shared-fate checks: a quota or
-	// rate rejection is this tenant's own 429, with a Retry-After shaped
-	// by its own bucket, while the shared queue stays available to
-	// everyone else.
-	if terr := s.tenants.admit(tenant, s.queue.retryAfter()); terr != nil {
-		s.cvTenantShed.With(tenant).Inc()
-		reject(w, http.StatusTooManyRequests, terr.Error(), terr.retryAfter)
-		return
-	}
 
 	id := newJobID(key)
 	// The admission span is retroactive: it covers decode + dedup +
@@ -557,14 +476,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// trace, so daemon-side tracing works for plain curl too.
 	tctx := s.tracer.Record(clientSpanContext(r), "admission", admitStart, time.Since(admitStart),
 		map[string]string{"job": id, "kind": spec.Kind})
-	rec := JobStatus{ID: id, Key: key, State: StateQueued, Spec: spec, TraceID: tctx.Trace, Tenant: tenant}
+	rec := JobStatus{ID: id, Key: key, State: StateQueued, Spec: spec, TraceID: tctx.Trace}
 	if !deadline.IsZero() {
 		rec.DeadlineUS = deadline.UnixMicro()
 	}
-	j := &job{id: id, spec: spec, breakerKey: bkey, enqueued: time.Now(), tctx: tctx,
-		tenant: tenant, deadline: deadline, admitted: make(chan struct{})}
+	j := &job{id: id, spec: spec, enqueued: time.Now(), tctx: tctx,
+		deadline: deadline, admitted: make(chan struct{})}
 	if err := s.queue.admit(j); err != nil {
-		s.tenants.release(tenant) // the quota slot charged above never queued
 		var adm *admissionError
 		if errors.As(err, &adm) {
 			s.mShedQueue.Inc()
@@ -592,20 +510,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mSubmitted.Inc()
-	s.cvTenantSubmitted.With(tenant).Inc()
 	s.gDepth.Set(int64(s.queue.depthNow()))
 	s.tel.publish(id, JobEvent{Type: EvQueued})
-	s.log.Info("job accepted", "job", id, "kind", spec.Kind, "tenant", tenant, "trace", tctx.Trace)
+	s.log.Info("job accepted", "job", id, "kind", spec.Kind, "trace", tctx.Trace)
 	writeJSON(w, http.StatusAccepted, rec)
-}
-
-// updateBreakerGauges refreshes the open-count gauge and the per-key
-// state family after any breaker transition.
-func (s *Server) updateBreakerGauges() {
-	s.gBreakerOpen.Set(int64(s.breaker.OpenCount()))
-	for key, st := range s.breaker.States() {
-		s.gvBreaker.With(key).Set(st)
-	}
 }
 
 // newJobID derives a stable ID from the idempotency key, or a random
@@ -696,8 +604,7 @@ type readyStatus struct {
 	Inflight   int64 `json:"inflight"`
 	// P99WaitMS is the 99th-percentile queue wait from the service's
 	// wait histogram (obs quantile estimate).
-	P99WaitMS   int64 `json:"p99_wait_ms"`
-	BreakerOpen int   `json:"breakers_open"`
+	P99WaitMS int64 `json:"p99_wait_ms"`
 	// StorageDegraded is true while durable appends are failing: the
 	// daemon is alive but shedding new work until the disk recovers.
 	StorageDegraded bool `json:"storage_degraded"`
@@ -710,7 +617,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:      s.queue.depthNow(),
 		Inflight:        s.inflight.Load(),
 		P99WaitMS:       s.hWaitMS.Snapshot().Quantile(0.99),
-		BreakerOpen:     s.breaker.OpenCount(),
 		StorageDegraded: s.storageDegraded.Load(),
 	}
 	code := http.StatusOK
@@ -745,7 +651,6 @@ func (s *Server) runJob(j *job) {
 	}
 	wait := time.Since(j.enqueued)
 	s.queue.noteDequeue(j, wait)
-	s.tenants.release(j.tenant)
 	s.gDepth.Set(int64(s.queue.depthNow()))
 	if j.dropped {
 		// Admission rolled this job back (its acceptance never became
@@ -756,8 +661,6 @@ func (s *Server) runJob(j *job) {
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		// The caller's deadline expired while the job sat queued: the
 		// caller has given up, so the work is orphaned before it starts.
-		// Record the terminal timeout without charging the workload's
-		// breaker — the queue wait, not the workload, ate the budget.
 		s.abandonExpired(j)
 		return
 	}
@@ -840,8 +743,6 @@ func (s *Server) runJob(j *job) {
 		res.Seal()
 		rec.State = StateSucceeded
 		rec.Result = res
-		s.breaker.Success(j.breakerKey)
-		s.updateBreakerGauges()
 		s.mSucceeded.Inc()
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job success failed", "job", j.id, "error", serr)
@@ -858,7 +759,6 @@ func (s *Server) runJob(j *job) {
 		// Drain hammer: the run checkpointed on its way out. Requeue so
 		// the next daemon resumes it.
 		rec.State = StateQueued
-		s.breaker.Requeued(j.breakerKey)
 		s.mRequeued.Inc()
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job requeue failed", "job", j.id, "error", serr)
@@ -869,11 +769,9 @@ func (s *Server) runJob(j *job) {
 
 	default:
 		timeout := errors.Is(err, context.DeadlineExceeded)
-		// A run cut by the caller's propagated deadline is the caller's
-		// timeout, not evidence against the workload; it must not feed
-		// the breaker.
-		callerExpired := timeout && !j.deadline.IsZero() && !time.Now().Before(j.deadline)
-		if callerExpired {
+		// A run cut by the caller's propagated deadline (rather than
+		// JobTimeout) counts as a caller expiry.
+		if timeout && !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 			s.mDeadlineExpired.Inc()
 		}
 		rec.State = StateFailed
@@ -885,14 +783,7 @@ func (s *Server) runJob(j *job) {
 		if f, ok := s.tel.lookup(j.id); ok {
 			rec.Flight = &FlightRecord{SpecDigest: j.spec.Digest(), Events: f.events()}
 		}
-		if !simerr.IsTransient(err) && !callerExpired {
-			if tripped := s.breaker.Failure(j.breakerKey); tripped {
-				s.mBreakerTrips.Inc()
-				s.log.Warn("circuit breaker tripped", "key", j.breakerKey)
-			}
-		}
 		s.mFailed.Inc()
-		s.updateBreakerGauges()
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job failure failed", "job", j.id, "error", serr)
 			s.storageDegraded.Trip(serr)
@@ -907,8 +798,7 @@ func (s *Server) runJob(j *job) {
 
 // abandonExpired records the terminal timeout of a job whose caller's
 // propagated deadline passed while it was still queued. The run never
-// starts: no worker time is spent on work nobody is waiting for, and
-// the workload's breaker is not charged.
+// starts: no worker time is spent on work nobody is waiting for.
 func (s *Server) abandonExpired(j *job) {
 	s.mDeadlineExpired.Inc()
 	s.mFailed.Inc()
@@ -931,7 +821,7 @@ func (s *Server) abandonExpired(j *job) {
 	os.RemoveAll(s.jobDir(j.id))
 	s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: rec.Error.Message})
 	s.log.Warn("job abandoned: caller deadline expired while queued",
-		"job", j.id, "tenant", j.tenant, "trace", rec.TraceID)
+		"job", j.id, "trace", rec.TraceID)
 }
 
 // handleTrace returns the daemon-side spans of one job's trace as a

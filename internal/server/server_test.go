@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rvpsim/internal/faultinject"
+	"rvpsim/internal/wal"
 )
 
 // newTestServer builds a small, fast service against a temp state dir.
@@ -229,30 +230,6 @@ func TestSubmitShedsWhileDraining(t *testing.T) {
 	}
 }
 
-func TestSubmitShedsOnOpenBreaker(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) {
-		c.BreakerThreshold = 2
-		c.BreakerCooloff = time.Hour
-	})
-	srv.breaker.Failure("go")
-	srv.breaker.Failure("go")
-
-	resp := postJob(t, ts, runBody, "")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit with open breaker = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("breaker 503 without Retry-After")
-	}
-	// Other workloads still pass.
-	ok := postJob(t, ts, `{"kind":"run","workload":"perl","predictor":"rvp","insts":5000}`, "")
-	ok.Body.Close()
-	if ok.StatusCode != http.StatusAccepted {
-		t.Fatalf("unrelated workload shed with the breaker: %d", ok.StatusCode)
-	}
-}
-
 func TestStatusUnknownJob(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/jdeadbeef")
@@ -368,13 +345,52 @@ func TestRestartRecoversQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestRecoversStateDirWithTenantRecords: job-store records written by
+// daemons that still admitted per tenant carry a "tenant" field. A
+// queued and a running record of that shape must both recover and run
+// to success, and a client that still sends X-Rvp-Tenant is admitted
+// with the header ignored.
+func TestRecoversStateDirWithTenantRecords(t *testing.T) {
+	state := t.TempDir()
+	var log []byte
+	for _, rec := range []string{
+		`{"id":"j5f1c0e9a3b7d2468","key":"upgrade-queued","state":"queued","spec":{"kind":"run","workload":"go","predictor":"rvp","recovery":"selective","insts":5000,"profile_insts":1250,"threshold":0.8},"trace_id":"tqueued","tenant":"fleet"}`,
+		`{"id":"j0a9b8c7d6e5f4321","key":"upgrade-running","state":"running","spec":{"kind":"run","workload":"perl","predictor":"rvp","recovery":"selective","insts":5000,"profile_insts":1250,"threshold":0.8},"attempts":1,"trace_id":"trunning","tenant":"fleet"}`,
+	} {
+		line, err := wal.EncodeRecord(json.RawMessage(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, line...)
+	}
+	if err := os.WriteFile(StorePath(state), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, func(c *Config) { c.StateDir = state })
+	for _, id := range []string{"j5f1c0e9a3b7d2468", "j0a9b8c7d6e5f4321"} {
+		if final := waitTerminal(t, ts, id); final.State != StateSucceeded {
+			t.Fatalf("recovered job %s = %s (%+v), want succeeded", id, final.State, final.Error)
+		}
+	}
+
+	resp := postJobHeaders(t, ts, runBody, "", map[string]string{"X-Rvp-Tenant": "team-a"})
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("submit with X-Rvp-Tenant = %d, want 202", resp.StatusCode)
+	}
+	if final := waitTerminal(t, ts, decodeStatus(t, resp).ID); final.State != StateSucceeded {
+		t.Fatalf("job submitted with X-Rvp-Tenant = %s (%+v), want succeeded", final.State, final.Error)
+	}
+}
+
 // TestJobFailureRecordsTypedError injects a sticky non-transient fault
-// into one workload and checks the typed error payload, the breaker
-// trip, and the failure counter.
+// into one workload and checks the typed error payload and the failure
+// counter. A failure sheds nothing: a fresh submission of the workload
+// is admitted and runs, and resubmitting the failed job's key answers
+// with its stored failed record instead of running it again.
 func TestJobFailureRecordsTypedError(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.BreakerThreshold = 1
-		c.BreakerCooloff = time.Hour
 		c.Faults = map[string]faultinject.Config{"go": {FailAfter: 1}}
 	})
 	st := decodeStatus(t, postJob(t, ts, runBody, "fail-key"))
@@ -392,15 +408,41 @@ func TestJobFailureRecordsTypedError(t *testing.T) {
 		t.Fatalf("srv_jobs_failed_total = %d, want 1", got)
 	}
 
-	// One non-transient failure trips the threshold-1 breaker: the next
-	// submission for the same workload is shed.
+	deduped := srv.reg.Counter("srv_jobs_deduped_total", "")
+	dedupedBefore := deduped.Value()
+
+	// A keyless submission of the failed workload is admitted and runs
+	// (and fails on the same sticky fault): its failure is the only one
+	// the counter gains.
 	resp := postJob(t, ts, runBody, "")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit after breaker trip = %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("keyless submit after a failure = %d, want 202", resp.StatusCode)
 	}
-	if got := srv.reg.Counter("srv_breaker_trips_total", "").Value(); got != 1 {
-		t.Fatalf("srv_breaker_trips_total = %d, want 1", got)
+	again := waitTerminal(t, ts, decodeStatus(t, resp).ID)
+	if again.ID == st.ID || again.Attempts != 1 || again.State != StateFailed {
+		t.Fatalf("keyless resubmission = %+v, want a fresh job that ran once and failed", again)
+	}
+	if got := srv.reg.Counter("srv_jobs_failed_total", "").Value(); got != 2 {
+		t.Fatalf("srv_jobs_failed_total = %d, want 2", got)
+	}
+
+	// The failed job's own key answers with its stored failed record.
+	resp = postJob(t, ts, runBody, "fail-key")
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("resubmitting the failed key = %d, want 200", resp.StatusCode)
+	}
+	stored := decodeStatus(t, resp)
+	if stored.ID != st.ID || stored.State != StateFailed || stored.Error == nil ||
+		stored.Error.Message != final.Error.Message || stored.Attempts != final.Attempts {
+		t.Fatalf("deduped record = %+v, want the stored failed job %+v", stored, final)
+	}
+	if got := deduped.Value() - dedupedBefore; got != 1 {
+		t.Fatalf("srv_jobs_deduped_total rose by %d, want 1", got)
+	}
+	if got := srv.reg.Counter("srv_jobs_failed_total", "").Value(); got != 2 {
+		t.Fatalf("srv_jobs_failed_total = %d after a dedupe, want 2", got)
 	}
 }
 

@@ -47,10 +47,6 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 		DefaultInsts: 5_000,
 		JobTimeout:   2 * time.Minute,
 		DrainTimeout: 10 * time.Second,
-		// High threshold: hard-fault jobs must reach their own terminal
-		// failed state rather than shedding later submissions, so the
-		// "nothing dropped" accounting stays exact.
-		BreakerThreshold: 1_000,
 		Faults: map[string]faultinject.Config{
 			// One transient checkpoint failure: the first attempt fails,
 			// the runner's retry recovers.

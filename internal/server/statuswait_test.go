@@ -136,8 +136,7 @@ func TestWorkerWaitsForDurableAcceptance(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	spec := exp.JobSpec{Kind: "run", Workload: "go", Predictor: "rvp", Insts: 5_000}
 	spec.Normalize(5_000)
-	j := &job{id: "jlate", spec: spec, breakerKey: breakerKey(spec), enqueued: time.Now(),
-		admitted: make(chan struct{})}
+	j := &job{id: "jlate", spec: spec, enqueued: time.Now(), admitted: make(chan struct{})}
 	srv.queue.force(j)
 	time.Sleep(200 * time.Millisecond)
 	if rec, ok := srv.store.Get("jlate"); ok {
