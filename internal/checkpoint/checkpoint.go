@@ -66,29 +66,11 @@ func Encode(snap *pipeline.Snapshot) ([]byte, error) {
 // Decode parses a container produced by Encode. Damage of any kind is an
 // error wrapping simerr.ErrCorrupt.
 func Decode(data []byte) (*pipeline.Snapshot, error) {
-	corrupt := func(format string, args ...any) error {
-		return simerr.New("checkpoint", fmt.Errorf(format+": %w", append(args, simerr.ErrCorrupt)...))
-	}
-	if len(data) < headerSize {
-		return nil, corrupt("truncated header (%d bytes)", len(data))
-	}
-	if !bytes.Equal(data[:8], magic[:]) {
-		return nil, corrupt("bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != Version {
-		return nil, corrupt("unsupported version %d (want %d)", v, Version)
-	}
-	n := binary.LittleEndian.Uint64(data[12:20])
-	want := binary.LittleEndian.Uint64(data[20:28])
-	payload := data[headerSize:]
-	if uint64(len(payload)) != n {
-		return nil, corrupt("payload is %d bytes, header says %d", len(payload), n)
-	}
-	if got := crc64.Checksum(payload, crcTable); got != want {
-		return nil, corrupt("payload checksum %#x, header says %#x", got, want)
+	if err := Verify(data); err != nil {
+		return nil, err
 	}
 	var snap pipeline.Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[headerSize:])).Decode(&snap); err != nil {
 		return nil, corrupt("decode: %v", err)
 	}
 	return &snap, nil
@@ -99,9 +81,6 @@ func Decode(data []byte) (*pipeline.Snapshot, error) {
 // fsck` runs over every checkpoint: cheap, and independent of the gob
 // type registry. Damage wraps simerr.ErrCorrupt.
 func Verify(data []byte) error {
-	corrupt := func(format string, args ...any) error {
-		return simerr.New("checkpoint", fmt.Errorf(format+": %w", append(args, simerr.ErrCorrupt)...))
-	}
 	if len(data) < headerSize {
 		return corrupt("truncated header (%d bytes)", len(data))
 	}
@@ -121,6 +100,11 @@ func Verify(data []byte) error {
 		return corrupt("payload checksum %#x, header says %#x", got, want)
 	}
 	return nil
+}
+
+// corrupt builds a checkpoint error wrapping simerr.ErrCorrupt.
+func corrupt(format string, args ...any) error {
+	return simerr.New("checkpoint", fmt.Errorf(format+": %w", append(args, simerr.ErrCorrupt)...))
 }
 
 // Save writes a snapshot to path atomically via the OS filesystem.

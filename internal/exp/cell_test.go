@@ -53,8 +53,8 @@ func TestCellKey(t *testing.T) {
 	selective.Recovery = pipeline.RecoverSelective
 	cc1 := core.DefaultCounterConfig()
 	cc1.Threshold = 1
-	deadLoads := must(r.dynamicPredictor("li", profile.SupportDead, true))
-	deadAll := must(r.dynamicPredictor("li", profile.SupportDead, false))
+	deadLoads := must(r.dynamic(profile.SupportDead, true)("li"))
+	deadAll := must(r.dynamic(profile.SupportDead, false)("li"))
 	if deadLoads.Name() != deadAll.Name() {
 		t.Fatalf("report names %q and %q differ; the case below needs them equal", deadLoads.Name(), deadAll.Name())
 	}
@@ -84,7 +84,7 @@ func TestCellKey(t *testing.T) {
 		{"different warmups",
 			side{r, li, base, rvp}, side{rWarm, li, base, rvp}, false},
 		{"registry rvp vs hint-less drvp_none",
-			side{r, li, base, rvp}, side{r, li, base, must(r.dynamicPredictor("li", profile.SupportNone, false))}, true},
+			side{r, li, base, rvp}, side{r, li, base, must(r.dynamic(profile.SupportNone, false)("li"))}, true},
 		{"Figure 3 vs Figure 4 no_predict",
 			side{r, li, selective, must(core.NewPredictor("none"))}, side{r, li, base, core.NoPredictor{}}, true},
 	}

@@ -673,95 +673,37 @@ func (r *Runner) noteFailures(t *stats.Table, names []string, fails map[string]e
 	}
 }
 
-// predictorSpec names a predictor configuration for figure rows.
-type predictorSpec struct {
-	label string
-	make  func(r *Runner, name string) (core.Predictor, error)
-}
-
-// builtin is a predictorSpec constructor for a registry predictor.
-func builtin(name string) func(*Runner, string) (core.Predictor, error) {
-	return func(*Runner, string) (core.Predictor, error) { return core.NewPredictor(name) }
-}
-
-// staticPredictor builds a StaticRVP from a workload's profile at the
-// runner's threshold with the given support level.
-func (r *Runner) staticPredictor(name string, level profile.Support, threshold float64) (core.Predictor, error) {
-	pr, err := r.Profile(name)
-	if err != nil {
-		return nil, err
-	}
-	lists := pr.Lists(threshold, true, 0)
-	return core.NewStaticRVP("srvp_"+level.String(), lists.Marked(level), lists.Hints(level)), nil
-}
-
-// dynamicPredictor builds a DynamicRVP with hints at the given support
-// level. loadsOnly restricts candidate instructions to loads.
-func (r *Runner) dynamicPredictor(name string, level profile.Support, loadsOnly bool) (core.Predictor, error) {
-	opts := []core.DynamicRVPOption{core.WithName("drvp_" + level.String())}
-	if loadsOnly {
-		opts = append(opts, core.LoadsOnly())
-	}
-	if level != profile.SupportNone {
+// static is a series predictor: a StaticRVP built from the workload's
+// profile at the given threshold with the given support level.
+func (r *Runner) static(level profile.Support, threshold float64) func(string) (core.Predictor, error) {
+	return func(name string) (core.Predictor, error) {
 		pr, err := r.Profile(name)
 		if err != nil {
 			return nil, err
 		}
-		lists := pr.Lists(r.opts.Threshold, loadsOnly, 0)
-		opts = append(opts, core.WithHints(lists.Hints(level)))
+		lists := pr.Lists(threshold, true, 0)
+		return core.NewStaticRVP("srvp_"+level.String(), lists.Marked(level), lists.Hints(level)), nil
 	}
-	return core.NewDynamicRVP(core.DefaultCounterConfig(), opts...)
 }
 
-// speedupTable runs the spec list over all workloads and renders speedups
-// over no-prediction, plus a final "average" column.
-func (r *Runner) speedupTable(title string, cfg pipeline.Config, specs []predictorSpec, names []string) (*stats.Table, error) {
-	cols := append(append([]string(nil), names...), "average")
-	t := stats.NewTable(title, cols)
-	type key struct{ spec, wl string }
-	results := make(map[key]float64)
-	var mu sync.Mutex
-
-	fails, err := r.forEach(names, func(name string) error {
-		st, err := r.run(name, cfg, core.NoPredictor{})
-		if err != nil {
-			return err
+// dynamic is a series predictor: a DynamicRVP with hints at the given
+// support level. loadsOnly restricts candidate instructions to loads.
+func (r *Runner) dynamic(level profile.Support, loadsOnly bool) func(string) (core.Predictor, error) {
+	return func(name string) (core.Predictor, error) {
+		opts := []core.DynamicRVPOption{core.WithName("drvp_" + level.String())}
+		if loadsOnly {
+			opts = append(opts, core.LoadsOnly())
 		}
-		for _, sp := range specs {
-			pred, err := sp.make(r, name)
+		if level != profile.SupportNone {
+			pr, err := r.Profile(name)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			ps, err := r.run(name, cfg, pred)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			results[key{sp.label, name}] = float64(st.Cycles) / float64(ps.Cycles)
-			mu.Unlock()
+			lists := pr.Lists(r.opts.Threshold, loadsOnly, 0)
+			opts = append(opts, core.WithHints(lists.Hints(level)))
 		}
-		return nil
-	})
-	for _, sp := range specs {
-		vals := map[string]float64{}
-		var all []float64
-		for _, n := range names {
-			if v, ok := results[key{sp.label, n}]; ok {
-				vals[n] = v
-				all = append(all, v)
-			} else {
-				t.MarkFailed(sp.label, n, failReason(fails, n))
-			}
-		}
-		if len(all) > 0 {
-			vals["average"] = stats.Mean(all)
-		} else {
-			t.MarkFailed(sp.label, "average", "no successful runs")
-		}
-		t.AddRow(sp.label, "%.3f", vals)
+		return core.NewDynamicRVP(core.DefaultCounterConfig(), opts...)
 	}
-	r.noteFailures(t, names, fails)
-	return t, err
 }
 
 // allNames returns the nine workload names.

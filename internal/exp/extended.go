@@ -2,7 +2,6 @@ package exp
 
 import (
 	"errors"
-	"sync"
 
 	"rvpsim/internal/core"
 	"rvpsim/internal/pipeline"
@@ -16,125 +15,54 @@ import (
 // three orders of magnitude below the context predictor's.
 func (r *Runner) StorageTable() (*stats.Table, error) {
 	names := allNames()
+	cfg := pipeline.BaselineConfig()
+	// Rows name built-in predictors by their registry wire names.
+	g := r.grid(names, &cfg,
+		series{label: "drvp (storageless)", cfg: cfg, pred: registry("rvp")},
+		series{label: "G&M register pred", cfg: cfg, pred: registry("gabbay")},
+		series{label: "lvp", cfg: cfg, pred: registry("lvp_all")},
+		series{label: "stride", cfg: cfg, pred: registry("stride")},
+		series{label: "context (order 2)", cfg: cfg, pred: registry("context")},
+	)
 	t := stats.NewTable("Extension: predictor cost/benefit (avg speedup vs storage)",
 		[]string{"storage Kbit", "avg speedup"})
-
-	// Rows name built-in predictors by their registry wire names.
-	specs := []struct{ label, name string }{
-		{"drvp (storageless)", "rvp"},
-		{"G&M register pred", "gabbay"},
-		{"lvp", "lvp_all"},
-		{"stride", "stride"},
-		{"context (order 2)", "context"},
-	}
-
-	type key struct{ spec, wl string }
-	speed := map[key]float64{}
-	var mu sync.Mutex
-	fails, err := r.forEach(names, func(name string) error {
-		base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
-		if err != nil {
-			return err
-		}
-		for _, sp := range specs {
-			pred, err := core.NewPredictor(sp.name)
-			if err != nil {
-				return err
-			}
-			st, err := r.run(name, pipeline.BaselineConfig(), pred)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			speed[key{sp.label, name}] = float64(base.Cycles) / float64(st.Cycles)
-			mu.Unlock()
-		}
-		return nil
-	})
-	for _, sp := range specs {
-		pred, _ := core.NewPredictor(sp.name) // a registry name, as above
-		var all []float64
-		for _, n := range names {
-			if v, ok := speed[key{sp.label, n}]; ok {
-				all = append(all, v)
-			}
-		}
+	for j, s := range g.rows {
+		pred, _ := s.pred("") // registry constructors ignore the workload
 		row := map[string]float64{"storage Kbit": float64(pred.StorageBits()) / 1024}
-		if len(all) > 0 {
-			row["avg speedup"] = stats.Mean(all)
-		} else {
-			t.MarkFailed(sp.label, "avg speedup", "no successful runs")
-		}
-		t.AddRow(sp.label, "%.3f", row)
+		g.mean(t, row, j, "avg speedup", speedup)
+		t.AddRow(s.label, "%.3f", row)
 	}
-	r.noteFailures(t, names, fails)
+	r.noteFailures(t, names, g.fails)
 	t.AddNote("storage counts value-prediction state only (values, tags, strides, histories, counters)")
-	return t, err
+	return t, g.err
 }
 
 // ThresholdTable is a second extension: the confidence-threshold sweep
 // across the whole suite, showing the accuracy/coverage trade the paper's
-// resetting counters make at threshold 7.
+// resetting counters make at threshold 7. Each threshold is its own grid,
+// so every workload runs its baseline before each threshold's cell.
 func (r *Runner) ThresholdTable() (*stats.Table, error) {
 	names := allNames()
+	cfg := pipeline.BaselineConfig()
 	t := stats.NewTable("Extension: confidence threshold sweep (dynamic RVP, all instructions)",
 		[]string{"avg speedup", "coverage %", "accuracy %"})
-	allFails := map[string]error{}
+	fails := map[string]error{}
 	var errs []error
 	for _, th := range []uint8{1, 3, 5, 7} {
 		cc := core.DefaultCounterConfig()
 		cc.Threshold = th
-		type acc struct{ spd, cov, accy float64 }
-		var mu sync.Mutex
-		var rows []acc
-		fails, err := r.forEach(names, func(name string) error {
-			base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
-			if err != nil {
-				return err
-			}
-			pred, err := core.NewDynamicRVP(cc)
-			if err != nil {
-				return err
-			}
-			st, err := r.run(name, pipeline.BaselineConfig(), pred)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			rows = append(rows, acc{
-				spd:  float64(base.Cycles) / float64(st.Cycles),
-				cov:  100 * st.Coverage(),
-				accy: 100 * st.Accuracy(),
-			})
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			errs = append(errs, err)
+		g := r.grid(names, &cfg, series{label: "threshold " + string('0'+th), cfg: cfg,
+			pred: func(string) (core.Predictor, error) { return core.NewDynamicRVP(cc) }})
+		errs = append(errs, g.err)
+		for n, e := range g.fails {
+			fails[n] = e
 		}
-		for n, e := range fails {
-			allFails[n] = e
-		}
-		label := "threshold " + string('0'+th)
-		if len(rows) == 0 {
-			for _, c := range []string{"avg speedup", "coverage %", "accuracy %"} {
-				t.MarkFailed(label, c, "no successful runs")
-			}
-			t.AddRow(label, "%.3f", map[string]float64{})
-			continue
-		}
-		var spd, cov, accy []float64
-		for _, x := range rows {
-			spd = append(spd, x.spd)
-			cov = append(cov, x.cov)
-			accy = append(accy, x.accy)
-		}
-		t.AddRow(label, "%.3f", map[string]float64{
-			"avg speedup": stats.Mean(spd),
-			"coverage %":  stats.Mean(cov),
-			"accuracy %":  stats.Mean(accy),
-		})
+		row := map[string]float64{}
+		g.mean(t, row, 0, "avg speedup", speedup)
+		g.mean(t, row, 0, "coverage %", coverage)
+		g.mean(t, row, 0, "accuracy %", accuracy)
+		t.AddRow(g.rows[0].label, "%.3f", row)
 	}
-	r.noteFailures(t, names, allFails)
+	r.noteFailures(t, names, fails)
 	return t, errors.Join(errs...)
 }

@@ -6,6 +6,7 @@ import (
 	"rvpsim/internal/core"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/profile"
+	"rvpsim/internal/program"
 	"rvpsim/internal/regalloc"
 	"rvpsim/internal/stats"
 )
@@ -81,59 +82,19 @@ func (r *Runner) Figure3() (*stats.Table, error) {
 	names := allNames()
 	cfg := pipeline.BaselineConfig()
 	cfg.Recovery = pipeline.RecoverSelective
+	th := r.opts.Threshold
+	g := r.grid(names, nil,
+		series{label: "no_predict", cfg: cfg, pred: registry("none")},
+		series{label: "lvp", cfg: cfg, pred: registry("lvp")},
+		series{label: "srvp_same", cfg: cfg, pred: r.static(profile.SupportNone, th)},
+		series{label: "srvp_dead", cfg: cfg, pred: r.static(profile.SupportDead, th)},
+		series{label: "srvp_live", cfg: cfg, pred: r.static(profile.SupportLive, th)},
+		series{label: "srvp_live_lv", cfg: cfg, pred: r.static(profile.SupportLiveLV, th)},
+	)
 	t := stats.NewTable("Figure 3: static RVP, IPC (selective reissue, 80% threshold)", names)
-	type key struct{ row, wl string }
-	vals := map[key]float64{}
-	var mu sync.Mutex
-
-	rows := []struct {
-		label string
-		mk    func(name string) (core.Predictor, error)
-	}{
-		{"no_predict", func(string) (core.Predictor, error) { return core.NewPredictor("none") }},
-		{"lvp", func(string) (core.Predictor, error) { return core.NewPredictor("lvp") }},
-		{"srvp_same", func(n string) (core.Predictor, error) {
-			return r.staticPredictor(n, profile.SupportNone, r.opts.Threshold)
-		}},
-		{"srvp_dead", func(n string) (core.Predictor, error) {
-			return r.staticPredictor(n, profile.SupportDead, r.opts.Threshold)
-		}},
-		{"srvp_live", func(n string) (core.Predictor, error) {
-			return r.staticPredictor(n, profile.SupportLive, r.opts.Threshold)
-		}},
-		{"srvp_live_lv", func(n string) (core.Predictor, error) {
-			return r.staticPredictor(n, profile.SupportLiveLV, r.opts.Threshold)
-		}},
-	}
-	fails, err := r.forEach(names, func(name string) error {
-		for _, row := range rows {
-			pred, err := row.mk(name)
-			if err != nil {
-				return err
-			}
-			st, err := r.run(name, cfg, pred)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			vals[key{row.label, name}] = st.IPC()
-			mu.Unlock()
-		}
-		return nil
-	})
-	for _, row := range rows {
-		m := map[string]float64{}
-		for _, n := range names {
-			if v, ok := vals[key{row.label, n}]; ok {
-				m[n] = v
-			} else {
-				t.MarkFailed(row.label, n, failReason(fails, n))
-			}
-		}
-		t.AddRow(row.label, "%.2f", m)
-	}
-	r.noteFailures(t, names, fails)
-	return t, err
+	g.addRows(t, ipc, "%.2f", false)
+	r.noteFailures(t, names, g.fails)
+	return t, g.err
 }
 
 // Figure4 reproduces the recovery-mechanism comparison: static RVP with
@@ -141,97 +102,48 @@ func (r *Runner) Figure3() (*stats.Table, error) {
 // the more conservative 90% profile threshold.
 func (r *Runner) Figure4() (*stats.Table, error) {
 	names := allNames()
+	recovery := func(rec pipeline.Recovery) pipeline.Config {
+		cfg := pipeline.BaselineConfig()
+		cfg.Recovery = rec
+		return cfg
+	}
+	dead90 := r.static(profile.SupportDead, 0.90)
+	g := r.grid(names, nil,
+		series{label: "no_predict", cfg: pipeline.BaselineConfig(), pred: registry("none")},
+		series{label: "srvp_refetch", cfg: recovery(pipeline.RecoverRefetch), pred: dead90},
+		series{label: "srvp_reissue", cfg: recovery(pipeline.RecoverReissue), pred: dead90},
+		series{label: "srvp_selective", cfg: recovery(pipeline.RecoverSelective), pred: dead90},
+	)
 	t := stats.NewTable("Figure 4: recovery mechanisms, IPC (srvp_dead, 90% threshold)", names)
-	type key struct{ row, wl string }
-	vals := map[key]float64{}
-	var mu sync.Mutex
-
-	recoveries := []struct {
-		label string
-		rec   pipeline.Recovery
-	}{
-		{"srvp_refetch", pipeline.RecoverRefetch},
-		{"srvp_reissue", pipeline.RecoverReissue},
-		{"srvp_selective", pipeline.RecoverSelective},
-	}
-	fails, err := r.forEach(names, func(name string) error {
-		base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		vals[key{"no_predict", name}] = base.IPC()
-		mu.Unlock()
-		pred90, err := r.staticPredictor(name, profile.SupportDead, 0.90)
-		if err != nil {
-			return err
-		}
-		for _, rc := range recoveries {
-			cfg := pipeline.BaselineConfig()
-			cfg.Recovery = rc.rec
-			st, err := r.run(name, cfg, pred90)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			vals[key{rc.label, name}] = st.IPC()
-			mu.Unlock()
-		}
-		return nil
-	})
-	for _, label := range []string{"no_predict", "srvp_refetch", "srvp_reissue", "srvp_selective"} {
-		m := map[string]float64{}
-		for _, n := range names {
-			if v, ok := vals[key{label, n}]; ok {
-				m[n] = v
-			} else {
-				t.MarkFailed(label, n, failReason(fails, n))
-			}
-		}
-		t.AddRow(label, "%.2f", m)
-	}
-	r.noteFailures(t, names, fails)
-	return t, err
+	g.addRows(t, ipc, "%.2f", false)
+	r.noteFailures(t, names, g.fails)
+	return t, g.err
 }
 
 // Figure5 reproduces the dynamic-RVP-for-loads speedup graph: LVP, plain
 // dynamic RVP, and dynamic RVP with dead and dead+LV compiler support,
 // all restricted to load instructions; speedup over no prediction.
 func (r *Runner) Figure5() (*stats.Table, error) {
-	specs := []predictorSpec{
-		{"lvp", builtin("lvp")},
-		{"drvp", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportNone, true)
-		}},
-		{"drvp_dead", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDead, true)
-		}},
-		{"drvp_dead_lv", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDeadLV, true)
-		}},
-	}
-	return r.speedupTable("Figure 5: dynamic RVP for loads, speedup over no prediction",
-		pipeline.BaselineConfig(), specs, allNames())
+	cfg := pipeline.BaselineConfig()
+	return r.speedupFigure("Figure 5: dynamic RVP for loads, speedup over no prediction", cfg,
+		series{label: "lvp", cfg: cfg, pred: registry("lvp")},
+		series{label: "drvp", cfg: cfg, pred: r.dynamic(profile.SupportNone, true)},
+		series{label: "drvp_dead", cfg: cfg, pred: r.dynamic(profile.SupportDead, true)},
+		series{label: "drvp_dead_lv", cfg: cfg, pred: r.dynamic(profile.SupportDeadLV, true)},
+	)
 }
 
 // Figure6 reproduces the dynamic-RVP-for-all-instructions speedup graph,
 // including the Gabbay & Mendelson register predictor.
 func (r *Runner) Figure6() (*stats.Table, error) {
-	specs := []predictorSpec{
-		{"lvp_all", builtin("lvp_all")},
-		{"Grp_all", builtin("gabbay")},
-		{"drvp_all", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportNone, false)
-		}},
-		{"drvp_all_dead", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDead, false)
-		}},
-		{"drvp_all_dead_lv", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDeadLV, false)
-		}},
-	}
-	return r.speedupTable("Figure 6: dynamic RVP for all instructions, speedup over no prediction",
-		pipeline.BaselineConfig(), specs, allNames())
+	cfg := pipeline.BaselineConfig()
+	return r.speedupFigure("Figure 6: dynamic RVP for all instructions, speedup over no prediction", cfg,
+		series{label: "lvp_all", cfg: cfg, pred: registry("lvp_all")},
+		series{label: "Grp_all", cfg: cfg, pred: registry("gabbay")},
+		series{label: "drvp_all", cfg: cfg, pred: r.dynamic(profile.SupportNone, false)},
+		series{label: "drvp_all_dead", cfg: cfg, pred: r.dynamic(profile.SupportDead, false)},
+		series{label: "drvp_all_dead_lv", cfg: cfg, pred: r.dynamic(profile.SupportDeadLV, false)},
+	)
 }
 
 // Table2 reproduces the prediction coverage/accuracy table for dynamic
@@ -239,56 +151,20 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 // predictor, in the all-instruction configuration. Values are percent.
 func (r *Runner) Table2() (*stats.Table, *stats.Table, error) {
 	names := allNames()
+	cfg := pipeline.BaselineConfig()
+	g := r.grid(names, nil,
+		series{label: "drvp dead", cfg: cfg, pred: r.dynamic(profile.SupportDead, false)},
+		series{label: "dead_lv", cfg: cfg, pred: r.dynamic(profile.SupportDeadLV, false)},
+		series{label: "lvp", cfg: cfg, pred: registry("lvp_all")},
+		series{label: "G&M RP", cfg: cfg, pred: registry("gabbay")},
+	)
 	cov := stats.NewTable("Table 2a: % of instructions predicted", names)
 	acc := stats.NewTable("Table 2b: prediction accuracy (%)", names)
-	specs := []predictorSpec{
-		{"drvp dead", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDead, false)
-		}},
-		{"dead_lv", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDeadLV, false)
-		}},
-		{"lvp", builtin("lvp_all")},
-		{"G&M RP", builtin("gabbay")},
-	}
-	type key struct{ row, wl string }
-	covV := map[key]float64{}
-	accV := map[key]float64{}
-	var mu sync.Mutex
-	fails, err := r.forEach(names, func(name string) error {
-		for _, sp := range specs {
-			pred, err := sp.make(r, name)
-			if err != nil {
-				return err
-			}
-			st, err := r.run(name, pipeline.BaselineConfig(), pred)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			covV[key{sp.label, name}] = 100 * st.Coverage()
-			accV[key{sp.label, name}] = 100 * st.Accuracy()
-			mu.Unlock()
-		}
-		return nil
-	})
-	for _, sp := range specs {
-		cm, am := map[string]float64{}, map[string]float64{}
-		for _, n := range names {
-			if v, ok := covV[key{sp.label, n}]; ok {
-				cm[n] = v
-				am[n] = accV[key{sp.label, n}]
-			} else {
-				cov.MarkFailed(sp.label, n, failReason(fails, n))
-				acc.MarkFailed(sp.label, n, failReason(fails, n))
-			}
-		}
-		cov.AddRow(sp.label, "%.1f", cm)
-		acc.AddRow(sp.label, "%.1f", am)
-	}
-	r.noteFailures(cov, names, fails)
-	r.noteFailures(acc, names, fails)
-	return cov, acc, err
+	g.addRows(cov, coverage, "%.1f", false)
+	g.addRows(acc, accuracy, "%.1f", false)
+	r.noteFailures(cov, names, g.fails)
+	r.noteFailures(acc, names, g.fails)
+	return cov, acc, g.err
 }
 
 // Figure7Workloads are the four applications the paper shows (the ones
@@ -301,99 +177,62 @@ var Figure7Workloads = []string{"hydro2d", "li", "mgrid", "su2cor"}
 // same-register RVP), and with ideal (profile-list) re-allocation.
 func (r *Runner) Figure7() (*stats.Table, error) {
 	names := Figure7Workloads
+	cfg := pipeline.BaselineConfig()
+	g := r.grid(names, &cfg,
+		series{label: "lvp", cfg: cfg, pred: registry("lvp_all")},
+		series{label: "drvp_all_noreallocate", cfg: cfg, pred: r.dynamic(profile.SupportNone, false)},
+		series{label: "drvp_all_dead_lv_realloc", cfg: cfg, prog: r.reallocated,
+			pred: func(string) (core.Predictor, error) {
+				return core.NewDynamicRVP(core.DefaultCounterConfig(), core.WithName("drvp_realloc"))
+			}},
+		series{label: "drvp_all_dead_lv(ideal)", cfg: cfg, pred: r.dynamic(profile.SupportDeadLV, false)},
+	)
 	t := stats.NewTable("Figure 7: realistic register re-allocation, speedup over no prediction", names)
-	type key struct{ row, wl string }
-	vals := map[key]float64{}
-	var mu sync.Mutex
-	fails, err := r.forEach(names, func(name string) error {
-		prog, err := r.Program(name)
-		if err != nil {
-			return err
-		}
-		base, err := r.run(name, pipeline.BaselineConfig(), core.NoPredictor{})
-		if err != nil {
-			return err
-		}
-		set := func(row string, cycles int64) {
-			mu.Lock()
-			vals[key{row, name}] = float64(base.Cycles) / float64(cycles)
-			mu.Unlock()
-		}
-		// LVP (all instructions, as in Figure 6).
-		lvp, err := core.NewPredictor("lvp_all")
-		if err != nil {
-			return err
-		}
-		st, err := r.run(name, pipeline.BaselineConfig(), lvp)
-		if err != nil {
-			return err
-		}
-		set("lvp", st.Cycles)
-		// Plain dynamic RVP, no re-allocation.
-		pred, err := r.dynamicPredictor(name, profile.SupportNone, false)
-		if err != nil {
-			return err
-		}
-		if st, err = r.run(name, pipeline.BaselineConfig(), pred); err != nil {
-			return err
-		}
-		set("drvp_all_noreallocate", st.Cycles)
-		// Realistic re-allocation: rewrite registers, run plain RVP.
-		pr, err := r.Profile(name)
-		if err != nil {
-			return err
-		}
-		lists := pr.Lists(r.opts.Threshold, false, 0)
-		res, err := regalloc.Reallocate(prog, pr, lists)
-		if err != nil {
-			return err
-		}
-		realloc := core.MustDynamicRVP(core.DefaultCounterConfig(), core.WithName("drvp_realloc"))
-		if st, err = r.runOn(res.Prog, pipeline.BaselineConfig(), realloc); err != nil {
-			return err
-		}
-		set("drvp_all_dead_lv_realloc", st.Cycles)
-		// Ideal re-allocation (profile lists as hints).
-		ideal, err := r.dynamicPredictor(name, profile.SupportDeadLV, false)
-		if err != nil {
-			return err
-		}
-		if st, err = r.run(name, pipeline.BaselineConfig(), ideal); err != nil {
-			return err
-		}
-		set("drvp_all_dead_lv(ideal)", st.Cycles)
-		return nil
-	})
-	for _, label := range []string{"lvp", "drvp_all_noreallocate", "drvp_all_dead_lv_realloc", "drvp_all_dead_lv(ideal)"} {
-		m := map[string]float64{}
-		for _, n := range names {
-			if v, ok := vals[key{label, n}]; ok {
-				m[n] = v
-			} else {
-				t.MarkFailed(label, n, failReason(fails, n))
-			}
-		}
-		t.AddRow(label, "%.3f", m)
+	g.addRows(t, speedup, "%.3f", false)
+	r.noteFailures(t, names, g.fails)
+	return t, g.err
+}
+
+// reallocated rewrites a workload's registers by Chaitin colouring from
+// its profile at the runner's threshold, so plain same-register RVP finds
+// the reuse the profile lists.
+func (r *Runner) reallocated(name string) (*program.Program, error) {
+	prog, err := r.Program(name)
+	if err != nil {
+		return nil, err
 	}
-	r.noteFailures(t, names, fails)
-	return t, err
+	pr, err := r.Profile(name)
+	if err != nil {
+		return nil, err
+	}
+	res, err := regalloc.Reallocate(prog, pr, pr.Lists(r.opts.Threshold, false, 0))
+	if err != nil {
+		return nil, err
+	}
+	return res.Prog, nil
 }
 
 // Figure8 reproduces the aggressive 16-wide machine study: LVP and
 // dynamic RVP for all instructions (plain and dead+LV), speedups over no
 // prediction on the doubled machine.
 func (r *Runner) Figure8() (*stats.Table, error) {
-	specs := []predictorSpec{
-		{"lvp_all", builtin("lvp_all")},
-		{"drvp_all", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportNone, false)
-		}},
-		{"drvp_all_dead_lv", func(rr *Runner, n string) (core.Predictor, error) {
-			return rr.dynamicPredictor(n, profile.SupportDeadLV, false)
-		}},
-	}
-	return r.speedupTable("Figure 8: 16-wide processor, speedup over no prediction",
-		pipeline.AggressiveConfig(), specs, allNames())
+	cfg := pipeline.AggressiveConfig()
+	return r.speedupFigure("Figure 8: 16-wide processor, speedup over no prediction", cfg,
+		series{label: "lvp_all", cfg: cfg, pred: registry("lvp_all")},
+		series{label: "drvp_all", cfg: cfg, pred: r.dynamic(profile.SupportNone, false)},
+		series{label: "drvp_all_dead_lv", cfg: cfg, pred: r.dynamic(profile.SupportDeadLV, false)},
+	)
+}
+
+// speedupFigure is Figures 5, 6 and 8: every workload, each series'
+// speedup over no prediction on cfg, and the average.
+func (r *Runner) speedupFigure(title string, cfg pipeline.Config, rows ...series) (*stats.Table, error) {
+	names := allNames()
+	g := r.grid(names, &cfg, rows...)
+	t := stats.NewTable(title, append(append([]string(nil), names...), "average"))
+	g.addRows(t, speedup, "%.3f", true)
+	r.noteFailures(t, names, g.fails)
+	return t, g.err
 }
 
 // Table1 renders the simulated machine configuration (the paper's

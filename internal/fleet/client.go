@@ -67,22 +67,6 @@ func (c *CoordClient) Wait(ctx context.Context, id string, poll time.Duration) (
 	}
 }
 
-// RegisterWorker registers an rvpd base URL with the coordinator.
-func (c *CoordClient) RegisterWorker(ctx context.Context, url string) error {
-	body, err := json.Marshal(map[string]string{"url": url})
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, http.MethodPost, "/v1/workers", body, nil)
-}
-
-// Sweeps lists known sweep IDs in admission order.
-func (c *CoordClient) Sweeps(ctx context.Context) ([]string, error) {
-	var ids []string
-	err := c.do(ctx, http.MethodGet, "/v1/sweeps", nil, &ids)
-	return ids, err
-}
-
 func (c *CoordClient) do(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -112,9 +96,6 @@ func (c *CoordClient) do(ctx context.Context, method, path string, body []byte, 
 			return fmt.Errorf("coordinator returned %d: %s", resp.StatusCode, e.Error)
 		}
 		return fmt.Errorf("coordinator returned %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	if out == nil {
-		return nil
 	}
 	return json.Unmarshal(raw, out)
 }

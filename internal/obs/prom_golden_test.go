@@ -11,19 +11,15 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestPrometheusExpositionGolden pins the exact text exposition the
-// /metrics endpoint serves — one instrument of every kind, including a
-// labeled gauge family — so an accidental format change (spacing, label
-// quoting, bucket cumulation) is caught byte-for-byte.
+// /metrics endpoint serves — one instrument of every kind — so an
+// accidental format change (spacing, label quoting, bucket cumulation) is
+// caught byte-for-byte.
 func TestPrometheusExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("srv_jobs_submitted_total", "jobs accepted into the queue")
 	c.Add(7)
 	g := r.Gauge("srv_queue_depth", "jobs currently queued")
 	g.Set(3)
-	v := r.GaugeVec("srv_breaker_state", "per-workload breaker state (0 closed, 1 half-open, 2 open)", "key")
-	v.With("go").Set(2)
-	v.With("figure:fig5").Set(0)
-	v.With(`quoted"key`).Set(1)
 	h := r.Histogram("srv_queue_wait_ms", "queue wait per job, milliseconds", []int64{2, 4, 8})
 	h.Observe(1)
 	h.Observe(3)

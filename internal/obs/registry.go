@@ -25,7 +25,6 @@ import (
 	"io"
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -82,86 +81,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// GaugeVec is a family of gauges distinguished by one label ("which
-// worker", "which workload"). Member gauges register lazily on first
-// With and render as `name{label="value"} v` lines in Prometheus
-// exposition. Safe for concurrent use.
-type GaugeVec struct {
-	name  string
-	help  string
-	label string
-
-	mu     sync.Mutex
-	gauges map[string]*Gauge
-}
-
-// Name returns the family name.
-func (v *GaugeVec) Name() string { return v.name }
-
-// With returns (registering if needed) the member gauge for the label
-// value.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.gauges[value]
-	if !ok {
-		g = &Gauge{name: v.name, help: v.help}
-		v.gauges[value] = g
-	}
-	return g
-}
-
-// Values returns a copy of the current per-label values.
-func (v *GaugeVec) Values() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.gauges))
-	for label, g := range v.gauges {
-		out[label] = g.Value()
-	}
-	return out
-}
-
-// CounterVec is a family of counters distinguished by one label ("which
-// worker", "which workload"). Member counters register lazily on first
-// With and render as `name{label="value"} v` lines in Prometheus
-// exposition. Safe for concurrent use.
-type CounterVec struct {
-	name  string
-	help  string
-	label string
-
-	mu   sync.Mutex
-	ctrs map[string]*Counter
-}
-
-// Name returns the family name.
-func (v *CounterVec) Name() string { return v.name }
-
-// With returns (registering if needed) the member counter for the label
-// value.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.ctrs[value]
-	if !ok {
-		c = &Counter{name: v.name, help: v.help}
-		v.ctrs[value] = c
-	}
-	return c
-}
-
-// Values returns a copy of the current per-label values.
-func (v *CounterVec) Values() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.ctrs))
-	for label, c := range v.ctrs {
-		out[label] = c.Value()
-	}
-	return out
-}
 
 // Histogram is a fixed-bucket cumulative histogram. Bounds are inclusive
 // upper bounds in ascending order; one extra overflow bucket (+Inf) is
@@ -231,8 +150,8 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // AddCounts merges pre-aggregated per-bucket counts (len(bounds)+1
-// entries) and a value sum into the histogram. It is the bulk form used
-// by LocalHistogram flushes and cross-run merges.
+// entries) and a value sum into the histogram. It is the bulk form
+// LocalHistogram flushes use.
 func (h *Histogram) AddCounts(counts []int64, sum int64) error {
 	if len(counts) != len(h.counts) {
 		return fmt.Errorf("obs: histogram %s: merging %d buckets into %d", h.name, len(counts), len(h.counts))
@@ -246,23 +165,6 @@ func (h *Histogram) AddCounts(counts []int64, sum int64) error {
 		h.sum.Add(sum)
 	}
 	return nil
-}
-
-// Merge folds another histogram with identical bounds into h.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(o.bounds) != len(h.bounds) {
-		return fmt.Errorf("obs: histogram %s: bound count mismatch with %s", h.name, o.name)
-	}
-	for i, b := range o.bounds {
-		if h.bounds[i] != b {
-			return fmt.Errorf("obs: histogram %s: bound %d differs from %s", h.name, i, o.name)
-		}
-	}
-	counts := make([]int64, len(o.counts))
-	for i := range o.counts {
-		counts[i] = o.counts[i].Load()
-	}
-	return h.AddCounts(counts, o.sum.Load())
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -350,15 +252,6 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 	return out
 }
 
-// LinearBuckets returns n linear bucket bounds: start, start+width, ...
-func LinearBuckets(start, width int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = start + int64(i)*width
-	}
-	return out
-}
-
 // Registry holds named instruments. Registration is idempotent: asking
 // for an existing name returns the existing instrument (histograms must
 // re-state identical bounds). Lookups never block: the name table is an
@@ -374,7 +267,7 @@ type Registry struct {
 // regTable is one immutable generation of a registry's name table.
 type regTable struct {
 	order []string       // names in registration order
-	inst  map[string]any // *Counter, *Gauge, *CounterVec, *GaugeVec or *Histogram
+	inst  map[string]any // *Counter, *Gauge or *Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -417,10 +310,6 @@ func kindOf(v any) string {
 		return "counter"
 	case *Gauge:
 		return "gauge"
-	case *CounterVec:
-		return "countervec"
-	case *GaugeVec:
-		return "gaugevec"
 	}
 	return "histogram"
 }
@@ -433,30 +322,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge returns (registering if needed) the named gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.instrument(name, "gauge", func() any { return &Gauge{name: name, help: help} }).(*Gauge)
-}
-
-// CounterVec returns (registering if needed) the named labeled counter
-// family. A second registration must use the same label name.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	v := r.instrument(name, "countervec", func() any {
-		return &CounterVec{name: name, help: help, label: label, ctrs: map[string]*Counter{}}
-	}).(*CounterVec)
-	if v.label != label {
-		panic(fmt.Sprintf("obs: counter vec %q registered with labels %q and %q", name, v.label, label))
-	}
-	return v
-}
-
-// GaugeVec returns (registering if needed) the named labeled gauge
-// family. A second registration must use the same label name.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	v := r.instrument(name, "gaugevec", func() any {
-		return &GaugeVec{name: name, help: help, label: label, gauges: map[string]*Gauge{}}
-	}).(*GaugeVec)
-	if v.label != label {
-		panic(fmt.Sprintf("obs: gauge vec %q registered with labels %q and %q", name, v.label, label))
-	}
-	return v
 }
 
 // Histogram returns (registering if needed) the named histogram. A
@@ -490,11 +355,9 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 
 // Snapshot is a point-in-time copy of every instrument in a registry.
 type Snapshot struct {
-	Counters    map[string]int64             `json:"counters,omitempty"`
-	Gauges      map[string]int64             `json:"gauges,omitempty"`
-	CounterVecs map[string]map[string]int64  `json:"counter_vecs,omitempty"`
-	GaugeVecs   map[string]map[string]int64  `json:"gauge_vecs,omitempty"`
-	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]int64             `json:"gauges,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
 // Snapshot copies the registry's current values.
@@ -510,51 +373,11 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[n] = v.Value()
 		case *Gauge:
 			s.Gauges[n] = v.Value()
-		case *CounterVec:
-			if s.CounterVecs == nil {
-				s.CounterVecs = map[string]map[string]int64{}
-			}
-			s.CounterVecs[n] = v.Values()
-		case *GaugeVec:
-			if s.GaugeVecs == nil {
-				s.GaugeVecs = map[string]map[string]int64{}
-			}
-			s.GaugeVecs[n] = v.Values()
 		case *Histogram:
 			s.Histograms[n] = v.Snapshot()
 		}
 	}
 	return s
-}
-
-// Merge folds another registry's instruments into r, registering any
-// missing names. Counter values add, gauges take the other's value, and
-// histograms merge per bucket (bounds must match).
-func (r *Registry) Merge(o *Registry) error {
-	t := o.tab.Load()
-	for _, name := range t.order {
-		switch ov := t.inst[name].(type) {
-		case *Counter:
-			r.Counter(name, ov.help).Add(ov.Value())
-		case *Gauge:
-			r.Gauge(name, ov.help).Set(ov.Value())
-		case *CounterVec:
-			v := r.CounterVec(name, ov.help, ov.label)
-			for label, val := range ov.Values() {
-				v.With(label).Add(val)
-			}
-		case *GaugeVec:
-			v := r.GaugeVec(name, ov.help, ov.label)
-			for label, val := range ov.Values() {
-				v.With(label).Set(val)
-			}
-		case *Histogram:
-			if err := r.Histogram(name, ov.help, ov.bounds).Merge(ov); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // WritePrometheus renders every instrument in Prometheus text exposition
@@ -567,10 +390,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Counter:
 			help, typ = v.help, "counter"
 		case *Gauge:
-			help, typ = v.help, "gauge"
-		case *CounterVec:
-			help, typ = v.help, "counter"
-		case *GaugeVec:
 			help, typ = v.help, "gauge"
 		case *Histogram:
 			help, typ = v.help, "histogram"
@@ -589,29 +408,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", name, v.Value())
 		case *Gauge:
 			_, err = fmt.Fprintf(w, "%s %d\n", name, v.Value())
-		case *CounterVec:
-			err = writeLabeled(w, name, v.label, v.Values())
-		case *GaugeVec:
-			err = writeLabeled(w, name, v.label, v.Values())
 		case *Histogram:
 			err = writeHistogram(w, name, v.Snapshot())
 		}
 		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeLabeled renders one labeled family's members, sorted by label.
-func writeLabeled(w io.Writer, name, label string, vals map[string]int64) error {
-	labels := make([]string, 0, len(vals))
-	for l := range vals {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, l, vals[l]); err != nil {
 			return err
 		}
 	}
