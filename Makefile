@@ -111,7 +111,7 @@ obs-smoke:
 # 0.6s each alone) so that state lasts past the kill. The fleet runs at
 # its defaults: worker a's cell is stolen after the 5s steal age (or
 # its 10s lease expires). The real chaos proof (byte-identical merge,
-# counters vs ledger) lives in the fleet package's -race e2e; this
+# no cell committed twice) lives in the fleet package's -race e2e; this
 # target proves the shipped binaries wire together.
 fleet-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

@@ -161,22 +161,13 @@ func (c *Client) Submit(ctx context.Context, spec exp.JobSpec, key string) (serv
 		key = NewIdempotencyKey()
 	}
 	// The job's propagated deadline is the caller's own deadline,
-	// captured before the retry budget below narrows the context: the
-	// elapsed cap bounds this submission, not the job's execution, and
+	// captured before the retry budget narrows the context: the elapsed
+	// cap bounds this submission, not the job's execution, and
 	// conflating the two would make the server kill every job slower
 	// than one retry budget.
 	var jobDeadline time.Time
 	if d, ok := ctx.Deadline(); ok {
 		jobDeadline = d
-	}
-	// The elapsed cap is a context deadline, not bookkeeping: it bounds
-	// in-flight requests and backoff sleeps alike, so a submission can
-	// never outlive its budget waiting on a slow transport or a server
-	// whose Retry-After hints keep stretching the schedule.
-	if c.maxElapsed > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.maxElapsed)
-		defer cancel()
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -187,42 +178,65 @@ func (c *Client) Submit(ctx context.Context, spec exp.JobSpec, key string) (serv
 	ssp := c.tracer.Start(obs.SpanContext{}, "submit")
 	ssp.SetAttr("kind", spec.Kind)
 	trace := ssp.Context().Trace
+	var st server.JobStatus
+	err = c.retry(ctx, "submit", func(ctx context.Context) (int, error) {
+		asp := c.tracer.Start(ssp.Context(), "submit_attempt")
+		var status int
+		var err error
+		st, status, err = c.trySubmit(ctx, body, key, asp.Context(), jobDeadline)
+		asp.SetAttr("status", strconv.Itoa(status))
+		asp.EndErr(err)
+		return status, err
+	}, "trace", trace)
+	if err != nil {
+		ssp.EndErr(err)
+		return server.JobStatus{}, err
+	}
+	c.log.Info("submitted", "job", st.ID, "state", st.State, "trace", trace)
+	ssp.SetAttr("job", st.ID)
+	ssp.End()
+	return st, nil
+}
+
+// retry runs try until it succeeds, fails permanently (a 4xx other than
+// 429) or uses up the attempt cap, sleeping the jittered backoff,
+// stretched to any Retry-After, between attempts. The elapsed cap is a
+// context deadline, not bookkeeping: it bounds in-flight requests and
+// backoff sleeps alike, so a call can never outlive its budget waiting
+// on a slow transport or a server whose Retry-After hints keep
+// stretching the schedule. op names the call in logs, and kv adds
+// fields to each of its log lines.
+func (c *Client) retry(ctx context.Context, op string, try func(context.Context) (int, error), kv ...any) error {
+	if c.maxElapsed > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.maxElapsed)
+		defer cancel()
+	}
+	log := c.log.With(kv...)
 	var lastErr error
 	lastStatus := 0
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if attempt > 0 {
 			if err := c.sleep(ctx, attempt-1, retryAfterHint(lastErr)); err != nil {
-				ssp.EndErr(err)
-				return server.JobStatus{}, err
+				return err
 			}
 		}
-		asp := c.tracer.Start(ssp.Context(), "submit_attempt")
-		st, status, err := c.trySubmit(ctx, body, key, asp.Context(), jobDeadline)
-		asp.SetAttr("status", strconv.Itoa(status))
-		asp.EndErr(err)
+		status, err := try(ctx)
 		switch {
 		case err == nil:
-			c.log.Info("submitted", "job", st.ID, "state", st.State, "trace", trace,
-				"attempt", attempt+1)
-			ssp.SetAttr("job", st.ID)
-			ssp.End()
-			return st, nil
+			return nil
 		case ctx.Err() != nil:
-			ssp.EndErr(ctx.Err())
-			return server.JobStatus{}, ctx.Err()
+			return ctx.Err()
 		case !retryable(status, err):
-			c.log.Warn("submit rejected permanently", "status", status, "trace", trace, "error", err)
-			ssp.EndErr(err)
-			return server.JobStatus{}, err
+			log.Warn(op+" rejected permanently", "status", status, "error", err)
+			return err
 		}
-		c.log.Debug("submit attempt failed; backing off", "attempt", attempt+1,
-			"status", status, "trace", trace, "error", err)
+		log.Debug(op+" attempt failed; backing off", "attempt", attempt+1, "status", status, "error", err)
 		lastErr, lastStatus = err, status
 	}
-	err = &RetryableError{Attempts: c.attempts, LastStatus: lastStatus, Last: lastErr}
-	c.log.Warn("submission exhausted attempts", "trace", trace, "error", err)
-	ssp.EndErr(err)
-	return server.JobStatus{}, err
+	err := &RetryableError{Attempts: c.attempts, LastStatus: lastStatus, Last: lastErr}
+	log.Warn(op+" exhausted attempts", "error", err)
+	return err
 }
 
 // httpError is a non-2xx response, keeping the server's Retry-After.
@@ -442,40 +456,17 @@ func (c *Client) SubmitAndWait(ctx context.Context, spec exp.JobSpec, key string
 // self-advertise on startup (rvpd -advertise) while the coordinator may
 // still be coming up.
 func (c *Client) RegisterWorker(ctx context.Context, workerURL string) error {
-	if c.maxElapsed > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.maxElapsed)
-		defer cancel()
-	}
 	body, err := json.Marshal(map[string]string{"url": workerURL})
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	lastStatus := 0
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.sleep(ctx, attempt-1, retryAfterHint(lastErr)); err != nil {
-				return err
-			}
-		}
-		status, err := c.tryRegister(ctx, body)
-		switch {
-		case err == nil:
-			c.log.Info("worker registered", "worker", workerURL, "coordinator", c.base,
-				"attempt", attempt+1)
-			return nil
-		case ctx.Err() != nil:
-			return ctx.Err()
-		case !retryable(status, err):
-			c.log.Warn("worker registration rejected permanently", "status", status, "error", err)
-			return err
-		}
-		c.log.Debug("worker registration failed; backing off", "attempt", attempt+1,
-			"status", status, "error", err)
-		lastErr, lastStatus = err, status
+	err = c.retry(ctx, "worker registration", func(ctx context.Context) (int, error) {
+		return c.tryRegister(ctx, body)
+	}, "worker", workerURL)
+	if err == nil {
+		c.log.Info("worker registered", "worker", workerURL, "coordinator", c.base)
 	}
-	return &RetryableError{Attempts: c.attempts, LastStatus: lastStatus, Last: lastErr}
+	return err
 }
 
 func (c *Client) tryRegister(ctx context.Context, body []byte) (int, error) {

@@ -181,8 +181,8 @@ type SweepStatus struct {
 	Leased int    `json:"leased"`
 	Done   int    `json:"done"`
 	Failed int    `json:"failed"`
-	// Steals and LeaseExpiries are coordinator-wide counters (they also
-	// appear in /metrics and, record by record, in the ledger).
+	// Steals and LeaseExpiries are this coordinator process's counters
+	// (they also appear in /metrics).
 	Steals        int64 `json:"steals"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	// TableText is the merged result table, present once every cell is
@@ -216,9 +216,10 @@ type Coordinator struct {
 	leases  map[string]*cellState // sweepID+"/"+cellID -> leased cells only
 
 	// storageDegraded trips when a ledger append fails: the coordinator
-	// stops admitting sweeps (503 + Retry-After, /readyz not ready)
-	// instead of crashing and keeps already-admitted cells schedulable
-	// until its probe, every StorageProbeEvery, sees the disk recover.
+	// stops admitting sweeps (503 + Retry-After, /readyz not ready) and
+	// granting leases, instead of crashing, until its probe, every
+	// StorageProbeEvery, sees the disk recover. Admitted cells stay
+	// ready, and leases already granted run on.
 	storageDegraded *wal.Guard
 
 	mLeases, mExpiries, mSteals     *obs.Counter
@@ -233,10 +234,9 @@ type Coordinator struct {
 }
 
 // Open opens the state directory, replays the cell ledger — finished
-// cells stay finished, everything else returns to ready — seeds the
-// metrics counters from the replayed log so /metrics agrees with the
-// ledger across restarts, and starts one dispatch loop per configured
-// worker plus the lease janitor.
+// cells stay finished, everything else is ready — and starts one
+// dispatch loop per configured worker plus the lease janitor. Counters
+// start at zero in every process.
 func Open(cfg Config) (*Coordinator, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -262,42 +262,30 @@ func Open(cfg Config) (*Coordinator, error) {
 		c.log.Warn("ledger: dropped damaged tail records", "count", ledger.Truncated)
 	}
 
-	// Replay: rebuild every sweep. A lease held by the dead coordinator
-	// is speculative state that never committed — squash it back to
-	// ready, exactly like a mispredicted value.
-	c.mLeases.Add(rp.Leases)
-	c.mExpiries.Add(rp.Expiries)
-	c.mSteals.Add(rp.Steals)
+	// Replay: rebuild every sweep from its outcomes. A lease held by the
+	// dead coordinator was never written down, so its cell is simply
+	// ready, exactly like a squashed speculative value. Replayed
+	// terminals stay on the ready queue; takeCell skips them.
 	for _, sid := range rp.Order {
-		spec := rp.Sweeps[sid]
-		sw := c.newSweepLocked(sid, spec)
+		sw := c.newSweepLocked(sid, rp.Sweeps[sid])
 		for id, st := range rp.Done[sid] {
-			if cell, ok := sw.cells[id]; ok && cell.state == cellReady {
+			if cell, ok := sw.cells[id]; ok {
 				cell.state = cellDone
 				sw.done[id] = st
 				sw.doneN++
 			}
 		}
 		for id, why := range rp.Failed[sid] {
-			if cell, ok := sw.cells[id]; ok && cell.state == cellReady {
+			if cell, ok := sw.cells[id]; ok {
 				cell.state = cellFailed
 				sw.failed[id] = why
 				sw.failedN++
 			}
 		}
-		// Rebuild the ready queue without the replayed terminals.
-		sw.ready = sw.ready[:0]
-		for _, cell := range sw.cellsInDigestOrder() {
-			if cell.state == cellReady {
-				sw.ready = append(sw.ready, cell.id)
-			}
-		}
-		c.mCellsDone.Add(int64(sw.doneN))
-		c.mCellsFailed.Add(int64(sw.failedN))
 		c.log.Info("sweep recovered", "sweep", sid, "done", sw.doneN,
-			"failed", sw.failedN, "remaining", len(sw.ready))
+			"failed", sw.failedN, "remaining", sw.total-sw.doneN-sw.failedN)
 	}
-	c.refreshGauges()
+	c.setGauges()
 
 	c.wg.Add(2)
 	go c.janitor()
@@ -360,40 +348,23 @@ func (c *Coordinator) newSweepLocked(id string, spec SweepSpec) *sweepState {
 	return sw
 }
 
-// cellsInDigestOrder returns the sweep's cells in canonical order.
-func (sw *sweepState) cellsInDigestOrder() []*cellState {
-	out := make([]*cellState, 0, len(sw.cells))
-	for _, cell := range sw.spec.Cells() {
-		out = append(out, sw.cells[cell.ID])
-	}
-	return out
-}
-
-// refreshGauges recomputes the cell gauges from scratch. Caller holds
-// c.mu.
-func (c *Coordinator) refreshGauges() {
-	var ready, leased, done, failed, live int
+// setGauges publishes the cell and worker gauges from the counts the
+// coordinator keeps: every cell is done, failed, leased (in c.leases) or
+// ready. Caller holds c.mu.
+func (c *Coordinator) setGauges() {
+	var total, done, failed, live int
 	for _, sw := range c.sweeps {
-		for _, cell := range sw.cells {
-			switch cell.state {
-			case cellReady:
-				ready++
-			case cellLeased:
-				leased++
-			case cellDone:
-				done++
-			case cellFailed:
-				failed++
-			}
-		}
+		total += sw.total
+		done += sw.doneN
+		failed += sw.failedN
 	}
 	for _, w := range c.workers {
 		if w.live {
 			live++
 		}
 	}
-	c.gReady.Set(int64(ready))
-	c.gLeased.Set(int64(leased))
+	c.gReady.Set(int64(total - done - failed - len(c.leases)))
+	c.gLeased.Set(int64(len(c.leases)))
 	c.gDone.Set(int64(done))
 	c.gFailed.Set(int64(failed))
 	c.gWorkersLive.Set(int64(live))
@@ -424,7 +395,7 @@ func (c *Coordinator) AddWorker(url string) error {
 	}
 	c.workers[url] = w
 	c.worder = append(c.worder, url)
-	c.gWorkersTotal.Set(int64(len(c.workers)))
+	c.setGauges()
 	c.mu.Unlock()
 	c.log.Info("worker registered", "worker", url)
 	c.wg.Add(1)
@@ -458,7 +429,7 @@ func (c *Coordinator) SubmitSweep(spec SweepSpec) (SweepStatus, error) {
 			return SweepStatus{}, fmt.Errorf("%w: %w", ErrStorageDegraded, err)
 		}
 		sw := c.newSweepLocked(id, spec)
-		c.refreshGauges()
+		c.setGauges()
 		c.log.Info("sweep accepted", "sweep", id, "cells", sw.total)
 	}
 	return c.statusLocked(id), nil
@@ -489,14 +460,12 @@ func (c *Coordinator) statusLocked(id string) SweepStatus {
 		Steals:        c.mSteals.Value(),
 		LeaseExpiries: c.mExpiries.Value(),
 	}
-	for _, cell := range sw.cells {
-		switch cell.state {
-		case cellReady:
-			st.Ready++
-		case cellLeased:
+	for _, cell := range c.leases {
+		if cell.sweepID == id {
 			st.Leased++
 		}
 	}
+	st.Ready = sw.total - sw.doneN - sw.failedN - st.Leased
 	if sw.complete() {
 		if sw.failedN == 0 {
 			st.State = "done"
@@ -547,8 +516,8 @@ type leaseRef struct {
 
 // janitor expires overdue leases: the cell goes back to the ready set,
 // the token bumps so the stale owner's renewals fail, and the expiry is
-// ledgered and counted. This is the squash path — losing a worker
-// mid-cell must never lose the cell.
+// counted. This is the squash path — losing a worker mid-cell must never
+// lose the cell.
 func (c *Coordinator) janitor() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.Heartbeat)
@@ -566,31 +535,17 @@ func (c *Coordinator) janitor() {
 func (c *Coordinator) expireOverdue(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, cell := range c.leases {
+	for _, cell := range c.leases {
 		if now.Before(cell.expiry) {
-			continue
-		}
-		sw := c.sweeps[cell.sweepID]
-		if err := c.ledger.Append(LedgerRecord{
-			Kind: recExpire, Sweep: cell.sweepID, Cell: cell.id, Worker: cell.worker,
-		}); err != nil {
-			c.log.Error("ledgering lease expiry failed", "cell", cell.id, "error", err)
-			c.storageDegraded.Trip(err)
 			continue
 		}
 		c.log.Warn("lease expired; cell returns to ready", "sweep", cell.sweepID,
 			"cell", cell.id, "worker", cell.worker)
-		if w := c.workers[cell.worker]; w != nil {
-			w.leased--
-		}
-		cell.state = cellReady
-		cell.worker = ""
-		cell.tok++
-		sw.ready = append(sw.ready, cell.id)
-		delete(c.leases, key)
+		c.unleaseLocked(cell)
+		c.requeueLocked(cell)
 		c.mExpiries.Inc()
-		c.refreshGauges()
 	}
+	c.setGauges()
 }
 
 // workerLoop drives one worker: probe readiness, take (or steal) a
@@ -657,7 +612,9 @@ func (c *Coordinator) probe(w *workerState) bool {
 	c.mu.Lock()
 	changed := w.live != live || w.draining != draining
 	w.live, w.draining = live, draining
-	c.refreshGauges()
+	if changed {
+		c.setGauges()
+	}
 	c.mu.Unlock()
 	if changed {
 		c.log.Info("worker state", "worker", w.url, "live", live, "draining", draining)
@@ -668,23 +625,26 @@ func (c *Coordinator) probe(w *workerState) bool {
 // takeCell pops the next ready cell in admission-then-digest order, or
 // — when nothing is ready but the fleet is not finished — steals the
 // oldest sufficiently-aged lease from another worker so a straggler
-// cannot stall the tail. Both paths grant a fresh lease to w.
+// cannot stall the tail. Both paths grant a fresh lease to w. While
+// storage is degraded it grants nothing: the ledger could not record
+// the result.
 func (c *Coordinator) takeCell(w *workerState) (leaseRef, bool) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.storageDegraded.Load() {
+		return leaseRef{}, false
+	}
 	for _, sid := range c.order {
 		sw := c.sweeps[sid]
 		for len(sw.ready) > 0 {
-			id := sw.ready[0]
+			cell := sw.cells[sw.ready[0]]
 			sw.ready = sw.ready[1:]
-			cell := sw.cells[id]
 			if cell.state != cellReady {
-				continue // stale queue entry (completed while queued, etc.)
+				continue // stale queue entry (finished while queued, or on replay)
 			}
-			if ref, ok := c.leaseLocked(sw, cell, w, recLease, now); ok {
-				return ref, true
-			}
+			c.mLeases.Inc()
+			return c.leaseLocked(sw, cell, w, now), true
 		}
 	}
 	// Steal: oldest lease past StealAge held by someone else, cell-ID
@@ -702,33 +662,16 @@ func (c *Coordinator) takeCell(w *workerState) (leaseRef, bool) {
 	if victim == nil {
 		return leaseRef{}, false
 	}
-	if wOld := c.workers[victim.worker]; wOld != nil {
-		wOld.leased--
-	}
-	oldWorker := victim.worker
-	delete(c.leases, victim.sweepID+"/"+victim.id)
-	victim.state = cellReady // leaseLocked re-leases it
-	ref, ok := c.leaseLocked(c.sweeps[victim.sweepID], victim, w, recSteal, now)
-	if !ok {
-		return leaseRef{}, false
-	}
-	c.mSteals.Inc()
 	c.log.Info("lease stolen from straggler", "sweep", victim.sweepID,
-		"cell", victim.id, "from", oldWorker, "to", w.url)
-	return ref, true
+		"cell", victim.id, "from", victim.worker, "to", w.url)
+	c.unleaseLocked(victim)
+	c.mSteals.Inc()
+	return c.leaseLocked(c.sweeps[victim.sweepID], victim, w, now), true
 }
 
-// leaseLocked grants w a lease on cell and ledgers it. Caller holds
-// c.mu and guarantees cell.state == cellReady.
-func (c *Coordinator) leaseLocked(sw *sweepState, cell *cellState, w *workerState, kind string, now time.Time) (leaseRef, bool) {
-	if err := c.ledger.Append(LedgerRecord{
-		Kind: kind, Sweep: sw.id, Cell: cell.id, Worker: w.url,
-	}); err != nil {
-		c.log.Error("ledgering lease failed", "cell", cell.id, "error", err)
-		c.storageDegraded.Trip(err)
-		sw.ready = append(sw.ready, cell.id) // keep the cell schedulable
-		return leaseRef{}, false
-	}
+// leaseLocked grants w a lease on cell, which is ready or has just been
+// unleased. Caller holds c.mu.
+func (c *Coordinator) leaseLocked(sw *sweepState, cell *cellState, w *workerState, now time.Time) leaseRef {
 	cell.state = cellLeased
 	cell.worker = w.url
 	cell.tok++
@@ -736,10 +679,7 @@ func (c *Coordinator) leaseLocked(sw *sweepState, cell *cellState, w *workerStat
 	cell.expiry = now.Add(c.cfg.Lease)
 	c.leases[sw.id+"/"+cell.id] = cell
 	w.leased++
-	if kind == recLease {
-		c.mLeases.Inc()
-	}
-	c.refreshGauges()
+	c.setGauges()
 	// The idempotency key carries the lease token: retries WITHIN one
 	// lease generation dedupe on the worker, while a new generation
 	// submits fresh — so a job poisoned by request corruption under the
@@ -747,7 +687,27 @@ func (c *Coordinator) leaseLocked(sw *sweepState, cell *cellState, w *workerStat
 	return leaseRef{
 		sweepID: sw.id, cellID: cell.id, tok: cell.tok, spec: cell.spec,
 		key: fmt.Sprintf("fl-%s-%s-t%d", sw.id, cell.id, cell.tok),
-	}, true
+	}
+}
+
+// unleaseLocked ends cell's lease: its worker frees the slot and the
+// token bumps, so the old owner's renewals fail. Caller holds c.mu and
+// cell is leased.
+func (c *Coordinator) unleaseLocked(cell *cellState) {
+	if w := c.workers[cell.worker]; w != nil {
+		w.leased--
+	}
+	delete(c.leases, cell.sweepID+"/"+cell.id)
+	cell.worker = ""
+	cell.tok++
+}
+
+// requeueLocked puts cell back on its sweep's ready queue. Caller holds
+// c.mu.
+func (c *Coordinator) requeueLocked(cell *cellState) {
+	cell.state = cellReady
+	sw := c.sweeps[cell.sweepID]
+	sw.ready = append(sw.ready, cell.id)
 }
 
 // renew extends the lease if ref still owns it.
@@ -876,16 +836,9 @@ func (c *Coordinator) release(ref leaseRef) {
 	if cell == nil || cell.tok != ref.tok {
 		return
 	}
-	sw := c.sweeps[ref.sweepID]
-	if w := c.workers[cell.worker]; w != nil {
-		w.leased--
-	}
-	delete(c.leases, ref.sweepID+"/"+ref.cellID)
-	cell.state = cellReady
-	cell.worker = ""
-	cell.tok++
-	sw.ready = append(sw.ready, cell.id)
-	c.refreshGauges()
+	c.unleaseLocked(cell)
+	c.requeueLocked(cell)
+	c.setGauges()
 }
 
 // complete commits one cell result. First writer wins; every later
@@ -911,10 +864,7 @@ func (c *Coordinator) complete(ref leaseRef, w *workerState, st pipeline.Stats) 
 		return // lease expiry will re-run the cell; never commit undurable results
 	}
 	if cell.state == cellLeased {
-		if wOld := c.workers[cell.worker]; wOld != nil {
-			wOld.leased--
-		}
-		delete(c.leases, ref.sweepID+"/"+ref.cellID)
+		c.unleaseLocked(cell)
 	}
 	cell.state = cellDone
 	cell.worker = w.url
@@ -922,7 +872,7 @@ func (c *Coordinator) complete(ref leaseRef, w *workerState, st pipeline.Stats) 
 	sw.doneN++
 	w.doneN++
 	c.mCellsDone.Inc()
-	c.refreshGauges()
+	c.setGauges()
 	c.log.Info("cell done", "sweep", ref.sweepID, "cell", ref.cellID,
 		"worker", w.url, "done", sw.doneN, "total", sw.total)
 }
@@ -937,20 +887,14 @@ func (c *Coordinator) fail(ref leaseRef, reason string) {
 	if cell.state != cellLeased || cell.tok != ref.tok {
 		return
 	}
-	if w := c.workers[cell.worker]; w != nil {
-		w.leased--
-	}
-	delete(c.leases, ref.sweepID+"/"+ref.cellID)
+	c.unleaseLocked(cell)
 	cell.attempts++
-	cell.worker = ""
-	cell.tok++
 	if cell.attempts < c.cfg.CellAttempts {
-		cell.state = cellReady
-		sw.ready = append(sw.ready, cell.id)
+		c.requeueLocked(cell)
 		c.mCellRetries.Inc()
 		c.log.Warn("cell attempt failed; retrying", "sweep", ref.sweepID,
 			"cell", ref.cellID, "attempt", cell.attempts, "reason", reason)
-		c.refreshGauges()
+		c.setGauges()
 		return
 	}
 	if err := c.ledger.Append(LedgerRecord{
@@ -958,8 +902,8 @@ func (c *Coordinator) fail(ref leaseRef, reason string) {
 	}); err != nil {
 		c.log.Error("ledgering cell failure failed", "cell", ref.cellID, "error", err)
 		c.storageDegraded.Trip(err)
-		cell.state = cellReady // keep it schedulable rather than losing it
-		sw.ready = append(sw.ready, cell.id)
+		c.requeueLocked(cell) // keep it schedulable rather than losing it
+		c.setGauges()
 		return
 	}
 	cell.state = cellFailed
@@ -967,5 +911,5 @@ func (c *Coordinator) fail(ref leaseRef, reason string) {
 	sw.failedN++
 	c.mCellsFailed.Inc()
 	c.log.Error("cell failed terminally", "sweep", ref.sweepID, "cell", ref.cellID, "reason", reason)
-	c.refreshGauges()
+	c.setGauges()
 }

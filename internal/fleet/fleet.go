@@ -30,12 +30,16 @@
 //   - An idle worker steals the oldest straggling lease rather than
 //     waiting, so one slow node cannot stall a sweep's tail.
 //   - The coordinator's own state is a CRC-enveloped write-ahead cell
-//     ledger (the jobstore/journal envelope idiom): kill and restart
-//     the coordinator and it resumes the sweep with every finished cell
-//     intact.
-//   - The merge stage aggregates cells in digest order into the result
-//     table, so the assembled table is byte-identical no matter which
-//     worker ran what, in what order, or how many times.
+//     ledger (the jobstore/journal envelope idiom) of outcomes only:
+//     sweep admissions and each cell's done or failed result. Leases,
+//     expiries and steals live in memory. Kill and restart the
+//     coordinator and it resumes the sweep with every finished cell
+//     intact; a cell that was merely leased starts ready again. While
+//     the ledger cannot take appends, the coordinator admits no sweep
+//     and grants no lease.
+//   - The merge stage reads each cell by digest while walking the
+//     spec's axes, so the assembled table is byte-identical no matter
+//     which worker ran what, in what order, or how many times.
 package fleet
 
 import (
@@ -52,8 +56,9 @@ import (
 
 // SweepSpec names a grid of simulation cells: the cartesian product of
 // workloads × predictors × recovery schemes, each run with the same
-// instruction budgets and profile threshold. It is the wire format the
-// coordinator accepts.
+// instruction budget. It is the wire format the coordinator accepts.
+// Every cell is a "run" job, which never profiles, so a sweep carries
+// no profiling budget or threshold.
 type SweepSpec struct {
 	// Name titles the result table (defaulted from the sweep ID).
 	Name string `json:"name,omitempty"`
@@ -68,10 +73,6 @@ type SweepSpec struct {
 	// Insts is the committed-instruction budget per cell (0 takes the
 	// coordinator's default).
 	Insts uint64 `json:"insts,omitempty"`
-	// ProfileInsts is the profiling-pass budget per cell (0 = Insts/4).
-	ProfileInsts uint64 `json:"profile_insts,omitempty"`
-	// Threshold is the profiler's predictability threshold (0 = 0.80).
-	Threshold float64 `json:"threshold,omitempty"`
 }
 
 // MaxSweepCells bounds how many cells one sweep may shard into; the
@@ -90,9 +91,9 @@ type Cell struct {
 }
 
 // Normalize fills defaults in place: all workloads, every predictor,
-// selective recovery, defaultInsts (then the runner default) for a zero
-// budget, ProfileInsts and Threshold per the job-spec rules. Normalize
-// before ID or Cells so equivalent sweeps share state.
+// selective recovery, and defaultInsts (then the runner default) for a
+// zero budget. Normalize before ID or Cells so equivalent sweeps share
+// state.
 func (s *SweepSpec) Normalize(defaultInsts uint64) {
 	if len(s.Workloads) == 0 {
 		s.Workloads = workloads.Names()
@@ -108,12 +109,6 @@ func (s *SweepSpec) Normalize(defaultInsts uint64) {
 	}
 	if s.Insts == 0 {
 		s.Insts = exp.DefaultOptions().Insts
-	}
-	if s.ProfileInsts == 0 {
-		s.ProfileInsts = s.Insts / 4
-	}
-	if s.Threshold == 0 {
-		s.Threshold = 0.80
 	}
 	if s.Name == "" {
 		s.Name = "Fleet sweep " + s.ID()
@@ -181,13 +176,11 @@ func firstDup(vs []string) string {
 // cellSpec builds the normalized job spec of one cell.
 func (s SweepSpec) cellSpec(workload, predictor, recovery string) exp.JobSpec {
 	js := exp.JobSpec{
-		Kind:         "run",
-		Workload:     workload,
-		Predictor:    predictor,
-		Recovery:     recovery,
-		Insts:        s.Insts,
-		ProfileInsts: s.ProfileInsts,
-		Threshold:    s.Threshold,
+		Kind:      "run",
+		Workload:  workload,
+		Predictor: predictor,
+		Recovery:  recovery,
+		Insts:     s.Insts,
 	}
 	js.Normalize(0)
 	return js
@@ -198,10 +191,14 @@ func (s SweepSpec) cellSpec(workload, predictor, recovery string) exp.JobSpec {
 // resubmitting the same grid under a different label joins the
 // existing sweep rather than forking a duplicate. Normalize first: the
 // ID keys the sweep's ledger state.
+//
+// The pn and th fields once held the sweep's profiling budget and
+// threshold. They keep the values every sweep then normalized to,
+// Insts/4 and 0.80, so sweep IDs in existing ledgers stay valid.
 func (s SweepSpec) ID() string {
 	canon := fmt.Sprintf("wl=%s|pred=%s|rec=%s|n=%d|pn=%d|th=%.6f",
 		strings.Join(s.Workloads, ","), strings.Join(s.Predictors, ","),
-		strings.Join(s.Recoveries, ","), s.Insts, s.ProfileInsts, s.Threshold)
+		strings.Join(s.Recoveries, ","), s.Insts, s.Insts/4, 0.80)
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:10])
 }

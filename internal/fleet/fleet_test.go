@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"strings"
 	"testing"
@@ -28,11 +30,9 @@ func TestNormalizeDefaults(t *testing.T) {
 	if s.Insts != 7_000 {
 		t.Errorf("insts = %d, want the coordinator default 7000", s.Insts)
 	}
-	if s.ProfileInsts != 7_000/4 {
-		t.Errorf("profile insts = %d, want insts/4", s.ProfileInsts)
-	}
-	if s.Threshold != 0.80 {
-		t.Errorf("threshold = %v, want 0.80", s.Threshold)
+	// Cells take the job spec's own profiling defaults.
+	if js := s.Cells()[0].Spec; js.ProfileInsts != 7_000/4 || js.Threshold != 0.80 {
+		t.Errorf("cell profile insts = %d, threshold = %v; want insts/4 and 0.80", js.ProfileInsts, js.Threshold)
 	}
 	if !strings.HasPrefix(s.Name, "Fleet sweep ") {
 		t.Errorf("name = %q, want defaulted from the sweep ID", s.Name)
@@ -52,8 +52,6 @@ func TestValidateRejectsBadAxes(t *testing.T) {
 	}
 	for i, s := range cases {
 		s.Insts = 1_000
-		s.ProfileInsts = 250
-		s.Threshold = 0.8
 		err := s.Validate()
 		if err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, s)
@@ -80,7 +78,6 @@ func TestSweepIDStableAndNormalizeIdempotent(t *testing.T) {
 	}
 	c := a
 	c.Insts = 20_000
-	c.ProfileInsts = 0
 	c.Normalize(0)
 	if c.ID() == a.ID() {
 		t.Errorf("different budgets, same sweep ID %s", a.ID())
@@ -167,6 +164,30 @@ func TestMergeTableMarksMissingAndFailedCells(t *testing.T) {
 	// One of the two cells succeeded, so the average row must exist.
 	if !strings.Contains(out, "average") {
 		t.Errorf("no average column:\n%s", out)
+	}
+}
+
+// TestPinnedSweepIdentity pins a sweep ID, a cell ID and the SHA-256 of
+// a merged table with one done, one failed and one missing cell. Ledgers
+// and idempotency keys name sweeps and cells by these digests, so any
+// change to them orphans existing state.
+func TestPinnedSweepIdentity(t *testing.T) {
+	s := SweepSpec{Workloads: []string{"go", "li", "perl"}, Predictors: []string{"rvp", "none"}, Insts: 10_000}
+	s.Normalize(0)
+	if got, want := s.ID(), "4f9545390424c51448ce"; got != want {
+		t.Errorf("sweep ID = %s, want %s", got, want)
+	}
+	if got, want := s.cellSpec("li", "none", "selective").Digest(), "30897431ffd7d0f63f27c628"; got != want {
+		t.Errorf("cell ID = %s, want %s", got, want)
+	}
+
+	m := SweepSpec{Workloads: []string{"go", "li", "perl"}, Predictors: []string{"rvp"}, Insts: 10_000}
+	m.Normalize(0)
+	li, gocell := m.cellSpec("li", "rvp", "selective").Digest(), m.cellSpec("go", "rvp", "selective").Digest()
+	out := MergeTable(m, map[string]pipeline.Stats{li: fakeStats(li)}, map[string]string{gocell: "worker exploded"}).String()
+	sum := sha256.Sum256([]byte(out))
+	if got, want := hex.EncodeToString(sum[:]), "6610fd754cb2eea556f9ab28fbb64f79d6d6f59cb4efe258f7eec340f55163f8"; got != want {
+		t.Errorf("merged table digest = %s, want %s; table:\n%s", got, want, out)
 	}
 }
 

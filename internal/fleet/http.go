@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -18,14 +19,14 @@ import (
 //	GET  /v1/sweeps/{id}   one sweep's status (+ merged table when done)
 //	POST /v1/workers       register a worker {"url": "http://..."}
 //
-// The host daemon (rvpd) serves /healthz, /readyz and /metrics; the
+// Both POST bodies are capped at maxBody; a larger one gets 413. The
+// host daemon (rvpd) serves /healthz, /readyz and /metrics; the
 // coordinator's fleet_* metrics ride the registry it is opened with.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		var spec SweepSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		if !decodeBody(w, r, &spec) {
 			return
 		}
 		st, err := c.SubmitSweep(spec)
@@ -60,8 +61,7 @@ func Handler(c *Coordinator) http.Handler {
 		var body struct {
 			URL string `json:"url"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		if err := c.AddWorker(body.URL); err != nil {
@@ -71,6 +71,26 @@ func Handler(c *Coordinator) http.Handler {
 		httpJSON(w, http.StatusOK, map[string]string{"registered": body.URL})
 	})
 	return mux
+}
+
+// maxBody bounds a POST body. A sweep spec or a worker URL is a few
+// hundred bytes, so 1 MiB leaves room for any real grid.
+const maxBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, answering 413 past maxBody
+// and 400 for bad JSON. It reports whether v is usable.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": fmt.Sprintf("request body exceeds %d bytes", maxBody)})
+	} else {
+		httpJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	}
+	return false
 }
 
 func httpJSON(w http.ResponseWriter, code int, v any) {

@@ -11,14 +11,15 @@ import (
 	"rvpsim/internal/wal"
 )
 
-// Ledger is the coordinator's write-ahead cell log: every sweep
-// admission and every cell transition the coordinator must not forget
-// (lease, expiry, steal, done, failed) is appended — and fsync'd —
-// before the transition is acknowledged anywhere else. Replaying the
-// log reconstructs the sweep after a coordinator crash: done and failed
-// cells keep their results, every other cell reverts to ready (an
-// in-flight lease held by a dead coordinator is meaningless — exactly
-// like a speculative, uncommitted value after a squash).
+// Ledger is the coordinator's write-ahead cell log. It records outcomes
+// only: a sweep's admission and each cell's terminal result (done or
+// failed) are appended — and fsync'd — before they are acknowledged
+// anywhere else. Scheduling (leases, expiries, steals) never touches the
+// disk. Replaying the log reconstructs the sweep after a coordinator
+// crash: done and failed cells keep their results, every other cell
+// starts ready (an in-flight lease held by a dead coordinator is
+// meaningless — exactly like a speculative, uncommitted value after a
+// squash).
 //
 // The durability mechanics — CRC envelope, fsync-per-append, torn-tail
 // repair on open, interior-corruption refusal — live in internal/wal;
@@ -33,26 +34,22 @@ type Ledger struct {
 	Truncated int
 }
 
-// Ledger record kinds. Done and Failed are the only terminal kinds;
-// Lease, Expire and Steal exist so restart-surviving counters agree
-// with the log (see Replay) and so an operator can audit exactly how a
-// cell travelled the fleet.
+// Ledger record kinds. Ledgers written before scheduling left the disk
+// also hold "lease", "expire" and "steal" records; replay skips them.
 const (
 	recSweep  = "sweep"
-	recLease  = "lease"
-	recExpire = "expire"
-	recSteal  = "steal"
 	recDone   = "done"
 	recFailed = "failed"
 )
 
-// LedgerRecord is one line's payload.
+// LedgerRecord is one line's payload: a sweep admission or a cell's
+// terminal outcome.
 type LedgerRecord struct {
 	Kind  string `json:"kind"`
 	Sweep string `json:"sweep"`
 	// Cell is the cell digest (empty on sweep records).
 	Cell string `json:"cell,omitempty"`
-	// Worker is the worker URL involved in a lease/steal/done/expire.
+	// Worker is the URL of the worker that produced a done record.
 	Worker string `json:"worker,omitempty"`
 	// Spec carries the normalized sweep spec on sweep records.
 	Spec *SweepSpec `json:"spec,omitempty"`
@@ -62,7 +59,9 @@ type LedgerRecord struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Replay is the ledger's reconstructed view: what OpenLedger found.
+// Replay is the ledger's reconstructed view: what OpenLedger found. It
+// holds outcomes only; the cells of a sweep that are neither done nor
+// failed are the ones left to run.
 type Replay struct {
 	// Sweeps maps sweep ID to its normalized spec, in first-seen order
 	// via Order.
@@ -72,10 +71,6 @@ type Replay struct {
 	Done map[string]map[string]pipeline.Stats
 	// Failed maps sweep ID -> cell digest -> failure reason.
 	Failed map[string]map[string]string
-	// Leases, Expiries, Steals count those records across the whole
-	// log; the coordinator seeds its registry counters from them so
-	// /metrics agrees with the ledger across restarts.
-	Leases, Expiries, Steals int64
 	// DuplicateDone counts done records for cells already done — always
 	// zero unless a coordinator bug committed a cell twice.
 	DuplicateDone int64
@@ -117,7 +112,8 @@ func OpenLedgerFS(path string, fsys vfs.FS, met *wal.Metrics) (*Ledger, *Replay,
 	return l, rp, nil
 }
 
-// apply folds one replayed record into the view.
+// apply folds one replayed record into the view. Kinds it does not know,
+// such as an older ledger's scheduling records, are skipped.
 func (rp *Replay) apply(rec LedgerRecord) {
 	switch rec.Kind {
 	case recSweep:
@@ -128,12 +124,6 @@ func (rp *Replay) apply(rec LedgerRecord) {
 			rp.Order = append(rp.Order, rec.Sweep)
 		}
 		rp.Sweeps[rec.Sweep] = *rec.Spec
-	case recLease:
-		rp.Leases++
-	case recExpire:
-		rp.Expiries++
-	case recSteal:
-		rp.Steals++
 	case recDone:
 		if rec.Stats == nil {
 			return
@@ -162,7 +152,7 @@ func (rp *Replay) apply(rec LedgerRecord) {
 	}
 }
 
-// Append records one transition, fsyncing before it returns: the
+// Append records one outcome, fsyncing before it returns: the
 // write-ahead guarantee that makes a restarted coordinator resume
 // instead of re-deciding.
 func (l *Ledger) Append(rec LedgerRecord) error {

@@ -3,11 +3,13 @@ package fleet
 import (
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/simerr"
+	"rvpsim/internal/testutil/leak"
 	"rvpsim/internal/wal"
 )
 
@@ -37,12 +39,7 @@ func TestLedgerReplayRoundTrip(t *testing.T) {
 	st := pipeline.Stats{Cycles: 123, Committed: 456}
 	recs := []LedgerRecord{
 		{Kind: recSweep, Sweep: id, Spec: &spec},
-		{Kind: recLease, Sweep: id, Cell: cells[0].ID, Worker: "http://w1"},
-		{Kind: recExpire, Sweep: id, Cell: cells[0].ID, Worker: "http://w1"},
-		{Kind: recLease, Sweep: id, Cell: cells[0].ID, Worker: "http://w2"},
 		{Kind: recDone, Sweep: id, Cell: cells[0].ID, Worker: "http://w2", Stats: &st},
-		{Kind: recLease, Sweep: id, Cell: cells[1].ID, Worker: "http://w2"},
-		{Kind: recSteal, Sweep: id, Cell: cells[1].ID, Worker: "http://w1"},
 		{Kind: recFailed, Sweep: id, Cell: cells[1].ID, Reason: "boom"},
 	}
 	for _, r := range recs {
@@ -71,10 +68,6 @@ func TestLedgerReplayRoundTrip(t *testing.T) {
 	}
 	if got := rp2.Failed[id][cells[1].ID]; got != "boom" {
 		t.Errorf("replayed failure = %q, want boom", got)
-	}
-	if rp2.Leases != 3 || rp2.Expiries != 1 || rp2.Steals != 1 {
-		t.Errorf("counters = %d leases, %d expiries, %d steals; want 3,1,1",
-			rp2.Leases, rp2.Expiries, rp2.Steals)
 	}
 	if rp2.DuplicateDone != 0 {
 		t.Errorf("duplicate done = %d on a clean log", rp2.DuplicateDone)
@@ -125,7 +118,8 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSweep(t)
 	id := spec.ID()
-	cell := spec.Cells()[0].ID
+	cells := spec.Cells()
+	st := pipeline.Stats{Cycles: 7, Committed: 5}
 
 	path := LedgerPath(dir)
 	l, _, err := OpenLedger(path)
@@ -135,7 +129,7 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 	if err := l.Append(LedgerRecord{Kind: recSweep, Sweep: id, Spec: &spec}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := l.Append(LedgerRecord{Kind: recLease, Sweep: id, Cell: cell, Worker: "w"}); err != nil {
+	if err := l.Append(LedgerRecord{Kind: recDone, Sweep: id, Cell: cells[0].ID, Worker: "w", Stats: &st}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	l.Close()
@@ -156,14 +150,14 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 	if l2.Truncated != 1 {
 		t.Errorf("truncated = %d, want 1", l2.Truncated)
 	}
-	if rp.Leases != 0 {
-		t.Errorf("torn lease record survived replay")
+	if len(rp.Done[id]) != 0 {
+		t.Errorf("torn done record survived replay")
 	}
 	if _, ok := rp.Sweeps[id]; !ok {
 		t.Errorf("intact sweep record lost with the torn tail")
 	}
 	// The repaired log must accept appends and replay cleanly.
-	if err := l2.Append(LedgerRecord{Kind: recLease, Sweep: id, Cell: cell, Worker: "w2"}); err != nil {
+	if err := l2.Append(LedgerRecord{Kind: recDone, Sweep: id, Cell: cells[1].ID, Worker: "w2", Stats: &st}); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 	l2.Close()
@@ -172,8 +166,8 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 		t.Fatalf("reopen repaired: %v", err)
 	}
 	defer l3.Close()
-	if l3.Truncated != 0 || rp3.Leases != 1 {
-		t.Errorf("repaired log: truncated=%d leases=%d, want 0 and 1", l3.Truncated, rp3.Leases)
+	if _, ok := rp3.Done[id][cells[1].ID]; l3.Truncated != 0 || len(rp3.Done[id]) != 1 || !ok {
+		t.Errorf("repaired log: truncated=%d done=%v, want 0 and only the repaired append", l3.Truncated, rp3.Done[id])
 	}
 }
 
@@ -191,8 +185,13 @@ func TestLedgerCorruptMiddleRefusesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := l.Append(LedgerRecord{Kind: recLease, Sweep: id, Cell: spec.Cells()[0].ID, Worker: "w"}); err != nil {
+	st := pipeline.Stats{Cycles: 3, Committed: 2}
+	for _, rec := range []LedgerRecord{
+		{Kind: recSweep, Sweep: id, Spec: &spec},
+		{Kind: recDone, Sweep: id, Cell: spec.Cells()[0].ID, Worker: "w", Stats: &st},
+		{Kind: recDone, Sweep: id, Cell: spec.Cells()[1].ID, Worker: "w", Stats: &st},
+	} {
+		if err := l.Append(rec); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -203,7 +202,11 @@ func TestLedgerCorruptMiddleRefusesOpen(t *testing.T) {
 	lines := strings.SplitAfter(string(raw), "\n")
 	// Flip payload bytes without touching the stored CRC: the envelope's
 	// checksum no longer matches, so the record must be rejected.
-	lines[1] = strings.Replace(lines[1], `"kind":"lease"`, `"kind":"leaze"`, 1)
+	damaged := strings.Replace(lines[1], `"kind":"done"`, `"kind":"dune"`, 1)
+	if damaged == lines[1] {
+		t.Fatalf("record 2 has no done kind to damage: %s", lines[1])
+	}
+	lines[1] = damaged
 	os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644)
 
 	_, _, err = OpenLedger(path)
@@ -224,5 +227,68 @@ func TestLedgerCorruptMiddleRefusesOpen(t *testing.T) {
 	after, _ := os.ReadFile(path)
 	if string(after) != strings.Join(lines, "") {
 		t.Error("open modified a ledger it refused to load")
+	}
+}
+
+// TestParentFormatLedgerReplaysAndResumes opens a ledger written before
+// scheduling left the disk: besides sweep, done and failed records it
+// holds lease, expire and steal records, and its sweep records carry the
+// since-deleted profile_insts and threshold fields. Replay must skip the
+// scheduling records and yield the same outcomes, and a coordinator
+// opened on it must run only the unfinished cells.
+func TestParentFormatLedgerReplaysAndResumes(t *testing.T) {
+	leak.Check(t)
+	raw, err := os.ReadFile("testdata/parent_cells.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(LedgerPath(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := SweepSpec{Workloads: []string{"go", "li"}, Predictors: []string{"rvp", "none"}, Insts: 5_000}
+	a.Normalize(0)
+	b := SweepSpec{Workloads: []string{"perl"}, Predictors: []string{"rvp"}, Insts: 5_000}
+	b.Normalize(0)
+	done0, failed0 := a.Cells()[0].ID, b.Cells()[0].ID
+
+	l, rp, err := OpenLedger(LedgerPath(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	l.Close()
+	if l.Truncated != 0 {
+		t.Errorf("parent ledger reported %d truncated records", l.Truncated)
+	}
+	if len(rp.Order) != 2 || rp.Order[0] != a.ID() || rp.Order[1] != b.ID() {
+		t.Fatalf("order = %v, want [%s %s]", rp.Order, a.ID(), b.ID())
+	}
+	if want := map[string]pipeline.Stats{done0: fakeStats(done0)}; !reflect.DeepEqual(rp.Done[a.ID()], want) || len(rp.Done) != 1 {
+		t.Errorf("done = %v, want %v", rp.Done, want)
+	}
+	if want := map[string]string{failed0: "boom"}; !reflect.DeepEqual(rp.Failed[b.ID()], want) || len(rp.Failed) != 1 {
+		t.Errorf("failed = %v, want %v", rp.Failed, want)
+	}
+
+	w := newFakeWorker("done")
+	defer w.ts.Close()
+	c := testCoord(t, dir, w.ts.URL)
+	defer c.Stop()
+	waitFor(t, "resumed sweep done", func() bool {
+		st, _ := c.Status(a.ID())
+		return st.Terminal()
+	})
+	st, _ := c.Status(a.ID())
+	if st.State != "done" || st.Done != 4 {
+		t.Fatalf("resumed sweep = %+v, want done 4/0", st)
+	}
+	if st.TableText != expectedTable(a) {
+		t.Errorf("resumed table differs from local merge:\n--- fleet\n%s--- local\n%s", st.TableText, expectedTable(a))
+	}
+	if n := w.count(); n != 3 {
+		t.Errorf("worker got %d submissions, want 3 (the done cell must not re-run)", n)
+	}
+	if st, _ := c.Status(b.ID()); st.State != "partial" || st.Failed != 1 {
+		t.Errorf("failed sweep = %+v, want partial with 1 failed", st)
 	}
 }

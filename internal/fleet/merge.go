@@ -12,57 +12,34 @@ import (
 )
 
 // MergeTable assembles the sweep's result table from per-cell results.
-// The merge is a pure function of (spec, done, failed): cells are
-// walked in digest order, each lands in exactly one (row, column) slot
-// determined by its own spec, and averages are computed over the same
-// digest-ordered traversal — so the rendered table is byte-identical no
-// matter which worker produced which cell, in what order, or how many
-// times a cell was (idempotently) re-executed. Rows are one predictor ×
-// recovery series (recovery suffixed only when the sweep has more than
-// one), columns the sweep's workloads plus a final mean. Cells with no
-// result render as ERR with their failure reason.
+// The merge is a pure function of (spec, done, failed): it walks the
+// spec's axes once, in the order that is part of the sweep identity,
+// and looks each cell up by its digest. The rendered table is therefore
+// byte-identical no matter which worker produced which cell, in what
+// order, or how many times a cell was (idempotently) re-executed. Rows
+// are one predictor × recovery series (recovery suffixed only when the
+// sweep has more than one), columns the sweep's workloads plus a final
+// mean. Cells with no result render as ERR with their failure reason.
 func MergeTable(spec SweepSpec, done map[string]pipeline.Stats, failed map[string]string) *stats.Table {
 	cols := append(append([]string(nil), spec.Workloads...), "average")
 	t := stats.NewTable(spec.Name+" — IPC", cols)
-
-	rowLabel := func(pred, rec string) string {
-		if len(spec.Recoveries) > 1 {
-			return pred + "@" + rec
-		}
-		return pred
-	}
-
-	// Digest-ordered aggregation: Cells() is already digest-sorted.
-	type slot struct{ row, col string }
-	vals := map[slot]float64{}
-	reasons := map[slot]string{}
-	for _, c := range spec.Cells() {
-		s := slot{rowLabel(c.Spec.Predictor, c.Spec.Recovery), c.Spec.Workload}
-		if st, ok := done[c.ID]; ok {
-			vals[s] = st.IPC()
-			continue
-		}
-		if why, ok := failed[c.ID]; ok {
-			reasons[s] = why
-		} else {
-			reasons[s] = "cell not completed"
-		}
-	}
-
-	// Row order follows the spec's own axis order, which is part of the
-	// sweep identity (the digest covers it), not arrival order.
 	for _, pred := range spec.Predictors {
 		for _, rec := range spec.Recoveries {
-			label := rowLabel(pred, rec)
+			label := pred
+			if len(spec.Recoveries) > 1 {
+				label += "@" + rec
+			}
 			m := map[string]float64{}
 			var all []float64
 			for _, wl := range spec.Workloads {
-				s := slot{label, wl}
-				if v, ok := vals[s]; ok {
-					m[wl] = v
-					all = append(all, v)
+				id := spec.cellSpec(wl, pred, rec).Digest()
+				if st, ok := done[id]; ok {
+					m[wl] = st.IPC()
+					all = append(all, m[wl])
+				} else if why, ok := failed[id]; ok {
+					t.MarkFailed(label, wl, why)
 				} else {
-					t.MarkFailed(label, wl, reasons[s])
+					t.MarkFailed(label, wl, "cell not completed")
 				}
 			}
 			if len(all) > 0 {
@@ -82,8 +59,8 @@ func MergeTable(spec SweepSpec, done map[string]pipeline.Stats, failed map[strin
 // each cell is the same deterministic exp.RunJob the workers execute,
 // so any divergence is a fleet bug, never simulator noise. parallel
 // bounds concurrent cells (<=0 takes GOMAXPROCS); parallelism cannot
-// perturb the table because cells are independent and the merge orders
-// by digest.
+// perturb the table because cells are independent and the merge is a
+// pure function of their results.
 func Reference(ctx context.Context, spec SweepSpec, parallel int) (*stats.Table, error) {
 	spec.Normalize(0)
 	if err := spec.Validate(); err != nil {

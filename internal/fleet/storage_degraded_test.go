@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rvpsim/internal/testutil/leak"
 	"rvpsim/internal/vfs"
 )
 
@@ -121,4 +122,102 @@ func jsonBody(t *testing.T, v any) *bytes.Reader {
 		t.Fatal(err)
 	}
 	return bytes.NewReader(b)
+}
+
+// TestCoordinatorENOSPCMidSweep: the ledger disk fails while a sweep is
+// running. The cell that finishes first cannot be recorded, which trips
+// the storage guard. From then on the coordinator must grant no lease
+// (a result it could not record would be lost) yet keep answering
+// Status. Once the disk returns, the sweep must finish with every cell's
+// done record in the ledger.
+func TestCoordinatorENOSPCMidSweep(t *testing.T) {
+	leak.Check(t)
+	fault := vfs.NewFault(vfs.OS)
+	w := newFakeWorker("hang")
+	defer w.ts.Close()
+	dir := t.TempDir()
+	c, err := Open(Config{
+		StateDir:          dir,
+		FS:                fault,
+		Workers:           []string{w.ts.URL},
+		Lease:             400 * time.Millisecond,
+		Heartbeat:         20 * time.Millisecond,
+		Poll:              10 * time.Millisecond,
+		StorageProbeEvery: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer c.Stop()
+	spec, id := coordSweep(t, c)
+	waitFor(t, "the worker to hold a lease", func() bool { return w.count() == 1 })
+
+	// status fails the test when Status takes over a second. It heals the
+	// disk first, so a coordinator wedged on its ledger can still stop.
+	status := func() SweepStatus {
+		t.Helper()
+		got := make(chan SweepStatus, 1)
+		go func() {
+			st, _ := c.Status(id)
+			got <- st
+		}()
+		select {
+		case st := <-got:
+			return st
+		case <-time.After(time.Second):
+			fault.SetPersistent(nil)
+			t.Fatalf("Status blocked over 1s while the ledger disk failed")
+			return SweepStatus{}
+		}
+	}
+
+	fault.SetPersistent(vfs.ENOSPC)
+	w.setMode("done")
+	for deadline := time.Now().Add(15 * time.Second); !c.StorageDegraded(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never reported degraded: %+v", status())
+		}
+		status()
+		time.Sleep(10 * time.Millisecond)
+	}
+	subs := w.count()
+	// Two lease periods: the unrecorded cell's lease expires meanwhile,
+	// so every cell is ready and none may be handed out.
+	for end := time.Now().Add(2 * 400 * time.Millisecond); time.Now().Before(end); {
+		if st := status(); st.Terminal() || st.Done != 0 {
+			t.Fatalf("sweep progressed on an unwritable ledger: %+v", st)
+		}
+		if n := w.count(); n != subs {
+			t.Fatalf("worker got %d new submissions while storage was degraded", n-subs)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	fault.SetPersistent(nil)
+	deadline := time.Now().Add(15 * time.Second)
+	st := status()
+	for !st.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never finished after the disk returned: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+		st = status()
+	}
+	if st.State != "done" || st.Done != 4 {
+		t.Fatalf("status = %+v, want done 4/0", st)
+	}
+	if st.TableText != expectedTable(spec) {
+		t.Errorf("table differs from local merge:\n--- fleet\n%s--- local\n%s", st.TableText, expectedTable(spec))
+	}
+	c.Stop()
+	l, rp, err := OpenLedger(LedgerPath(dir))
+	if err != nil {
+		t.Fatalf("replaying ledger: %v", err)
+	}
+	defer l.Close()
+	for _, cell := range spec.Cells() {
+		if _, ok := rp.Done[id][cell.ID]; !ok {
+			t.Errorf("ledger has no done record for cell %s", cell.ID)
+		}
+	}
 }
