@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 determinism:
-	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthResume|TestResumeFixedRingCheckpoint|TestRestoreRejectsCorruptSlot|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned' ./...
+	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthResume|TestResumeFixedRingCheckpoint|TestRestoreRejectsCorruptSlot|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned|TestResumeLastValueCheckpoints|TestEligibleMatchesRule' ./...
 
 # Differential validation: run the timing pipeline and the reference
 # emulator in lockstep over all nine workloads under every recovery
@@ -154,9 +154,11 @@ fleet-smoke:
 	echo "fleet-smoke OK"
 
 # Fault-injection invariant suite: recovery schemes must never commit a
-# wrong value and must terminate under injected latency/flip/panic faults.
+# wrong value and must terminate under injected latency/flip/panic faults,
+# and a panicking run job must fail alone, in RunJob and on a daemon.
 faults:
 	$(GO) test -race ./internal/faultinject/ -run . -count 1
+	$(GO) test -race -count 1 -run 'TestRunJobRecoversPanic|TestRunJobPanicFailsJob' ./internal/exp/ ./internal/server/
 
 # Hostile-storage suite under the race detector: the crash-at-every-
 # syscall harness over every durable store, the shared torn/corrupt-tail

@@ -436,18 +436,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 	}
 }
 
-// SubmitAndWait submits with retries, then waits for the terminal state.
-func (c *Client) SubmitAndWait(ctx context.Context, spec exp.JobSpec, key string, poll time.Duration) (server.JobStatus, error) {
-	st, err := c.Submit(ctx, spec, key)
-	if err != nil {
-		return st, err
-	}
-	if st.Terminal() {
-		return st, nil
-	}
-	return c.Wait(ctx, st.ID, poll)
-}
-
 // RegisterWorker announces a worker's base URL to a fleet coordinator
 // (the Client's base must point at the coordinator). Registration is
 // idempotent on the coordinator side, so the call retries with the same

@@ -73,6 +73,30 @@ type Decision struct {
 	Value   uint64  // predicted value for KindBuffer
 }
 
+// eligTable[loadsOnly][op] is the eligibility rule for an instruction
+// with a non-zero destination: it writes a register, and it is a load
+// (loads-only predictors) or not a control transfer. Control transfers
+// that write a link register are not usefully predictable (their value
+// is the PC); the paper predicts register-writing computation and loads.
+var eligTable = func() (t [2][256]bool) {
+	for op := range 256 {
+		in := isa.Inst{Op: isa.Op(op), Rd: 1}
+		t[0][op] = in.WritesReg() && isa.Classify(in.Op) != isa.ClassBranch
+		t[1][op] = in.WritesReg() && isa.IsLoad(in.Op)
+	}
+	return t
+}()
+
+// eligible reports whether a predictor considers the instruction at all.
+// Every predictor in this package applies this one rule.
+func eligible(in isa.Inst, loadsOnly bool) bool {
+	lo := 0
+	if loadsOnly {
+		lo = 1
+	}
+	return eligTable[lo][in.Op] && !in.Rd.IsZero()
+}
+
 // Predictor is the interface the pipeline drives. Decide is consulted
 // when an instruction that writes a register is renamed; Commit is called
 // for every such instruction, in program order, with the value the
@@ -97,12 +121,12 @@ type Predictor interface {
 	StorageBits() int
 }
 
-// SizeHinter is implemented by predictors whose per-static-instruction
-// state can be pre-sized. The pipeline calls SizeHint(len(prog.Insts))
-// before simulation so the commit path never grows a slice; predictors
-// remain correct (growing on demand) when the hint is never given.
-// SizeHint is idempotent and monotonic: calling it again with a smaller
-// n is a no-op.
+// SizeHinter is implemented by predictors with per-static-instruction
+// configuration (reuse hints, marked sets) held in maps. The pipeline
+// calls SizeHint(len(prog.Insts)) before simulation so the commit path
+// reads dense slices instead; predictors decide identically, reading the
+// maps, when the hint is never given. SizeHint is idempotent and
+// monotonic: calling it again with a smaller n is a no-op.
 type SizeHinter interface {
 	SizeHint(n int)
 }

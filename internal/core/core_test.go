@@ -160,11 +160,11 @@ func TestDynamicRVPHints(t *testing.T) {
 	if d.Kind != KindOtherReg || d.Reg != 9 {
 		t.Fatalf("hinted decision = %+v", d)
 	}
-	// Last-value hint: Value tracks the previous result.
-	p.Commit(21, in, 0, 77)
-	d = p.Decide(21, in)
-	if d.Kind != KindLastValue || d.Value != 77 {
-		t.Fatalf("lv decision = %+v, want value 77", d)
+	// Last-value hint: the pipeline supplies the previous result, so the
+	// decision carries only the kind (TestLastValuePredictionTracksRepeats
+	// in internal/pipeline checks the value).
+	if d = p.Decide(21, in); d.Kind != KindLastValue || d.Value != 0 {
+		t.Fatalf("lv decision = %+v", d)
 	}
 }
 

@@ -86,19 +86,9 @@ func (p *StridePredictor) Name() string { return "stride" }
 
 func (p *StridePredictor) index(pc int) int { return pc & (p.cfg.Entries - 1) }
 
-func (p *StridePredictor) eligible(in isa.Inst) bool {
-	if !in.WritesReg() {
-		return false
-	}
-	if p.cfg.LoadOnly {
-		return isa.IsLoad(in.Op)
-	}
-	return isa.Classify(in.Op) != isa.ClassBranch
-}
-
 // Decide implements Predictor.
 func (p *StridePredictor) Decide(idx int, in isa.Inst) Decision {
-	if !p.eligible(in) {
+	if !eligible(in, p.cfg.LoadOnly) {
 		return Decision{}
 	}
 	i := p.index(idx)
@@ -114,7 +104,7 @@ func (p *StridePredictor) Decide(idx int, in isa.Inst) Decision {
 
 // Commit implements Predictor.
 func (p *StridePredictor) Commit(idx int, in isa.Inst, predicted, actual uint64) {
-	if !p.eligible(in) {
+	if !eligible(in, p.cfg.LoadOnly) {
 		return
 	}
 	i := p.index(idx)
@@ -243,19 +233,9 @@ func (p *ContextPredictor) hash(idx int) int {
 	return int(h>>17) & (p.cfg.PatEntries - 1)
 }
 
-func (p *ContextPredictor) eligible(in isa.Inst) bool {
-	if !in.WritesReg() {
-		return false
-	}
-	if p.cfg.LoadOnly {
-		return isa.IsLoad(in.Op)
-	}
-	return isa.Classify(in.Op) != isa.ClassBranch
-}
-
 // Decide implements Predictor.
 func (p *ContextPredictor) Decide(idx int, in isa.Inst) Decision {
-	if !p.eligible(in) {
+	if !eligible(in, p.cfg.LoadOnly) {
 		return Decision{}
 	}
 	if p.tags[p.index(idx)] != int32(idx) {
@@ -271,7 +251,7 @@ func (p *ContextPredictor) Decide(idx int, in isa.Inst) Decision {
 
 // Commit implements Predictor.
 func (p *ContextPredictor) Commit(idx int, in isa.Inst, predicted, actual uint64) {
-	if !p.eligible(in) {
+	if !eligible(in, p.cfg.LoadOnly) {
 		return
 	}
 	i := p.index(idx)

@@ -45,8 +45,6 @@ type LVP struct {
 	tags   []int32
 	ctr    []uint8
 
-	elig []uint8 // per-static-instruction eligibility memo (SizeHint)
-
 	// Statistics (cleared by Reset).
 	Decides   uint64 // Decide consultations on eligible instructions
 	TagMisses uint64 // consultations that missed on the tag
@@ -89,46 +87,10 @@ func (p *LVP) Name() string { return p.name }
 
 func (p *LVP) index(pc int) int { return pc & (p.cfg.Entries - 1) }
 
-// SizeHint implements SizeHinter: sizes the eligibility memo.
-func (p *LVP) SizeHint(n int) {
-	if n > 0 && len(p.elig) < n {
-		p.elig = make([]uint8, n)
-	}
-}
-
-func (p *LVP) eligibleSlow(in isa.Inst) bool {
-	if !in.WritesReg() {
-		return false
-	}
-	if p.cfg.LoadOnly {
-		return isa.IsLoad(in.Op)
-	}
-	return isa.Classify(in.Op) != isa.ClassBranch
-}
-
-func (p *LVP) eligible(idx int, in isa.Inst) bool {
-	if idx < len(p.elig) {
-		switch p.elig[idx] {
-		case eligYes:
-			return true
-		case eligNo:
-			return false
-		}
-		ok := p.eligibleSlow(in)
-		if ok {
-			p.elig[idx] = eligYes
-		} else {
-			p.elig[idx] = eligNo
-		}
-		return ok
-	}
-	return p.eligibleSlow(in)
-}
-
 // Decide implements Predictor: predict the stored value when the entry
 // matches (tagged) and the counter is confident.
 func (p *LVP) Decide(idx int, in isa.Inst) Decision {
-	if !p.eligible(idx, in) {
+	if !eligible(in, p.cfg.LoadOnly) {
 		return Decision{}
 	}
 	p.Decides++
@@ -144,16 +106,12 @@ func (p *LVP) Decide(idx int, in isa.Inst) Decision {
 	return d
 }
 
-// PredictedValue returns the value the table currently holds for idx (used
-// by the pipeline to resolve KindBuffer predictions at rename time).
-func (p *LVP) PredictedValue(idx int) uint64 { return p.values[p.index(idx)] }
-
 // Commit implements Predictor: train with the committed value. The
 // "predicted" argument is ignored — LVP's notion of reuse is its own
 // stored value, which may differ from the rename-time snapshot when an
 // intervening dynamic instance updated the entry.
 func (p *LVP) Commit(idx int, in isa.Inst, predicted, actual uint64) {
-	if !p.eligible(idx, in) {
+	if !eligible(in, p.cfg.LoadOnly) {
 		return
 	}
 	i := p.index(idx)
@@ -183,9 +141,6 @@ func (p *LVP) Reset() {
 	}
 	for i := range p.tags {
 		p.tags[i] = -1
-	}
-	for i := range p.elig {
-		p.elig[i] = eligUnknown
 	}
 	p.Decides, p.TagMisses, p.TagSteals = 0, 0, 0
 }

@@ -134,3 +134,23 @@ func TestLVPMatchesReference(t *testing.T) {
 		ref[slot] = e
 	}
 }
+
+// TestEligibleMatchesRule checks the per-opcode eligibility table against
+// the rule it was built from, for every opcode with a zero and a
+// non-zero destination and for both loads-only settings.
+func TestEligibleMatchesRule(t *testing.T) {
+	for op := range 256 {
+		for _, rd := range []isa.Reg{isa.RZero, isa.FZero, 3, isa.FPBase + 4} {
+			in := isa.Inst{Op: isa.Op(op), Rd: rd}
+			for _, loadsOnly := range []bool{false, true} {
+				want := in.WritesReg() && isa.Classify(in.Op) != isa.ClassBranch
+				if loadsOnly {
+					want = in.WritesReg() && isa.IsLoad(in.Op)
+				}
+				if got := eligible(in, loadsOnly); got != want {
+					t.Errorf("eligible(%v rd=%v, loadsOnly=%v) = %v, want %v", in.Op, rd, loadsOnly, got, want)
+				}
+			}
+		}
+	}
+}

@@ -6,29 +6,14 @@ import (
 
 // Dense per-static-instruction state
 //
-// The predictors below are consulted once per committed instruction, so
-// their per-static-instruction state (last outputs, reuse hints, marked
-// sets, eligibility) is kept in flat slices indexed by static instruction
-// index rather than maps. The slices are pre-sized by SizeHint (the
-// pipeline calls it with len(prog.Insts) before simulation); until then
-// the predictors grow the slices on demand, so they remain correct when
-// driven without a hint. Eligibility — a pure function of the (immutable)
-// instruction at each index — is memoized in a three-state byte array.
-
-// Eligibility memo states.
-const (
-	eligUnknown uint8 = iota
-	eligYes
-	eligNo
-)
-
-// growU64 extends s with zeros to length n (no-op if already long enough).
-func growU64(s []uint64, n int) []uint64 {
-	if len(s) >= n {
-		return s
-	}
-	return append(s, make([]uint64, n-len(s))...)
-}
+// The RVP predictors below hold no values: they decide whether to predict
+// and from which source, and the pipeline reads the value from the
+// register file or, for KindLastValue, from the instruction's reserved
+// register. Their only per-static-instruction state is configuration —
+// reuse hints and the static marked set — expanded by SizeHint (the
+// pipeline calls it with len(prog.Insts) before simulation) from maps
+// into flat slices indexed by static instruction. Without a hint they
+// read the maps, so they stay correct when driven without one.
 
 // denseHints expands a ReuseHints map into parallel kind/register arrays
 // of length n. Indices absent from the map get KindNone (plain
@@ -55,12 +40,10 @@ type DynamicRVP struct {
 	counters *CounterTable
 	hints    ReuseHints
 	loadOnly bool
-	lastOut  []uint64 // per-static-instruction last result (LV hints)
 
 	// Dense fast-path state, built by SizeHint.
 	hKind []Kind    // hint kind per index (KindNone = same-reg)
 	hReg  []isa.Reg // correlated register for KindOtherReg hints
-	elig  []uint8   // eligibility memo
 }
 
 // DynamicRVPOption configures NewDynamicRVP.
@@ -112,54 +95,12 @@ func MustDynamicRVP(cfg CounterConfig, opts ...DynamicRVPOption) *DynamicRVP {
 // Name implements Predictor.
 func (p *DynamicRVP) Name() string { return p.name }
 
-// SizeHint implements SizeHinter: pre-sizes every per-static-instruction
-// slice to n so the commit path never allocates.
+// SizeHint implements SizeHinter: expands the reuse hints into dense
+// per-static-instruction slices of length n.
 func (p *DynamicRVP) SizeHint(n int) {
-	if n <= 0 {
-		return
-	}
-	p.lastOut = growU64(p.lastOut, n)
-	if len(p.hKind) < n {
+	if n > 0 && len(p.hKind) < n {
 		p.hKind, p.hReg = denseHints(p.hints, n)
 	}
-	if len(p.elig) < n {
-		p.elig = make([]uint8, n)
-	}
-}
-
-// eligibleSlow is the unmemoized eligibility predicate.
-func (p *DynamicRVP) eligibleSlow(in isa.Inst) bool {
-	if !in.WritesReg() {
-		return false
-	}
-	if p.loadOnly {
-		return isa.IsLoad(in.Op)
-	}
-	// Control transfers that write a link register are not usefully
-	// predictable (their value is the PC); the paper predicts
-	// register-writing computation and load instructions.
-	return isa.Classify(in.Op) != isa.ClassBranch
-}
-
-// eligible reports whether the predictor considers this instruction at
-// all, memoizing per static index once SizeHint has sized the memo.
-func (p *DynamicRVP) eligible(idx int, in isa.Inst) bool {
-	if idx < len(p.elig) {
-		switch p.elig[idx] {
-		case eligYes:
-			return true
-		case eligNo:
-			return false
-		}
-		ok := p.eligibleSlow(in)
-		if ok {
-			p.elig[idx] = eligYes
-		} else {
-			p.elig[idx] = eligNo
-		}
-		return ok
-	}
-	return p.eligibleSlow(in)
 }
 
 // source returns the prediction source for the instruction.
@@ -186,41 +127,19 @@ func (p *DynamicRVP) source(idx int, in isa.Inst) (Kind, isa.Reg) {
 
 // Decide implements Predictor.
 func (p *DynamicRVP) Decide(idx int, in isa.Inst) Decision {
-	if !p.eligible(idx, in) {
+	if !eligible(in, p.loadOnly) {
 		return Decision{}
 	}
 	k, r := p.source(idx, in)
-	d := Decision{Kind: k, Reg: r}
-	if k == KindLastValue {
-		d.Value = p.LastOut(idx)
-	}
-	d.Predict = p.counters.Confident(idx)
-	return d
+	return Decision{Predict: p.counters.Confident(idx), Kind: k, Reg: r}
 }
 
 // Commit implements Predictor: reuse is "the source value equalled the
 // result".
 func (p *DynamicRVP) Commit(idx int, in isa.Inst, predicted, actual uint64) {
-	if !p.eligible(idx, in) {
-		return
+	if eligible(in, p.loadOnly) {
+		p.counters.Update(idx, predicted == actual)
 	}
-	p.counters.Update(idx, predicted == actual)
-	k, _ := p.source(idx, in)
-	if k == KindLastValue {
-		if idx >= len(p.lastOut) {
-			p.lastOut = growU64(p.lastOut, idx+1)
-		}
-		p.lastOut[idx] = actual
-	}
-}
-
-// LastOut returns the instruction's previous result for KindLastValue
-// sources (zero before the first execution).
-func (p *DynamicRVP) LastOut(idx int) uint64 {
-	if idx < len(p.lastOut) {
-		return p.lastOut[idx]
-	}
-	return 0
 }
 
 // StorageBits implements Predictor: the confidence counters, and no
@@ -229,31 +148,21 @@ func (p *DynamicRVP) StorageBits() int { return RVPStorageBits(p.counters.Config
 
 // Reset implements Predictor: all dynamic state is cleared in place so
 // sweep cells that reuse a predictor do not churn the heap.
-func (p *DynamicRVP) Reset() {
-	p.counters.Reset()
-	for i := range p.lastOut {
-		p.lastOut[i] = 0
-	}
-	for i := range p.elig {
-		p.elig[i] = eligUnknown
-	}
-}
+func (p *DynamicRVP) Reset() { p.counters.Reset() }
 
 // StaticRVP models the paper's static scheme: the compiler marks
 // profitable loads with rvp_load opcodes (or, equivalently here, supplies
 // the marked set), and the hardware predicts every execution of a marked
 // load with no confidence hardware at all.
 type StaticRVP struct {
-	name    string
-	marked  map[int]bool
-	hints   ReuseHints
-	lastOut []uint64
+	name   string
+	marked map[int]bool
+	hints  ReuseHints
 
 	// Dense fast-path state, built by SizeHint.
 	markedD []bool
 	hKind   []Kind
 	hReg    []isa.Reg
-	elig    []uint8
 }
 
 // NewStaticRVP builds a static RVP predictor from the marked-instruction
@@ -265,12 +174,12 @@ func NewStaticRVP(name string, marked map[int]bool, hints ReuseHints) *StaticRVP
 // Name implements Predictor.
 func (p *StaticRVP) Name() string { return p.name }
 
-// SizeHint implements SizeHinter.
+// SizeHint implements SizeHinter: expands the marked set and the reuse
+// hints into dense per-static-instruction slices of length n.
 func (p *StaticRVP) SizeHint(n int) {
 	if n <= 0 {
 		return
 	}
-	p.lastOut = growU64(p.lastOut, n)
 	if len(p.markedD) < n {
 		p.markedD = make([]bool, n)
 		for i := range p.marked {
@@ -282,29 +191,6 @@ func (p *StaticRVP) SizeHint(n int) {
 	if len(p.hKind) < n {
 		p.hKind, p.hReg = denseHints(p.hints, n)
 	}
-	if len(p.elig) < n {
-		p.elig = make([]uint8, n)
-	}
-}
-
-// eligible reports WritesReg && !branch, memoized per static index.
-func (p *StaticRVP) eligible(idx int, in isa.Inst) bool {
-	if idx < len(p.elig) {
-		switch p.elig[idx] {
-		case eligYes:
-			return true
-		case eligNo:
-			return false
-		}
-		ok := in.WritesReg() && isa.Classify(in.Op) != isa.ClassBranch
-		if ok {
-			p.elig[idx] = eligYes
-		} else {
-			p.elig[idx] = eligNo
-		}
-		return ok
-	}
-	return in.WritesReg() && isa.Classify(in.Op) != isa.ClassBranch
 }
 
 // isMarked consults the dense marked set when built, the map otherwise.
@@ -330,7 +216,7 @@ func (p *StaticRVP) hint(idx int) (Kind, isa.Reg) {
 // marked (static RVP applies to loads; the marked set contains loads).
 // Control transfers are never predicted even if a stale mark aliases one.
 func (p *StaticRVP) Decide(idx int, in isa.Inst) Decision {
-	if !p.isMarked(idx) || !p.eligible(idx, in) {
+	if !p.isMarked(idx) || !eligible(in, false) {
 		return Decision{}
 	}
 	d := Decision{Predict: true, Kind: KindSameReg, Reg: in.Rd}
@@ -339,43 +225,20 @@ func (p *StaticRVP) Decide(idx int, in isa.Inst) Decision {
 		d.Kind, d.Reg = KindOtherReg, r
 	case KindLastValue:
 		d.Kind = KindLastValue
-		d.Value = p.LastOut(idx)
 	}
 	return d
 }
 
-// Commit implements Predictor (static RVP has no counters; it only tracks
-// last outputs for KindLastValue hints).
-func (p *StaticRVP) Commit(idx int, in isa.Inst, predicted, actual uint64) {
-	if k, _ := p.hint(idx); k == KindLastValue {
-		if idx >= len(p.lastOut) {
-			p.lastOut = growU64(p.lastOut, idx+1)
-		}
-		p.lastOut[idx] = actual
-	}
-}
-
-// LastOut returns the instruction's previous result.
-func (p *StaticRVP) LastOut(idx int) uint64 {
-	if idx < len(p.lastOut) {
-		return p.lastOut[idx]
-	}
-	return 0
-}
+// Commit implements Predictor: static RVP has no counters and holds no
+// values, so there is nothing to train.
+func (p *StaticRVP) Commit(int, isa.Inst, uint64, uint64) {}
 
 // StorageBits implements Predictor: the compiler marks the predicted
 // loads, so static RVP needs no prediction hardware at all.
 func (p *StaticRVP) StorageBits() int { return 0 }
 
-// Reset implements Predictor: clears dynamic state in place.
-func (p *StaticRVP) Reset() {
-	for i := range p.lastOut {
-		p.lastOut[i] = 0
-	}
-	for i := range p.elig {
-		p.elig[i] = eligUnknown
-	}
-}
+// Reset implements Predictor: static RVP has no dynamic state.
+func (p *StaticRVP) Reset() {}
 
 // GabbayRVP is the Gabbay & Mendelson register-file predictor the paper
 // compares against: confidence counters associated with *architectural
@@ -387,7 +250,6 @@ type GabbayRVP struct {
 	cfg      CounterConfig
 	counters *CounterTable
 	loadOnly bool
-	elig     []uint8
 }
 
 // NewGabbayRVP builds the register-indexed predictor. Entries beyond the
@@ -417,46 +279,10 @@ func MustGabbayRVP(cfg CounterConfig, loadOnly bool) *GabbayRVP {
 // Name implements Predictor.
 func (p *GabbayRVP) Name() string { return p.name }
 
-// SizeHint implements SizeHinter.
-func (p *GabbayRVP) SizeHint(n int) {
-	if n > 0 && len(p.elig) < n {
-		p.elig = make([]uint8, n)
-	}
-}
-
-func (p *GabbayRVP) eligibleSlow(in isa.Inst) bool {
-	if !in.WritesReg() {
-		return false
-	}
-	if p.loadOnly {
-		return isa.IsLoad(in.Op)
-	}
-	return isa.Classify(in.Op) != isa.ClassBranch
-}
-
-func (p *GabbayRVP) eligible(idx int, in isa.Inst) bool {
-	if idx < len(p.elig) {
-		switch p.elig[idx] {
-		case eligYes:
-			return true
-		case eligNo:
-			return false
-		}
-		ok := p.eligibleSlow(in)
-		if ok {
-			p.elig[idx] = eligYes
-		} else {
-			p.elig[idx] = eligNo
-		}
-		return ok
-	}
-	return p.eligibleSlow(in)
-}
-
 // Decide implements Predictor: the counter is indexed by the destination
 // register number.
 func (p *GabbayRVP) Decide(idx int, in isa.Inst) Decision {
-	if !p.eligible(idx, in) {
+	if !eligible(in, p.loadOnly) {
 		return Decision{}
 	}
 	d := Decision{Kind: KindSameReg, Reg: in.Rd}
@@ -468,10 +294,9 @@ func (p *GabbayRVP) Decide(idx int, in isa.Inst) Decision {
 
 // Commit implements Predictor.
 func (p *GabbayRVP) Commit(idx int, in isa.Inst, predicted, actual uint64) {
-	if !p.eligible(idx, in) {
-		return
+	if eligible(in, p.loadOnly) {
+		p.counters.Update(int(in.Rd), predicted == actual)
 	}
-	p.counters.Update(int(in.Rd), predicted == actual)
 }
 
 // StorageBits implements Predictor: one counter per architectural
@@ -479,12 +304,7 @@ func (p *GabbayRVP) Commit(idx int, in isa.Inst, predicted, actual uint64) {
 func (p *GabbayRVP) StorageBits() int { return RVPStorageBits(p.cfg) }
 
 // Reset implements Predictor.
-func (p *GabbayRVP) Reset() {
-	p.counters.Reset()
-	for i := range p.elig {
-		p.elig[i] = eligUnknown
-	}
-}
+func (p *GabbayRVP) Reset() { p.counters.Reset() }
 
 // NoPredictor never predicts; it is the no_predict baseline.
 type NoPredictor struct{}

@@ -66,52 +66,24 @@ func (t *CounterTable) RestoreState(s CounterTableState) error {
 	return nil
 }
 
-// canonU64 returns a canonical copy of a dense last-output slice: trailing
-// zeros are trimmed so the serialized state is independent of how large a
-// SizeHint the source predictor received (a restored-then-resnapshotted
-// state is byte-identical to the original).
-func canonU64(s []uint64) []uint64 {
-	n := len(s)
-	for n > 0 && s[n-1] == 0 {
-		n--
-	}
-	if n == 0 {
-		return nil
-	}
-	return append([]uint64(nil), s[:n]...)
-}
-
-// restoreU64 loads a canonical snapshot slice into dst, preserving dst's
-// pre-sized length when it is already large enough.
-func restoreU64(dst, src []uint64) []uint64 {
-	if len(src) > len(dst) {
-		return append([]uint64(nil), src...)
-	}
-	copy(dst, src)
-	for i := len(src); i < len(dst); i++ {
-		dst[i] = 0
-	}
-	return dst
-}
-
 // wrongState builds the standard type-mismatch error.
 func wrongState(who string, got PredictorState) error {
 	return fmt.Errorf("core: %s: predictor state has wrong type %T: %w", who, got, simerr.ErrCorrupt)
 }
 
-// DynamicRVPState is the dynamic state of a DynamicRVP. LastOut is the
-// dense per-static-instruction last-output array with trailing zeros
-// trimmed (schema changed from a map at checkpoint Version 2).
+// DynamicRVPState is the dynamic state of a DynamicRVP: its counters.
+// Checkpoints written when the predictor also kept each instruction's
+// last value carry those values in one more field, which decoding
+// ignores; the pipeline's snapshot holds the same values.
 type DynamicRVPState struct {
 	Counters CounterTableState
-	LastOut  []uint64
 }
 
 func (DynamicRVPState) predictorState() {}
 
 // SnapshotState implements Checkpointable.
 func (p *DynamicRVP) SnapshotState() PredictorState {
-	return DynamicRVPState{Counters: p.counters.SnapshotState(), LastOut: canonU64(p.lastOut)}
+	return DynamicRVPState{Counters: p.counters.SnapshotState()}
 }
 
 // RestoreState implements Checkpointable.
@@ -120,33 +92,24 @@ func (p *DynamicRVP) RestoreState(s PredictorState) error {
 	if !ok {
 		return wrongState(p.name, s)
 	}
-	if err := p.counters.RestoreState(st.Counters); err != nil {
-		return err
-	}
-	p.lastOut = restoreU64(p.lastOut, st.LastOut)
-	return nil
+	return p.counters.RestoreState(st.Counters)
 }
 
-// StaticRVPState is the dynamic state of a StaticRVP. LastOut follows the
-// same dense, trailing-zero-trimmed convention as DynamicRVPState.
-type StaticRVPState struct {
-	LastOut []uint64
-}
+// StaticRVPState is the (empty) state of a StaticRVP, which has no
+// dynamic state. Older checkpoints carry last values here too, which
+// decoding ignores, as for DynamicRVPState.
+type StaticRVPState struct{}
 
 func (StaticRVPState) predictorState() {}
 
 // SnapshotState implements Checkpointable.
-func (p *StaticRVP) SnapshotState() PredictorState {
-	return StaticRVPState{LastOut: canonU64(p.lastOut)}
-}
+func (p *StaticRVP) SnapshotState() PredictorState { return StaticRVPState{} }
 
 // RestoreState implements Checkpointable.
 func (p *StaticRVP) RestoreState(s PredictorState) error {
-	st, ok := s.(StaticRVPState)
-	if !ok {
+	if _, ok := s.(StaticRVPState); !ok {
 		return wrongState(p.name, s)
 	}
-	p.lastOut = restoreU64(p.lastOut, st.LastOut)
 	return nil
 }
 

@@ -242,10 +242,10 @@ func (r *JobResult) Verify() bool {
 // like a -resume sweep: finished cells are journaled write-ahead,
 // in-flight runs checkpoint on the opts.CheckpointEvery cadence, and a
 // rerun of the same (normalized) spec against the same StateDir resumes
-// instead of recomputing. A "run" job retries once on failures the
-// simulator marks transient (simerr.IsTransient), matching the sweep
-// drivers' retry policy; retries are counted on the registry as
-// exp_transient_retries.
+// instead of recomputing. A "run" job goes through the same isolation
+// as every sweep cell (Runner.forEach): a panic becomes an error, and a
+// failure the simulator marks transient (simerr.IsTransient) is retried
+// once; retries are counted on the registry as exp_transient_retries.
 func RunJob(ctx context.Context, spec JobSpec, opts Options) (*JobResult, error) {
 	spec.Normalize(opts.Insts)
 	if err := spec.Validate(); err != nil {
@@ -282,19 +282,18 @@ func RunJob(ctx context.Context, spec JobSpec, opts Options) (*JobResult, error)
 		cfg := pipeline.BaselineConfig()
 		cfg.Recovery = jobRecoveries[spec.Recovery]
 		var st pipeline.Stats
-		var err error
-		for attempt := 0; ; attempt++ {
+		attempts := 0
+		fails, _ := r.forEach([]string{spec.Workload}, func(name string) (err error) {
+			if attempts++; attempts > 1 {
+				r.count("exp_transient_retries", "job runs retried after a transient failure")
+			}
 			// A fresh predictor per attempt: a failed run leaves dirty
 			// predictor state behind.
 			pred, _ := core.NewPredictor(spec.Predictor) // Validate accepted the name
-			st, err = r.run(spec.Workload, cfg, pred)
-			if err == nil || attempt >= transientRetries || !simerr.IsTransient(err) {
-				break
-			}
-			r.count("exp_transient_retries", "job runs retried after a transient failure")
-		}
-		if err != nil {
-			err = simerr.WithWorkload(spec.Workload, err)
+			st, err = r.run(name, cfg, pred)
+			return err
+		})
+		if err := fails[spec.Workload]; err != nil {
 			jsp.EndErr(err)
 			return nil, err
 		}

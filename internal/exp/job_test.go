@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -120,6 +121,21 @@ func TestRunJobTransientRetry(t *testing.T) {
 	}
 	if got := reg.Counter("exp_transient_retries", "").Value(); got != 1 {
 		t.Fatalf("exp_transient_retries = %d, want 1", got)
+	}
+}
+
+// TestRunJobRecoversPanic: a panic inside a run job's simulation comes
+// back from RunJob as an error attributed to the workload, as it does
+// for a figure job's cells, instead of unwinding through the caller.
+func TestRunJobRecoversPanic(t *testing.T) {
+	opts := Options{Faults: map[string]faultinject.Config{"li": {PanicAfter: 1}}}
+	spec := JobSpec{Kind: "run", Workload: "li", Predictor: "rvp", Insts: 20_000}
+	res, err := RunJob(context.Background(), spec, opts)
+	if err == nil {
+		t.Fatalf("RunJob with an injected panic returned %+v and no error", res)
+	}
+	if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "li") {
+		t.Fatalf("panic not converted to an attributed error: %v", err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package pipeline_test
 
 import (
-	"compress/gzip"
 	"errors"
-	"io"
-	"os"
 	"reflect"
 	"testing"
 
@@ -134,24 +131,7 @@ func TestIssueGrowthResume(t *testing.T) {
 // fixed 64K-cycle rings.
 func loadFixedRingCheckpoint(t *testing.T) *pipeline.Snapshot {
 	t.Helper()
-	f, err := os.Open("testdata/hydro2d_30001_ports1_reissue.ckpt.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	return loadGzipCheckpoint(t, "testdata/hydro2d_30001_ports1_reissue.ckpt.gz")
 }
 
 // TestResumeFixedRingCheckpoint resumes a checkpoint written with the

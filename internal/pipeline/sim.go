@@ -760,7 +760,7 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 					}
 					predReady = r.regReady[dec.Reg]
 				case core.KindLastValue:
-					predVal = dec.Value
+					predVal = r.lvLast[idx]
 					predReady = r.lvReady[idx]
 				case core.KindBuffer:
 					predVal = dec.Value

@@ -384,6 +384,24 @@ func TestRecoversStateDirWithTenantRecords(t *testing.T) {
 	}
 }
 
+// TestRunJobPanicFailsJob injects a panic into one workload's
+// simulation: the job ends failed instead of taking the daemon down, and
+// a clean job submitted afterwards succeeds on the same daemon.
+func TestRunJobPanicFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Faults = map[string]faultinject.Config{"li": {PanicAfter: 1}}
+	})
+	st := decodeStatus(t, postJob(t, ts, `{"kind":"run","workload":"li","predictor":"rvp","insts":20000}`, ""))
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != StateFailed || final.Error == nil || !strings.Contains(final.Error.Message, "panic") {
+		t.Fatalf("panicking job = %+v (error %+v), want failed with a panic error", final, final.Error)
+	}
+	clean := waitTerminal(t, ts, decodeStatus(t, postJob(t, ts, runBody, "")).ID)
+	if clean.State != StateSucceeded {
+		t.Fatalf("clean job after the panic = %s (%+v), want succeeded", clean.State, clean.Error)
+	}
+}
+
 // TestJobFailureRecordsTypedError injects a sticky non-transient fault
 // into one workload and checks the typed error payload and the failure
 // counter. A failure sheds nothing: a fresh submission of the workload
