@@ -62,7 +62,7 @@ func run() int {
 	prof := flag.Uint64("profile", 0, "profiling budget (default n/4)")
 	serial := flag.Bool("serial", false, "run workloads serially")
 	workers := flag.Int("workers", 0, "parallel sweep worker count (0 = one per core)")
-	warmup := flag.Uint64("warmup", 0, "fast-forward each workload this many instructions once, fork the warmed state into every cell (0 = cold start)")
+	warmup := flag.Uint64("warmup", 0, "fast-forward each workload this many instructions once, restore the warmed state into every cell (0 = cold start)")
 	md := flag.String("md", "", "also write a markdown report to this file")
 	only := flag.String("only", "", "comma-separated subset: fig1,tab1,fig3,fig4,fig5,fig6,tab2,fig7,fig8,ext")
 	manifestDir := flag.String("manifest", "", "write one JSON run manifest per figure into this directory")

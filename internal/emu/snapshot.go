@@ -52,24 +52,3 @@ func Restore(prog *program.Program, snap Snapshot) (*State, error) {
 	s := &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted, Count: snap.Count}
 	return s, nil
 }
-
-// Fork is Restore with copy-on-write memory: the snapshot's pages are
-// shared read-only with the forked state until it first writes them (see
-// mem.ForkMemory), so N runs forked from one warmed snapshot share one
-// image instead of each paying a deep copy. The snapshot must outlive
-// every fork unmodified; concurrent forks from one snapshot are safe.
-func Fork(prog *program.Program, snap Snapshot) (*State, error) {
-	if prog == nil || len(prog.Insts) == 0 {
-		return nil, fmt.Errorf("emu: fork into empty program: %w", simerr.ErrConfig)
-	}
-	if snap.PC < 0 || snap.PC >= len(prog.Insts) {
-		return nil, fmt.Errorf("emu: snapshot pc %d out of range [0,%d): %w",
-			snap.PC, len(prog.Insts), simerr.ErrCorrupt)
-	}
-	m, err := mem.ForkMemory(snap.Mem)
-	if err != nil {
-		return nil, err
-	}
-	s := &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted, Count: snap.Count}
-	return s, nil
-}

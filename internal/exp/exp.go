@@ -20,6 +20,7 @@ import (
 
 	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
+	"rvpsim/internal/emu"
 	"rvpsim/internal/faultinject"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
@@ -39,12 +40,13 @@ type Options struct {
 	// WarmupInsts, when positive, fast-forwards each workload through
 	// this many committed instructions on the architectural emulator
 	// before the measured (timed) phase of every run. The warmup is paid
-	// once per workload and its warmed state is forked copy-on-write
-	// into every (predictor, config) cell — valid because the committed
-	// stream is architecturally determined, so one functional warmup
-	// serves any machine configuration. Microarchitectural state (caches,
-	// predictors) still starts cold in each cell. Zero (the default)
-	// keeps the historical cold-start methodology.
+	// once per program: its architectural state is snapshotted and every
+	// (predictor, config) cell runs from its own restore of that snapshot
+	// — valid because the committed stream is architecturally
+	// determined, so one functional warmup serves any machine
+	// configuration. Microarchitectural state (caches, predictors) still
+	// starts cold in each cell. Zero (the default) keeps the historical
+	// cold-start methodology.
 	WarmupInsts uint64
 	// ProfileInsts is the budget for the profiling pass.
 	ProfileInsts uint64
@@ -70,8 +72,9 @@ type Options struct {
 	Faults map[string]faultinject.Config
 	// Registry, when non-nil, receives every simulation run's metrics
 	// (the runs attach observers publishing into it; counters aggregate
-	// across the whole sweep). Instruments are updated atomically, so
-	// parallel workloads are safe.
+	// across the whole sweep) and the journal's wal_* instruments.
+	// Instruments are updated atomically, so parallel workloads are
+	// safe.
 	Registry *obs.Registry
 	// OnRunDone, when non-nil, is called once per distinct cell with a
 	// short "workload/predictor" label: when the cell is simulated or
@@ -111,9 +114,6 @@ type Options struct {
 	// the real filesystem; tests inject vfs.Mem/vfs.Fault to simulate
 	// hostile storage.
 	FS vfs.FS
-	// WALMetrics, when non-nil, receives the journal's wal_* instrument
-	// updates (appends, fsync latency, repairs).
-	WALMetrics *wal.Metrics
 	// OnCheckpoint, when non-nil, is called with a "workload/predictor"
 	// label after each periodic checkpoint is durably saved. Same
 	// concurrency contract as OnProgress.
@@ -127,10 +127,10 @@ func DefaultOptions() Options {
 	return Options{Insts: 2_000_000, ProfileInsts: 500_000, Threshold: 0.80, Parallel: true}
 }
 
-// Runner memoises per-workload programs, profiles and warm states, and
-// keeps the cell table: every simulation result by its content key (see
-// cellKey), so a cell any driver needs is simulated at most once per
-// Runner.
+// Runner memoises per-workload programs and profiles and per-program
+// warm snapshots, and keeps the cell table: every simulation result by
+// its content key (see cellKey), so a cell any driver needs is simulated
+// at most once per Runner.
 type Runner struct {
 	opts Options
 
@@ -140,7 +140,7 @@ type Runner struct {
 	programs  map[string]*program.Program
 	profiles  map[string]*profile.Profile
 	injectors map[string]*faultinject.Injector
-	warmups   map[string]*pipeline.WarmState
+	warmups   map[string]emu.Snapshot // by program digest
 	simPools  map[pipeline.Config]*sync.Pool
 	journal   *Journal
 	warnings  []string
@@ -167,7 +167,7 @@ func NewRunner(opts Options) *Runner {
 		programs:  map[string]*program.Program{},
 		profiles:  map[string]*profile.Profile{},
 		injectors: map[string]*faultinject.Injector{},
-		warmups:   map[string]*pipeline.WarmState{},
+		warmups:   map[string]emu.Snapshot{},
 		simPools:  map[pipeline.Config]*sync.Pool{},
 	}
 }
@@ -286,7 +286,11 @@ func (r *Runner) EnableResume() error {
 	if r.opts.StateDir == "" {
 		return nil
 	}
-	j, err := OpenJournalFS(JournalPath(r.opts.StateDir), r.opts.FS, r.opts.WALMetrics)
+	var met *wal.Metrics
+	if r.opts.Registry != nil {
+		met = wal.NewMetrics(r.opts.Registry)
+	}
+	j, err := OpenJournalFS(JournalPath(r.opts.StateDir), r.opts.FS, met)
 	if err != nil {
 		return err
 	}
@@ -339,38 +343,48 @@ func (r *Runner) count(name, help string) {
 	}
 }
 
-// warmState returns the memoised warm state for a workload, executing
-// the functional warmup on first use. One warmup serves every cell
-// (predictor × config) of that workload: the fast-forward is
-// architectural only, so its result is valid for all of them. Nil when
-// warmup is disabled.
-func (r *Runner) warmState(p *program.Program) (*pipeline.WarmState, error) {
+// startState returns the architectural state a cell of p starts from:
+// the program's entry when warmup is off, else a fresh restore of p's
+// warm snapshot. The snapshot is taken on first use, after running p
+// WarmupInsts instructions on the emulator, and memoised by p's content
+// digest, so one warmup serves every predictor and config of a program
+// and a re-allocated program warms on itself, not on its original.
+// Concurrent first uses may each warm up; their snapshots are identical.
+func (r *Runner) startState(p *program.Program) (*emu.State, error) {
 	if r.opts.WarmupInsts == 0 {
-		return nil, nil
+		st, err := emu.New(p)
+		if err != nil {
+			return nil, simerr.New("emu", err)
+		}
+		return st, nil
 	}
+	d := r.programDigest(p)
 	r.mu.Lock()
-	if w, ok := r.warmups[p.Name]; ok {
-		r.mu.Unlock()
-		return w, nil
-	}
+	snap, ok := r.warmups[d]
 	r.mu.Unlock()
-	wsp := r.opts.Tracer.Start(r.opts.TraceParent, "warmup:"+p.Name)
-	w, err := pipeline.Warmup(p, r.opts.WarmupInsts)
-	wsp.EndErr(err)
+	if !ok {
+		wsp := r.opts.Tracer.Start(r.opts.TraceParent, "warmup:"+p.Name)
+		st, err := emu.New(p)
+		if err == nil {
+			st.Run(r.opts.WarmupInsts)
+			err = st.Err()
+		}
+		wsp.EndErr(err)
+		if err != nil {
+			return nil, simerr.New("warmup", err)
+		}
+		snap = st.Snapshot()
+		r.mu.Lock()
+		r.warmups[d] = snap
+		r.mu.Unlock()
+		r.count("exp_warmup_runs", "functional warmups executed (once per program)")
+	}
+	st, err := emu.Restore(p, snap)
 	if err != nil {
-		return nil, err
+		return nil, simerr.New("warmup", err)
 	}
-	r.mu.Lock()
-	if prior, ok := r.warmups[p.Name]; ok {
-		// Lost a race with a concurrent warmup of the same workload; keep
-		// the first so every cell forks the identical state.
-		r.mu.Unlock()
-		return prior, nil
-	}
-	r.warmups[p.Name] = w
-	r.mu.Unlock()
-	r.count("exp_warmup_runs", "functional warmups executed (once per workload)")
-	return w, nil
+	r.count("exp_warmup_forks", "measured runs started from a restored warm snapshot")
+	return st, nil
 }
 
 // run resolves the cell for one workload under one predictor and
@@ -530,21 +544,16 @@ func (r *Runner) simulate(p *program.Program, cfg pipeline.Config, pred core.Pre
 		}
 	}
 	if !ran {
-		warm, werr := r.warmState(p)
-		if werr != nil {
-			err = werr
+		start, serr := r.startState(p)
+		if serr != nil {
+			err = serr
 			return pipeline.Stats{}, err
 		}
 		if sim, err = newSim(); err != nil {
 			return pipeline.Stats{}, err
 		}
 		arm(sim)
-		if warm != nil {
-			r.count("exp_warmup_forks", "measured runs started from a forked warm state")
-			st, err = sim.RunWarmedContext(ctx, warm, p, pred, r.opts.Insts)
-		} else {
-			st, err = sim.RunContext(ctx, p, pred, r.opts.Insts)
-		}
+		st, err = sim.RunFromContext(ctx, start, pred, r.opts.Insts)
 	}
 	if err != nil {
 		// Checkpoint-then-exit: a cancelled or timed-out run leaves its

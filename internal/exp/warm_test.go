@@ -1,8 +1,8 @@
 package exp
 
 // Tests for the sweep-level warmup sharing: one functional warmup per
-// workload, forked into every cell, with results identical to driving
-// the pipeline's warmed path by hand — plus the machine-saturation
+// program, restored into every cell, with results identical to warming
+// up and running the pipeline by hand — plus the machine-saturation
 // guard that a parallel sweep's run loop never serializes on a shared
 // lock in the simulator packages.
 
@@ -15,14 +15,16 @@ import (
 	"testing"
 
 	"rvpsim/internal/core"
+	"rvpsim/internal/emu"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
+	"rvpsim/internal/program"
 	"rvpsim/internal/workloads"
 )
 
 // TestWarmupSharedAcrossCells: a sweep of three predictors over one
-// workload pays exactly one warmup, forks it three times, and each cell
-// reports the stats the pipeline's warmed path produces directly.
+// workload pays exactly one warmup, restores it three times, and each
+// cell reports the stats of a private warmup and run.
 func TestWarmupSharedAcrossCells(t *testing.T) {
 	const (
 		warmN  = 30_000
@@ -45,10 +47,6 @@ func TestWarmupSharedAcrossCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := pipeline.Warmup(prog, warmN)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, pred := range preds {
 		got, err := r.run("li", cfg, pred)
@@ -56,7 +54,7 @@ func TestWarmupSharedAcrossCells(t *testing.T) {
 			t.Fatalf("%s: %v", pred.Name(), err)
 		}
 		// Reference: the same cell driven through the pipeline directly,
-		// with a private fork of an identical warm state.
+		// after a private warmup.
 		var ref core.Predictor
 		switch pred.Name() {
 		case core.NoPredictor{}.Name():
@@ -66,12 +64,12 @@ func TestWarmupSharedAcrossCells(t *testing.T) {
 		default:
 			ref = core.MustDynamicRVP(core.DefaultCounterConfig())
 		}
-		want, err := pipeline.MustNew(cfg).RunWarmedContext(t.Context(), warm, prog, ref, budget)
+		want, err := warmedRun(t, prog, cfg, ref, warmN, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("%s: sweep cell stats diverge from direct warmed run:\n got %+v\nwant %+v",
+			t.Fatalf("%s: sweep cell stats diverge from a private warmup and run:\n got %+v\nwant %+v",
 				pred.Name(), got, want)
 		}
 		if got.Committed != budget {
@@ -83,12 +81,12 @@ func TestWarmupSharedAcrossCells(t *testing.T) {
 		t.Fatalf("exp_warmup_runs = %d, want 1 (one warmup per workload)", v)
 	}
 	if v := reg.Counter("exp_warmup_forks", "").Value(); v != int64(len(preds)) {
-		t.Fatalf("exp_warmup_forks = %d, want %d (one fork per cell)", v, len(preds))
+		t.Fatalf("exp_warmup_forks = %d, want %d (one restore per cell)", v, len(preds))
 	}
 }
 
 // TestWarmupDisabledByDefault: WarmupInsts zero keeps the historical
-// cold-start methodology — no warmups, no forks, identical stats to a
+// cold-start methodology — no warmups, no restores, identical stats to a
 // cold pipeline run.
 func TestWarmupDisabledByDefault(t *testing.T) {
 	const budget = 50_000
@@ -118,13 +116,14 @@ func TestWarmupDisabledByDefault(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmupSharing quantifies the copy-on-write fork win on a
+// BenchmarkWarmupSharing quantifies the shared-warmup win on a
 // multi-config single-workload sweep: six cells (three predictors under
 // two machine configs), each needing the same 1.5M-instruction warmup
 // before a 200k measured phase. "shared" pays the warmup once through
-// the Runner and forks it into every cell; "percell" is the methodology
-// it replaces, where every cell fast-forwards privately. The gap is the
-// wall time the sweep no longer spends re-executing identical prefixes.
+// the Runner and restores its snapshot into every cell; "percell" is
+// the methodology it replaces, where every cell fast-forwards privately.
+// The gap is the wall time the sweep no longer spends re-executing
+// identical prefixes.
 func BenchmarkWarmupSharing(b *testing.B) {
 	const (
 		warmN  = 1_500_000
@@ -159,11 +158,7 @@ func BenchmarkWarmupSharing(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range cfgs {
 				for _, pred := range mkPreds() {
-					warm, err := pipeline.Warmup(prog, warmN)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := pipeline.MustNew(cfg).RunWarmedContext(b.Context(), warm, prog, pred, budget); err != nil {
+					if _, err := warmedRun(b, prog, cfg, pred, warmN, budget); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -174,7 +169,7 @@ func BenchmarkWarmupSharing(b *testing.B) {
 
 // TestParallelSweepContentionFree is the lock audit for the saturation
 // path: with mutex profiling at full fidelity, a parallel sweep (several
-// workers, shared registry, shared warm states) must produce zero
+// workers, shared registry, shared warm snapshots) must produce zero
 // contention events inside the simulator's hot packages — pipeline, mem,
 // core, emu, bpred. Coordination locks (the runner's own memoization)
 // are allowed; the run loop itself must never serialize workers. The
@@ -198,7 +193,7 @@ func TestParallelSweepContentionFree(t *testing.T) {
 		Registry:    reg,
 	})
 	// Two predictors per workload so workers overlap on the same warm
-	// state and the same per-config simulator pool.
+	// snapshot and the same per-config simulator pool.
 	fails, err := r.forEach(workloads.Names(), func(name string) error {
 		if _, err := r.run(name, pipeline.BaselineConfig(), core.MustDynamicRVP(core.DefaultCounterConfig())); err != nil {
 			return err
@@ -265,4 +260,56 @@ func mutexContention(t *testing.T) map[string]contention {
 		out[stack] = contention{count: count, block: block}
 	}
 	return out
+}
+
+// TestFigure7ReallocWarmedOnItself: under a warmup, Figure 7's
+// re-allocated cell starts from the re-allocated program's own warm
+// state, even after the original program of the same name has warmed
+// up in the same Runner. The re-allocated program keeps its original's
+// name and instruction count, so only its content tells them apart.
+func TestFigure7ReallocWarmedOnItself(t *testing.T) {
+	const (
+		warmN  = 100_000
+		budget = 50_000
+	)
+	r := NewRunner(Options{Insts: budget, WarmupInsts: warmN})
+	cfg := pipeline.BaselineConfig()
+	mk := func() core.Predictor {
+		return core.MustDynamicRVP(core.DefaultCounterConfig(), core.WithName("drvp_realloc"))
+	}
+	for _, name := range Figure7Workloads {
+		if _, err := r.run(name, cfg, core.NoPredictor{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rp, err := r.reallocated(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := r.runOn(rp, cfg, mk())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := warmedRun(t, rp, cfg, mk(), warmN, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("%s: re-allocated cell predicted %d, self-warmed run %d:\n got %+v\nwant %+v",
+				name, got.Predicted, want.Predicted, got, want)
+		}
+	}
+}
+
+// warmedRun fast-forwards prog warmN (> 0) instructions on the emulator
+// and runs the timed phase for budget instructions on a fresh simulator
+// from there.
+func warmedRun(tb testing.TB, prog *program.Program, cfg pipeline.Config, pred core.Predictor, warmN, budget uint64) (pipeline.Stats, error) {
+	st, err := emu.New(prog)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	if st.Run(warmN); st.Err() != nil {
+		return pipeline.Stats{}, st.Err()
+	}
+	return pipeline.MustNew(cfg).RunFromContext(tb.Context(), st, pred, budget)
 }

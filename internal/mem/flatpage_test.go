@@ -60,13 +60,13 @@ func TestMemorySnapshotAcrossFlatAndOverflow(t *testing.T) {
 	}
 }
 
-// TestMemoryCloneAcrossFlatAndOverflow: clones are independent deep
-// copies in every region, and the last-page cache of either side never
+// TestMemoryCloneAcrossFlatAndOverflow: restored snapshots are
+// independent deep copies in every region, and the last-page cache of either side never
 // leaks writes into the other.
 func TestMemoryCloneAcrossFlatAndOverflow(t *testing.T) {
 	m := NewMemory()
 	writeProbes(m)
-	c := m.Clone()
+	c := clone(t, m)
 	checkProbes(t, c, "clone")
 	// Overwrite through the clone (warming its last-page cache on each
 	// page); the original must be unaffected, and vice versa.
@@ -78,7 +78,7 @@ func TestMemoryCloneAcrossFlatAndOverflow(t *testing.T) {
 	if got := c.ReadWord(flatPageProbes[0]); got != 0xdead {
 		t.Errorf("clone sees original's write: %#x", got)
 	}
-	if !reflect.DeepEqual(m.Snapshot(), m.Clone().Snapshot()) {
+	if !reflect.DeepEqual(m.Snapshot(), clone(t, m).Snapshot()) {
 		t.Error("clone snapshot differs from source snapshot")
 	}
 }

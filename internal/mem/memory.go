@@ -40,23 +40,13 @@ type pageDir [dirSize][]uint64
 type Memory struct {
 	root     []*pageDir          // flat root directory (low 512 GiB)
 	high     map[uint64]*pageDir // overflow leaves beyond the flat span
-	resident int                 // allocated (owned) pages
+	resident int                 // allocated pages
 
 	// Last-page cache: the page most recently touched. lastPage == nil
 	// means the cache is empty (page number 0 is valid, so the page
-	// pointer, not the number, is the validity flag). lastRO marks a
-	// cached page that aliases the shared copy-on-write image: reads may
-	// use it, writes must not (they go through ensure, which copies).
+	// pointer, not the number, is the validity flag).
 	lastPN   uint64
 	lastPage []uint64
-	lastRO   bool
-
-	// shared is the copy-on-write backing image installed by ForkMemory.
-	// Pages are served from it read-only until first written, when ensure
-	// copies them into this Memory (shadowing the shared page). Neither
-	// the map nor its pages are ever mutated here, so any number of forks
-	// on any goroutines can share one image.
-	shared map[uint64][]uint64
 }
 
 // NewMemory returns an empty memory; unwritten locations read as zero.
@@ -101,21 +91,13 @@ func (m *Memory) ensure(pn uint64) []uint64 {
 	page := d[pn&(dirSize-1)]
 	if page == nil {
 		page = make([]uint64, pageWords)
-		if sp, ok := m.shared[pn]; ok {
-			// First write to a copy-on-write page: materialize a private
-			// copy; the shared image stays untouched for sibling forks.
-			copy(page, sp)
-		}
 		d[pn&(dirSize-1)] = page
 		m.resident++
 	}
 	return page
 }
 
-// forEachPage visits every resident page (order unspecified): owned
-// pages first, then shared copy-on-write pages not shadowed by an owned
-// copy. Snapshots and clones of a forked memory are therefore complete
-// images, indistinguishable from those of a deep-copied memory.
+// forEachPage visits every resident page (order unspecified).
 func (m *Memory) forEachPage(fn func(pn uint64, page []uint64)) {
 	for di, d := range m.root {
 		if d == nil {
@@ -134,11 +116,6 @@ func (m *Memory) forEachPage(fn func(pn uint64, page []uint64)) {
 			}
 		}
 	}
-	for pn, page := range m.shared {
-		if m.lookup(pn) == nil {
-			fn(pn, page)
-		}
-	}
 }
 
 // ReadWord reads the aligned 64-bit word at addr (low 3 bits ignored).
@@ -149,49 +126,26 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 	}
 	page := m.lookup(pn)
 	if page == nil {
-		if sp, ok := m.shared[pn]; ok {
-			m.lastPN, m.lastPage, m.lastRO = pn, sp, true
-			return sp[addr>>3&(pageWords-1)]
-		}
 		return 0
 	}
-	m.lastPN, m.lastPage, m.lastRO = pn, page, false
+	m.lastPN, m.lastPage = pn, page
 	return page[addr>>3&(pageWords-1)]
 }
 
 // WriteWord writes the aligned 64-bit word at addr.
 func (m *Memory) WriteWord(addr uint64, v uint64) {
 	pn := addr >> pageBits
-	if pn == m.lastPN && m.lastPage != nil && !m.lastRO {
+	if pn == m.lastPN && m.lastPage != nil {
 		m.lastPage[addr>>3&(pageWords-1)] = v
 		return
 	}
 	page := m.ensure(pn)
-	m.lastPN, m.lastPage, m.lastRO = pn, page, false
+	m.lastPN, m.lastPage = pn, page
 	page[addr>>3&(pageWords-1)] = v
 }
 
-// Footprint returns the number of resident simulated pages: pages this
-// memory owns plus copy-on-write pages it still serves from a shared
-// image (a forked memory's footprint equals its deep-copied twin's).
-func (m *Memory) Footprint() int {
-	n := m.resident
-	for pn := range m.shared {
-		if m.lookup(pn) == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns an independent copy of the memory image.
-func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	m.forEachPage(func(pn uint64, page []uint64) {
-		copy(c.ensure(pn), page)
-	})
-	return c
-}
+// Footprint returns the number of resident simulated pages.
+func (m *Memory) Footprint() int { return m.resident }
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {

@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"rvpsim/internal/simerr"
 )
 
 func TestMemoryReadWrite(t *testing.T) {
@@ -40,13 +43,30 @@ func TestMemoryProperty(t *testing.T) {
 	}
 }
 
+// clone copies m the one way memory is copied: a snapshot restored.
+func clone(t *testing.T, m *Memory) *Memory {
+	t.Helper()
+	c, err := RestoreMemory(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestMemoryClone(t *testing.T) {
 	m := NewMemory()
 	m.WriteWord(64, 1)
-	c := m.Clone()
+	c := clone(t, m)
 	c.WriteWord(64, 2)
 	if m.ReadWord(64) != 1 || c.ReadWord(64) != 2 {
 		t.Error("clone shares pages")
+	}
+}
+
+func TestRestoreMemoryValidatesGeometry(t *testing.T) {
+	_, err := RestoreMemory(MemoryState{Pages: map[uint64][]uint64{0: make([]uint64, 3)}})
+	if !errors.Is(err, simerr.ErrCorrupt) {
+		t.Fatalf("RestoreMemory(bad page) = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -20,7 +20,7 @@ type MemoryState struct {
 
 // Snapshot returns a deep copy of the memory image.
 func (m *Memory) Snapshot() MemoryState {
-	s := MemoryState{Pages: make(map[uint64][]uint64, m.resident+len(m.shared))}
+	s := MemoryState{Pages: make(map[uint64][]uint64, m.resident)}
 	m.forEachPage(func(pn uint64, page []uint64) {
 		s.Pages[pn] = append([]uint64(nil), page...)
 	})
@@ -36,28 +36,6 @@ func RestoreMemory(s MemoryState) (*Memory, error) {
 				k, len(p), pageWords, simerr.ErrCorrupt)
 		}
 		copy(m.ensure(k), p)
-	}
-	return m, nil
-}
-
-// ForkMemory builds a copy-on-write Memory over a snapshot: reads are
-// served from the snapshot's pages, and a page is copied into the fork
-// only on its first write. N forks of one warmed image therefore share
-// a single copy of every page none of them dirties, instead of each
-// paying RestoreMemory's deep copy. The snapshot (map and pages) is
-// never mutated, so any number of forks — on any goroutines — may share
-// it; it must stay unmodified while forks are alive. Geometry is
-// validated up front exactly like RestoreMemory.
-func ForkMemory(s MemoryState) (*Memory, error) {
-	for k, p := range s.Pages {
-		if len(p) != pageWords {
-			return nil, fmt.Errorf("mem: snapshot page %#x has %d words, want %d: %w",
-				k, len(p), pageWords, simerr.ErrCorrupt)
-		}
-	}
-	m := NewMemory()
-	if len(s.Pages) > 0 {
-		m.shared = s.Pages
 	}
 	return m, nil
 }

@@ -16,11 +16,11 @@ import (
 // This file is the job-tracing half of the observability layer: spans
 // with trace/parent identity and monotonic durations, a bounded
 // concurrent-safe collector (Tracer), and exporters to Chrome
-// trace_event JSON and JSON Lines. The per-instruction Event stream
-// (event.go) answers "what did one simulated instruction do"; spans
-// answer "where did one job's wall-clock time go" — admission, queue
-// wait, worker, profiling pass, simulation run — across the client and
-// daemon processes that share one trace ID.
+// trace_event JSON and JSON Lines. The simulator's commit stream
+// (pipeline.TraceRecord, DESIGN §7) answers "what did one simulated
+// instruction do"; spans answer "where did one job's wall-clock time
+// go" — admission, queue wait, worker, profiling pass, simulation run —
+// across the client and daemon processes that share one trace ID.
 
 // SpanContext names a position in a trace: the trace ID plus the span
 // that new children should parent under. The zero value means "no

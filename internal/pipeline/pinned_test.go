@@ -114,3 +114,63 @@ func TestPinnedConfigDigests(t *testing.T) {
 		t.Error("one predict port starved no prediction: the port book is not exercised")
 	}
 }
+
+// pinnedWarmInsts is how far each pinned warm run fast-forwards on the
+// emulator before its timed phase of pinnedInsts.
+const pinnedWarmInsts = 150_000
+
+// pinnedWarmDigests holds, per "config/workload/predictor", the Stats
+// digest of a run started from a warm architectural state, recorded when
+// warm starts still forked copy-on-write memory. Restoring a plain
+// snapshot must reproduce them.
+var pinnedWarmDigests = map[string]string{
+	"aggressive/li/drvp":    "e6602a62f2a2e1af001f09b9",
+	"aggressive/li/lvp":     "4dbb187c1333d50196807a8f",
+	"aggressive/li/none":    "a10d207105206dd99aacb4d0",
+	"aggressive/mgrid/drvp": "248230cb5f75fc471031432a",
+	"aggressive/mgrid/lvp":  "81761e0856c71940df6a2b11",
+	"aggressive/mgrid/none": "e331dd7ccdff642ac782cd28",
+	"baseline/li/drvp":      "de86af82e5253e1e7f81398e",
+	"baseline/li/lvp":       "8624fbfa2ae4363968b98cfc",
+	"baseline/li/none":      "d0a62bf0756b53d4dd1b28dc",
+	"baseline/mgrid/drvp":   "f113a0f962df7e3adc53ca66",
+	"baseline/mgrid/lvp":    "0e6d8fa3f16cd5687fc55b75",
+	"baseline/mgrid/none":   "28041a4121b810be52c5f873",
+}
+
+// TestPinnedWarmDigests runs li and mgrid under three predictors on the
+// baseline and 16-wide machines, each from a warm start, and compares
+// the Stats digests with pinnedWarmDigests.
+func TestPinnedWarmDigests(t *testing.T) {
+	preds := map[string]func() core.Predictor{
+		"none": func() core.Predictor { return core.NoPredictor{} },
+		"drvp": func() core.Predictor { return core.MustDynamicRVP(core.DefaultCounterConfig()) },
+		"lvp":  func() core.Predictor { return core.MustLVP(core.DefaultLVPConfig(), "lvp") },
+	}
+	cfgs := map[string]pipeline.Config{
+		"baseline":   pipeline.BaselineConfig(),
+		"aggressive": pipeline.AggressiveConfig(),
+	}
+	for _, w := range []string{"li", "mgrid"} {
+		prog, err := workloads.ByName(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cname, cfg := range cfgs {
+			sim := pipeline.MustNew(cfg)
+			for pname, mk := range preds {
+				key := cname + "/" + w + "/" + pname
+				st, err := warmRun(t, sim, prog, mk(), pinnedWarmInsts, pinnedInsts)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if st.Committed != pinnedInsts {
+					t.Fatalf("%s: committed %d, want %d", key, st.Committed, pinnedInsts)
+				}
+				if got, want := statsDigest(st), pinnedWarmDigests[key]; got != want {
+					t.Errorf("%q: %q, // digest changed from %q; stats %s", key, got, want, st)
+				}
+			}
+		}
+	}
+}

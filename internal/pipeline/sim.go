@@ -485,10 +485,21 @@ func (s *Sim) RunContext(ctx context.Context, prog *program.Program, pred core.P
 	if err != nil {
 		return Stats{}, simerr.New("emu", err)
 	}
+	return s.RunFromContext(ctx, st, pred, maxInsts)
+}
+
+// RunFromContext is RunContext starting from the architectural state st
+// of program st.Prog, for example one restored from a snapshot taken
+// after a functional warmup on the emulator. Registers, memory and PC
+// begin at st; every microarchitectural structure (caches, TLBs, branch
+// and value predictors, timing state) starts cold, exactly as in a run
+// from the program's entry. maxInsts bounds the instructions committed
+// from st on: Stats.Committed starts at 0. The run takes st over.
+func (s *Sim) RunFromContext(ctx context.Context, st *emu.State, pred core.Predictor, maxInsts uint64) (Stats, error) {
 	if err := s.startRun(pred); err != nil {
 		return Stats{}, err
 	}
-	r := s.newRunState(prog, pred, st)
+	r := s.newRunState(st.Prog, pred, st)
 	s.cur = r
 	return s.loop(ctx, r, maxInsts)
 }

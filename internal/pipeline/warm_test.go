@@ -1,26 +1,29 @@
 package pipeline_test
 
-// Tests for warmed-state forking (warm.go) and recycled-runState
-// determinism (sim.go newRunState/resetRunState). The contract under
-// test: a run started from a forked WarmState commits the byte-identical
-// architectural instruction/value stream as the tail of a cold run past
-// the same boundary, any number of concurrent forks agree, and a Sim
-// reused across runs is indistinguishable from a fresh one.
+// Tests for warm starts (RunFromContext from a restored emulator
+// snapshot) and recycled-runState determinism (sim.go
+// newRunState/resetRunState). The contract under test: a run started
+// from a warm snapshot commits the byte-identical architectural
+// instruction/value stream as the tail of a cold run past the same
+// boundary, any number of concurrent restores agree, and a Sim reused
+// across runs is indistinguishable from a fresh one.
 
 import (
 	"sync"
 	"testing"
 
 	"rvpsim/internal/core"
+	"rvpsim/internal/emu"
 	"rvpsim/internal/isa"
 	"rvpsim/internal/pipeline"
+	"rvpsim/internal/program"
 	"rvpsim/internal/workloads"
 )
 
 // archRec is the architectural slice of one committed instruction —
 // timing fields are deliberately excluded (a warmed run starts with cold
 // caches where the cold run's tail had warm ones; architecture, not
-// timing, is what forking preserves).
+// timing, is what a warm start preserves).
 type archRec struct {
 	Index int
 	PC    uint64
@@ -47,9 +50,10 @@ func diffStreams(t *testing.T, label string, want, got []archRec) {
 	}
 }
 
-// TestWarmupForkEquivalence is the tentpole determinism guarantee: for
-// each predictor, a run forked from a shared WarmState commits exactly
-// the stream a cold run commits after the same number of instructions.
+// TestWarmupForkEquivalence is the warm-start determinism guarantee:
+// for each predictor, a run started from a restore of a shared warm
+// snapshot commits exactly the stream a cold run commits after the same
+// number of instructions.
 func TestWarmupForkEquivalence(t *testing.T) {
 	const (
 		warmN    = 40_000
@@ -60,13 +64,7 @@ func TestWarmupForkEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pipeline.BaselineConfig()
-	warm, err := pipeline.Warmup(prog, warmN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Insts != warmN {
-		t.Fatalf("warmup executed %d insts, want %d", warm.Insts, warmN)
-	}
+	warm := warmSnapshot(t, prog, warmN)
 
 	preds := map[string]func() core.Predictor{
 		"none": func() core.Predictor { return core.NoPredictor{} },
@@ -91,7 +89,7 @@ func TestWarmupForkEquivalence(t *testing.T) {
 			var warmed []archRec
 			warmSim := pipeline.MustNew(cfg)
 			warmSim.SetTracer(archTracer(&warmed))
-			warmStats, err := warmSim.RunWarmedContext(t.Context(), warm, prog, mk(), measureN)
+			warmStats, err := runWarm(t, warmSim, prog, warm, mk(), measureN)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,9 +101,10 @@ func TestWarmupForkEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmupConcurrentForks forks one WarmState from several goroutines
-// at once (run under -race in CI): every fork must commit the identical
-// stream, and none may corrupt the shared image for the others.
+// TestWarmupConcurrentForks restores one warm snapshot on several
+// goroutines at once (run under -race in CI): every restored run must
+// commit the identical stream, and none may corrupt the shared snapshot
+// for the others.
 func TestWarmupConcurrentForks(t *testing.T) {
 	const (
 		warmN    = 20_000
@@ -117,10 +116,7 @@ func TestWarmupConcurrentForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pipeline.BaselineConfig()
-	warm, err := pipeline.Warmup(prog, warmN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := warmSnapshot(t, prog, warmN)
 
 	streams := make([][]archRec, forks)
 	var wg sync.WaitGroup
@@ -128,9 +124,14 @@ func TestWarmupConcurrentForks(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			st, err := emu.Restore(prog, warm)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			sim := pipeline.MustNew(cfg)
 			sim.SetTracer(archTracer(&streams[i]))
-			if _, err := sim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
+			if _, err := sim.RunFromContext(t.Context(), st, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -140,13 +141,12 @@ func TestWarmupConcurrentForks(t *testing.T) {
 		t.FailNow()
 	}
 	for i := 1; i < forks; i++ {
-		diffStreams(t, "fork disagreement", streams[0], streams[i])
+		diffStreams(t, "restore disagreement", streams[0], streams[i])
 	}
 }
 
-// TestWarmupZeroIsColdRun: a WarmState captured at instruction 0 must be
-// a cold run in every observable respect, and a nil WarmState must
-// degrade to RunContext.
+// TestWarmupZeroIsColdRun: a run from a snapshot taken at instruction 0
+// must be a cold run in every observable respect.
 func TestWarmupZeroIsColdRun(t *testing.T) {
 	const budget = 50_000
 	prog, err := workloads.ByName("li")
@@ -163,17 +163,10 @@ func TestWarmupZeroIsColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := pipeline.Warmup(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Insts != 0 {
-		t.Fatalf("zero warmup executed %d insts", warm.Insts)
-	}
 	var warmed []archRec
 	warmSim := pipeline.MustNew(cfg)
 	warmSim.SetTracer(archTracer(&warmed))
-	warmStats, err := warmSim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
+	warmStats, err := runWarm(t, warmSim, prog, warmSnapshot(t, prog, 0), core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,45 +174,6 @@ func TestWarmupZeroIsColdRun(t *testing.T) {
 		t.Fatalf("zero-warmup stats diverge from cold run:\n got %+v\nwant %+v", warmStats, coldStats)
 	}
 	diffStreams(t, "zero-warmup vs cold", cold, warmed)
-
-	var viaNil []archRec
-	nilSim := pipeline.MustNew(cfg)
-	nilSim.SetTracer(archTracer(&viaNil))
-	nilStats, err := nilSim.RunWarmedContext(t.Context(), nil, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nilStats != coldStats {
-		t.Fatalf("nil-warm stats diverge from cold run:\n got %+v\nwant %+v", nilStats, coldStats)
-	}
-	diffStreams(t, "nil-warm vs cold", cold, viaNil)
-}
-
-// TestWarmupForkValidation: forking a WarmState onto the wrong program
-// must fail loudly, not silently mix state.
-func TestWarmupForkValidation(t *testing.T) {
-	li, err := workloads.ByName("li")
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := workloads.ByName("go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := pipeline.Warmup(li, 1_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Fork(other); err == nil {
-		t.Fatal("Fork accepted a different program")
-	}
-	if _, err := warm.Fork(nil); err == nil {
-		t.Fatal("Fork accepted a nil program")
-	}
-	sim := pipeline.MustNew(pipeline.BaselineConfig())
-	if _, err := sim.RunWarmedContext(t.Context(), warm, other, core.NoPredictor{}, 1_000); err == nil {
-		t.Fatal("RunWarmedContext accepted a mismatched warm state")
-	}
 }
 
 // TestWarmedRunCheckpointResume: a warmed run stays checkpointable — a
@@ -237,16 +191,13 @@ func TestWarmedRunCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pipeline.BaselineConfig()
-	warm, err := pipeline.Warmup(prog, warmN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := warmSnapshot(t, prog, warmN)
 
 	// Uninterrupted warmed reference.
 	var ref []archRec
 	refSim := pipeline.MustNew(cfg)
 	refSim.SetTracer(archTracer(&ref))
-	refStats, err := refSim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN)
+	refStats, err := runWarm(t, refSim, prog, warm, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +213,7 @@ func TestWarmedRunCheckpointResume(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := runSim.RunWarmedContext(t.Context(), warm, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
+	if _, err := runWarm(t, runSim, prog, warm, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
@@ -296,10 +247,7 @@ func TestSimReuseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := pipeline.Warmup(li, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := warmSnapshot(t, li, 10_000)
 
 	cells := []struct {
 		name string
@@ -315,7 +263,7 @@ func TestSimReuseDeterminism(t *testing.T) {
 		}},
 		{"li/lvp+warm", func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error) {
 			sim.SetTracer(tr)
-			return sim.RunWarmedContext(t.Context(), warm, li, core.MustLVP(core.DefaultLVPConfig(), "lvp"), budget)
+			return runWarm(t, sim, li, warm, core.MustLVP(core.DefaultLVPConfig(), "lvp"), budget)
 		}},
 		{"li/drvp-again", func(sim *pipeline.Sim, tr pipeline.Tracer) (pipeline.Stats, error) {
 			sim.SetTracer(tr)
@@ -340,4 +288,42 @@ func TestSimReuseDeterminism(t *testing.T) {
 		}
 		diffStreams(t, c.name, fresh, recycled)
 	}
+}
+
+// warmSnapshot fast-forwards prog warmN instructions on the emulator and
+// snapshots the architectural state there (warmN 0: the initial state).
+func warmSnapshot(t testing.TB, prog *program.Program, warmN uint64) emu.Snapshot {
+	t.Helper()
+	st, err := emu.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmN > 0 {
+		st.Run(warmN)
+	}
+	if st.Err() != nil {
+		t.Fatal(st.Err())
+	}
+	if st.Count != warmN {
+		t.Fatalf("warmup executed %d insts, want %d", st.Count, warmN)
+	}
+	return st.Snapshot()
+}
+
+// runWarm runs pred on sim for budget instructions from a fresh restore
+// of snap.
+func runWarm(t testing.TB, sim *pipeline.Sim, prog *program.Program, snap emu.Snapshot, pred core.Predictor, budget uint64) (pipeline.Stats, error) {
+	t.Helper()
+	st, err := emu.Restore(prog, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.RunFromContext(t.Context(), st, pred, budget)
+}
+
+// warmRun fast-forwards prog warmN instructions on the emulator and runs
+// the timed phase for budget instructions on sim from there.
+func warmRun(t *testing.T, sim *pipeline.Sim, prog *program.Program, pred core.Predictor, warmN, budget uint64) (pipeline.Stats, error) {
+	t.Helper()
+	return runWarm(t, sim, prog, warmSnapshot(t, prog, warmN), pred, budget)
 }

@@ -178,7 +178,6 @@ type Server struct {
 	// stops accepting work (503 + Retry-After, /readyz not ready) until
 	// its probe sees the disk take durable writes again.
 	storageDegraded *wal.Guard
-	walMet          *wal.Metrics
 
 	mSubmitted, mDeduped, mShedQueue *obs.Counter
 	mShedDraining, mShedStorage      *obs.Counter
@@ -195,8 +194,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	walMet := wal.NewMetrics(cfg.Registry)
-	store, err := OpenStoreFS(StorePath(cfg.StateDir), cfg.FS, walMet)
+	store, err := OpenStoreFS(StorePath(cfg.StateDir), cfg.FS, wal.NewMetrics(cfg.Registry))
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +202,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		store:    store,
-		walMet:   walMet,
 		log:      cfg.Logger,
 		stopPick: make(chan struct{}),
 		tel:      newTelemetry(flightRecorderSize, maxFeeds),
@@ -501,6 +498,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// into degraded mode, and tell the client to retry elsewhere or
 	// later — an unpersisted acceptance must never be acknowledged.
 	j.dropped = err != nil
+	if err == nil {
+		// Publish before admitting: a worker may start the job, and
+		// publish its started event, as soon as admitted closes.
+		s.tel.publish(id, JobEvent{Type: EvQueued})
+	}
 	close(j.admitted)
 	if err != nil {
 		s.storageDegraded.Trip(err)
@@ -511,7 +513,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mSubmitted.Inc()
 	s.gDepth.Set(int64(s.queue.depthNow()))
-	s.tel.publish(id, JobEvent{Type: EvQueued})
 	s.log.Info("job accepted", "job", id, "kind", spec.Kind, "trace", tctx.Trace)
 	writeJSON(w, http.StatusAccepted, rec)
 }
@@ -714,7 +715,6 @@ func (s *Server) runJob(j *job) {
 		Tracer:          s.tracer,
 		TraceParent:     wsp.Context(),
 		FS:              s.cfg.FS,
-		WALMetrics:      s.walMet,
 		ProgressEvery:   s.cfg.ProgressEvery,
 		// The heartbeat and checkpoint hooks run on simulation
 		// goroutines; publish is lock-bounded and never blocks, which is
