@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 determinism:
-	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthResume|TestResumeFixedRingCheckpoint|TestRestoreRejectsCorruptSlot|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned|TestResumeLastValueCheckpoints|TestEligibleMatchesRule|TestPinnedWarmDigests|TestFigure7ReallocWarmedOnItself' ./...
+	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthResume|TestResumeFixedRingCheckpoint|TestRestoreRejectsCorruptSlot|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned|TestResumeLastValueCheckpoints|TestEligibleMatchesRule|TestPinnedWarmDigests|TestFigure7ReallocWarmedOnItself|TestPinnedProfileDigests|TestPinnedReallocDigests' ./...
 
 # Differential validation: run the timing pipeline and the reference
 # emulator in lockstep over all nine workloads under every recovery

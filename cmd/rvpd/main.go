@@ -84,7 +84,7 @@ func run() int {
 	ckptEvery := flag.Uint64("ckpt-every", 200_000, "in-flight checkpoint cadence in committed instructions (0 = off)")
 	watchdog := flag.Int("watchdog", 0, "abort a run if no instruction commits for N simulated cycles (0 = off)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST body size in bytes (larger gets 413)")
-	bodyReadTimeout := flag.Duration("body-read-timeout", 30*time.Second, "slow-loris guard: deadline for reading one submission body (408 past it)")
+	bodyReadTimeout := flag.Duration("body-read-timeout", 30*time.Second, "slow-loris guard: deadline for reading one request's headers (connection closed past it) and one submission body (408 past it)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	progressEvery := flag.Uint64("progress-every", 100_000, "live-progress heartbeat cadence in committed instructions")
@@ -173,7 +173,9 @@ func run() int {
 		mux.Handle(p, sweeps)
 	}
 	mux.Handle("/", srv.Handler())
-	httpSrv := &http.Server{Handler: mux}
+	// The body deadline also bounds the headers: a client that trickles
+	// header bytes would otherwise hold its connection open forever.
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: *bodyReadTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -45,18 +45,6 @@ func Encode(in Inst) (uint64, error) {
 	return w, nil
 }
 
-// MustEncode is Encode for instructions known to be valid; it panics on
-// error. It is intended for tests and hand-built fixtures only — library
-// code (the assembler validates at emit, the emulator at load) uses
-// Encode and returns the error to its caller.
-func MustEncode(in Inst) uint64 {
-	w, err := Encode(in)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Decode unpacks a 64-bit machine word into an instruction.
 func Decode(w uint64) (Inst, error) {
 	op := Op(w >> 56)

@@ -320,9 +320,6 @@ func HasImm(op Op) bool {
 // IsLoad reports whether op reads memory.
 func IsLoad(op Op) bool { return Classify(op) == ClassLoad }
 
-// IsStore reports whether op writes memory.
-func IsStore(op Op) bool { return Classify(op) == ClassStore }
-
 // IsRVPMarked reports whether op is one of the static-RVP load opcodes.
 func IsRVPMarked(op Op) bool { return op == RVPLDQ || op == RVPLDT }
 

@@ -438,7 +438,7 @@ func (t *TLB) Reset() {
 }
 
 // Hierarchy bundles the Table 1 memory system: split L1, unified L2, and
-// TLBs. AccessData/AccessInst return the access latency in cycles.
+// TLBs. AccessDataAt/AccessInstAt return the access latency in cycles.
 type Hierarchy struct {
 	L1I  *Cache
 	L1D  *Cache
@@ -525,10 +525,6 @@ func (h *Hierarchy) Reset() {
 	h.DTLB.Reset()
 }
 
-// AccessData returns the latency, in cycles, of a data access to addr.
-// Timing-unaware form of AccessDataAt.
-func (h *Hierarchy) AccessData(addr uint64) int { return h.AccessDataAt(addr, 0) }
-
 // AccessDataAt returns the latency, in cycles, of a data access issued at
 // cycle now. Misses install lines with their fill-completion times, so
 // subsequent accesses to an in-flight line wait for the fill rather than
@@ -553,12 +549,9 @@ func (h *Hierarchy) AccessDataAt(addr uint64, now int64) int {
 	return int(lat + fill)
 }
 
-// AccessInst returns the latency, in cycles, of an instruction fetch from
-// addr beyond the pipelined fetch (0 means "hit, no stall").
-// Timing-unaware form of AccessInstAt.
-func (h *Hierarchy) AccessInst(addr uint64) int { return h.AccessInstAt(addr, 0) }
-
-// AccessInstAt is AccessInst with fill-time modelling at cycle now.
+// AccessInstAt returns the latency, in cycles, of an instruction fetch
+// from addr at cycle now beyond the pipelined fetch (0 means "hit, no
+// stall"), modelling fill times as AccessDataAt does.
 func (h *Hierarchy) AccessInstAt(addr uint64, now int64) int {
 	lat := int64(0)
 	if !h.ITLB.Access(addr) {

@@ -1,6 +1,7 @@
 // Package profile implements the paper's register-reuse profiler
-// (Section 5). It runs a program on the functional emulator and measures,
-// for every register-writing static instruction:
+// (Section 5). It runs a program once on the functional emulator, with
+// static liveness from program.Analyse, and measures, for every
+// register-writing static instruction:
 //
 //   - same-register reuse: the result equals the destination register's
 //     prior value;
@@ -20,7 +21,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"rvpsim/internal/emu"
 	"rvpsim/internal/isa"
@@ -71,15 +71,6 @@ func (s *InstStats) SameRate() float64 { return rate(s.SameHits, s.Execs) }
 // LastRate is the last-value reuse fraction.
 func (s *InstStats) LastRate() float64 { return rate(s.LastHits, s.Execs) }
 
-// AnyRate is the any-register reuse fraction.
-func (s *InstStats) AnyRate() float64 { return rate(s.AnyHits, s.Execs) }
-
-// DeadRate is the any-dead-register reuse fraction.
-func (s *InstStats) DeadRate() float64 { return rate(s.DeadHits, s.Execs) }
-
-// OrLVRate is the register-or-last-value fraction (Figure 1, last bar).
-func (s *InstStats) OrLVRate() float64 { return rate(s.OrLVHits, s.Execs) }
-
 // BestDeadRate is the best single dead register's hit fraction.
 func (s *InstStats) BestDeadRate() float64 { return rate(s.BestDeadHits, s.Execs) }
 
@@ -97,39 +88,35 @@ type Profile struct {
 // Options configures the profiler.
 type Options struct {
 	MaxInsts uint64 // committed-instruction budget (0 = to completion)
-	// MinExecs filters instructions with too few executions from lists.
+	// MinExecs is not read: Lists takes its own minimum execution count.
 	MinExecs uint64
 }
 
-// Run profiles prog. It executes the program twice: once to gather reuse
-// statistics and select correlated registers, once to attribute primary
-// producers for the selected registers.
+// Run profiles prog in one run of the program. It counts reuse, tracks
+// the last static writer of each register, and credits that writer every
+// time its value matches a result, so once the best dead and live
+// correlated registers are chosen their primary producers are already
+// counted.
 func Run(prog *program.Program, opts Options) (*Profile, error) {
-	if opts.MinExecs == 0 {
-		opts.MinExecs = 16
+	if len(prog.Insts) == 0 {
+		return nil, fmt.Errorf("profile: empty program")
 	}
-	live, err := newLivenessIndex(prog)
-	if err != nil {
-		return nil, err
-	}
-
-	p := &Profile{Prog: prog, Insts: make(map[int]*InstStats)}
-	regHits := make(map[int]*[isa.NumRegs]uint64) // per-inst per-register
-
-	// Pass 1: reuse counting.
 	st, err := emu.New(prog)
 	if err != nil {
 		return nil, err
 	}
-	var lastVal = make(map[int]uint64)
-	var lastSeen = make(map[int]bool)
-	// Chain heights for the critical-path profile.
+	liveIn := liveBefore(prog)
+	p := &Profile{Prog: prog, Insts: make(map[int]*InstStats)}
+	pass := make([]*instPass, len(prog.Insts)) // by static index
+
+	// Chain heights for the critical-path profile, and each register's
+	// last static writer.
 	var height [isa.NumRegs]uint64
 	var producerIdx [isa.NumRegs]int
 	for i := range producerIdx {
 		producerIdx[i] = -1
 	}
-
+	var srcs [3]isa.Reg
 	for {
 		if opts.MaxInsts > 0 && p.Total >= opts.MaxInsts {
 			break
@@ -148,7 +135,7 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 		// Critical-path credit: the maximal-height source's producer.
 		var h uint64
 		bestSrc := -1
-		for _, r := range e.Inst.Sources(nil) {
+		for _, r := range e.Inst.Sources(srcs[:0]) {
 			if r.IsZero() {
 				continue
 			}
@@ -158,45 +145,44 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 			}
 		}
 		if bestSrc >= 0 {
-			if bs := p.Insts[bestSrc]; bs != nil {
-				bs.CritHits++
+			if bs := pass[bestSrc]; bs != nil {
+				bs.stats.CritHits++
 			}
 		}
 
 		if !e.WroteRd {
 			continue
 		}
-		is := p.Insts[e.Index]
-		if is == nil {
-			is = &InstStats{Index: e.Index, Inst: e.Inst, DeadProducer: -1, LiveProducer: -1}
-			p.Insts[e.Index] = is
-			regHits[e.Index] = &[isa.NumRegs]uint64{}
+		ps := pass[e.Index]
+		if ps == nil {
+			ps = &instPass{stats: &InstStats{Index: e.Index, Inst: e.Inst, DeadProducer: -1, LiveProducer: -1}}
+			pass[e.Index] = ps
 		}
+		is := ps.stats
 		is.Execs++
 		v := e.NewDest
-		wasLast := lastSeen[e.Index] && lastVal[e.Index] == v
+		wasLast := ps.seen && ps.last == v
 		if v == e.OldDest {
 			is.SameHits++
 		}
 		if wasLast {
 			is.LastHits++
 		}
-		lastVal[e.Index] = v
-		lastSeen[e.Index] = true
+		ps.last, ps.seen = v, true
 
 		any, dead := false, false
-		hits := regHits[e.Index]
 		for r := 0; r < isa.NumRegs; r++ {
 			reg := isa.Reg(r)
-			if reg.IsZero() || reg == e.Inst.Rd {
+			if reg.IsZero() || reg == e.Inst.Rd || regs[r] != v {
 				continue
 			}
-			if regs[r] == v {
-				hits[r]++
-				any = true
-				if live.deadBefore(e.Index, reg) {
-					dead = true
-				}
+			ps.hits[r]++
+			if w := producerIdx[r]; w >= 0 {
+				ps.credit(reg, w)
+			}
+			any = true
+			if !liveIn[e.Index].Has(reg) {
+				dead = true
 			}
 		}
 		if any || v == e.OldDest {
@@ -215,155 +201,92 @@ func Run(prog *program.Program, opts Options) (*Profile, error) {
 		producerIdx[e.Inst.Rd] = e.Index
 	}
 
-	// Select best dead and live correlated registers per instruction.
-	for idx, is := range p.Insts {
-		hits := regHits[idx]
+	// Select the best dead and live correlated registers per instruction,
+	// and the majority producer of each.
+	for idx, ps := range pass {
+		if ps == nil {
+			continue
+		}
+		is := ps.stats
+		p.Insts[idx] = is
 		for r := 0; r < isa.NumRegs; r++ {
 			reg := isa.Reg(r)
-			if reg.IsZero() || reg == is.Inst.Rd || hits[r] == 0 {
+			if reg.IsZero() || reg == is.Inst.Rd || ps.hits[r] == 0 {
 				continue
 			}
-			if live.deadBefore(idx, reg) {
-				if hits[r] > is.BestDeadHits {
-					is.BestDeadHits = hits[r]
+			if !liveIn[idx].Has(reg) {
+				if ps.hits[r] > is.BestDeadHits {
+					is.BestDeadHits = ps.hits[r]
 					is.BestDead = reg
 				}
-			} else if hits[r] > is.BestLiveHits {
-				is.BestLiveHits = hits[r]
+			} else if ps.hits[r] > is.BestLiveHits {
+				is.BestLiveHits = ps.hits[r]
 				is.BestLive = reg
 			}
 		}
-	}
-
-	// Pass 2: primary producers of the selected correlated registers.
-	if err := p.attributeProducers(opts); err != nil {
-		return nil, err
+		if is.BestDeadHits > 0 {
+			is.DeadProducer = ps.majority(is.BestDead)
+		}
+		if is.BestLiveHits > 0 {
+			is.LiveProducer = ps.majority(is.BestLive)
+		}
 	}
 	return p, nil
 }
 
-// attributeProducers re-runs the program, tracking the last static writer
-// of each architectural register, and attributes the majority producer of
-// each instruction's best dead/live correlated register.
-func (p *Profile) attributeProducers(opts Options) error {
-	type key struct {
-		inst int
-		dead bool
-	}
-	counts := make(map[key]map[int]uint64)
-	st, err := emu.New(p.Prog)
-	if err != nil {
-		return err
-	}
-	var lastWriter [isa.NumRegs]int
-	for i := range lastWriter {
-		lastWriter[i] = -1
-	}
-	var n uint64
-	for {
-		if opts.MaxInsts > 0 && n >= opts.MaxInsts {
-			break
-		}
-		regs := st.Regs
-		e, ok := st.Step()
-		if !ok {
-			break
-		}
-		n++
-		if !e.WroteRd {
-			continue
-		}
-		is := p.Insts[e.Index]
-		if is == nil {
-			continue
-		}
-		record := func(reg isa.Reg, dead bool) {
-			if reg.IsZero() || regs[reg] != e.NewDest {
-				return
-			}
-			w := lastWriter[reg]
-			if w < 0 {
-				return
-			}
-			k := key{e.Index, dead}
-			m := counts[k]
-			if m == nil {
-				m = make(map[int]uint64)
-				counts[k] = m
-			}
-			m[w]++
-		}
-		if is.BestDeadHits > 0 {
-			record(is.BestDead, true)
-		}
-		if is.BestLiveHits > 0 {
-			record(is.BestLive, false)
-		}
-		lastWriter[e.Inst.Rd] = e.Index
-	}
-	majority := func(m map[int]uint64) int {
-		best, bestN := -1, uint64(0)
-		// Deterministic tie-break by smallest index.
-		idxs := make([]int, 0, len(m))
-		for i := range m {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			if m[i] > bestN {
-				best, bestN = i, m[i]
-			}
-		}
-		return best
-	}
-	for idx, is := range p.Insts {
-		if m := counts[key{idx, true}]; m != nil {
-			is.DeadProducer = majority(m)
-		}
-		if m := counts[key{idx, false}]; m != nil {
-			is.LiveProducer = majority(m)
-		}
-	}
-	return nil
+// instPass is one static instruction's state during the profiling run:
+// its statistics, its previous result and, per register, how often the
+// register held the result and which static instructions had written it
+// then.
+type instPass struct {
+	stats     *InstStats
+	last      uint64
+	seen      bool
+	hits      [isa.NumRegs]uint64
+	producers [isa.NumRegs][]producerCount
 }
 
-// livenessIndex precomputes per-instruction liveness for the whole
-// program (one CFG per procedure; a synthetic whole-program procedure
-// when none are declared).
-type livenessIndex struct {
-	byInst []*program.Liveness
+type producerCount struct {
+	inst int
+	n    uint64
 }
 
-func buildLiveness(prog *program.Program) ([]*program.Liveness, []program.Procedure) {
-	procs := prog.Procs
-	if len(procs) == 0 {
-		procs = []program.Procedure{{Name: "<all>", Start: 0, End: len(prog.Insts)}}
-	}
-	out := make([]*program.Liveness, len(prog.Insts))
-	for i := range procs {
-		g := program.BuildCFG(prog, &procs[i])
-		l := program.ComputeLiveness(prog, g)
-		for j := procs[i].Start; j < procs[i].End; j++ {
-			out[j] = l
+// credit counts one match of reg whose value static instruction w wrote.
+func (ps *instPass) credit(reg isa.Reg, w int) {
+	pc := ps.producers[reg]
+	for i := range pc {
+		if pc[i].inst == w {
+			pc[i].n++
+			return
 		}
 	}
-	return out, procs
+	ps.producers[reg] = append(pc, producerCount{inst: w, n: 1})
 }
 
-func newLivenessIndex(prog *program.Program) (*livenessIndex, error) {
-	if len(prog.Insts) == 0 {
-		return nil, fmt.Errorf("profile: empty program")
+// majority returns the static instruction that most often wrote reg's
+// matching value (the smallest index on a tie), or -1 when none did.
+func (ps *instPass) majority(reg isa.Reg) int {
+	best, bestN := -1, uint64(0)
+	for _, pc := range ps.producers[reg] {
+		if pc.n > bestN || (pc.n == bestN && pc.inst < best) {
+			best, bestN = pc.inst, pc.n
+		}
 	}
-	li, _ := buildLiveness(prog)
-	return &livenessIndex{byInst: li}, nil
+	return best
 }
 
-// deadBefore reports whether reg's value is statically dead immediately
-// before instruction idx executes.
-func (l *livenessIndex) deadBefore(idx int, reg isa.Reg) bool {
-	lv := l.byInst[idx]
-	if lv == nil {
-		return false
+// liveBefore returns, per instruction, the registers statically live
+// immediately before it executes. An instruction outside every
+// procedure counts every register as live.
+func liveBefore(prog *program.Program) []program.RegSet {
+	out := make([]program.RegSet, len(prog.Insts))
+	for i := range out {
+		out[i] = ^program.RegSet(0)
 	}
-	return !lv.LiveIn(idx).Has(reg)
+	for _, a := range prog.Analyse() {
+		for i := a.Proc.Start; i < a.Proc.End; i++ {
+			out[i] = a.Live.LiveIn(i)
+		}
+	}
+	return out
 }

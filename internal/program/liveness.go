@@ -1,6 +1,10 @@
 package program
 
-import "rvpsim/internal/isa"
+import (
+	"math/bits"
+
+	"rvpsim/internal/isa"
+)
 
 // RegSet is a bitset over the 64 architectural registers.
 type RegSet uint64
@@ -27,38 +31,40 @@ func (s RegSet) Count() int {
 	return n
 }
 
-// conventionSets computes the sets the paper's liveness assumptions need.
-func conventionSets() (entryExitLive, callUses, callDefs RegSet) {
-	for _, r := range NonvolatileRegs {
-		entryExitLive.Add(r)
+// Each calls f for every register in the set, in ascending order.
+func (s RegSet) Each(f func(isa.Reg)) {
+	for ; s != 0; s &= s - 1 {
+		f(isa.Reg(bits.TrailingZeros64(uint64(s))))
 	}
-	for _, r := range FPNonvolatileRegs {
-		entryExitLive.Add(r)
-	}
-	entryExitLive.Add(isa.RV)
-	for _, r := range ArgRegs {
-		callUses.Add(r)
-	}
-	for _, r := range FPArgRegs {
-		callUses.Add(r)
-	}
-	// A call clobbers every volatile register: everything not nonvolatile
-	// and not a hardwired zero.
-	var nonvol RegSet
-	for _, r := range NonvolatileRegs {
-		nonvol.Add(r)
-	}
-	for _, r := range FPNonvolatileRegs {
-		nonvol.Add(r)
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		reg := isa.Reg(r)
-		if !nonvol.Has(reg) && !reg.IsZero() {
-			callDefs.Add(reg)
-		}
-	}
-	return
 }
+
+func setOf(regs ...isa.Reg) RegSet {
+	var s RegSet
+	for _, r := range regs {
+		s.Add(r)
+	}
+	return s
+}
+
+// The calling convention as register sets. They are its only
+// definition: liveness here, and the re-allocator's webs and pinned
+// registers, read them.
+var (
+	// Nonvolatile is every callee-saved register, SP and RA included.
+	Nonvolatile = setOf(NonvolatileRegs...) | setOf(FPNonvolatileRegs...)
+	// ExitLive is live at every procedure exit: the callee-saved
+	// registers and the return value.
+	ExitLive = Nonvolatile | setOf(isa.RV)
+	// CallUses is read by every call: all argument registers.
+	CallUses = setOf(ArgRegs...) | setOf(FPArgRegs...)
+	// CallClobbers is written by every call: every register that is
+	// neither callee-saved nor a hardwired zero.
+	CallClobbers = ^(Nonvolatile | setOf(isa.RZero, isa.FZero))
+	// ConventionRegs keep their architectural names under
+	// re-allocation: both return values, the arguments, the callee-saved
+	// registers and the hardwired zeros.
+	ConventionRegs = ExitLive | CallUses | setOf(isa.FPReg(0), isa.RZero, isa.FZero)
+)
 
 // Liveness holds per-instruction liveness for one procedure.
 type Liveness struct {
@@ -87,39 +93,33 @@ func (l *Liveness) DeadAt(i int, r isa.Reg) bool {
 	return !l.LiveOut(i).Has(r)
 }
 
-// instUses returns the registers read by instruction in, accounting for
-// calling conventions at JSR/RET/HALT boundaries.
-func instUses(in isa.Inst, callUses, exitLive RegSet) RegSet {
+// Uses returns the registers instruction in reads, including what the
+// convention implies: a call reads the argument registers, a return
+// reads ExitLive, and HALT reads the return value.
+func Uses(in isa.Inst) RegSet {
 	var s RegSet
 	switch in.Op {
 	case isa.JSR:
-		s = callUses
-		s.Add(in.Ra)
+		s = CallUses
 	case isa.RET:
-		s = exitLive
-		s.Add(in.Ra)
+		s = ExitLive
 	case isa.HALT:
 		s.Add(isa.RV)
-	default:
-		for _, r := range in.Sources(nil) {
-			if !r.IsZero() {
-				s.Add(r)
-			}
+	}
+	for _, r := range in.Sources(nil) {
+		if !r.IsZero() {
+			s.Add(r)
 		}
 	}
 	return s
 }
 
-// instDefs returns the registers written by instruction in, accounting for
-// call clobbers.
-func instDefs(in isa.Inst, callDefs RegSet) RegSet {
+// Defs returns the registers instruction in writes, including a call's
+// clobbers.
+func Defs(in isa.Inst) RegSet {
 	var s RegSet
 	if in.Op == isa.JSR {
-		s = callDefs
-		if !in.Rd.IsZero() {
-			s.Add(in.Rd)
-		}
-		return s
+		s = CallClobbers
 	}
 	if d, ok := in.Dest(); ok {
 		s.Add(d)
@@ -132,7 +132,6 @@ func instDefs(in isa.Inst, callDefs RegSet) RegSet {
 // value) are live at procedure exit, calls read all argument registers and
 // clobber all volatile registers.
 func ComputeLiveness(prog *Program, g *CFG) *Liveness {
-	exitLive, callUses, callDefs := conventionSets()
 	n := g.Proc.End - g.Proc.Start
 	l := &Liveness{Proc: g.Proc, liveOut: make([]RegSet, n), liveIn: make([]RegSet, n)}
 
@@ -144,9 +143,9 @@ func ComputeLiveness(prog *Program, g *CFG) *Liveness {
 		var use, def RegSet
 		for i := b.Start; i < b.End; i++ {
 			in := prog.Insts[i]
-			u := instUses(in, callUses, exitLive)
+			u := Uses(in)
 			use |= u &^ def
-			def |= instDefs(in, callDefs)
+			def |= Defs(in)
 		}
 		blockUse[bi] = use
 		blockDef[bi] = def
@@ -159,7 +158,7 @@ func ComputeLiveness(prog *Program, g *CFG) *Liveness {
 		b := &g.Blocks[bi]
 		last := prog.Insts[b.End-1]
 		if last.Op == isa.RET || last.Op == isa.HALT || len(b.Succs) == 0 {
-			return exitLive
+			return ExitLive
 		}
 		return 0
 	}
@@ -185,10 +184,34 @@ func ComputeLiveness(prog *Program, g *CFG) *Liveness {
 		for i := b.End - 1; i >= b.Start; i-- {
 			in := prog.Insts[i]
 			l.liveOut[i-g.Proc.Start] = out
-			liveIn := instUses(in, callUses, exitLive) | (out &^ instDefs(in, callDefs))
+			liveIn := Uses(in) | (out &^ Defs(in))
 			l.liveIn[i-g.Proc.Start] = liveIn
 			out = liveIn
 		}
 	}
 	return l
+}
+
+// Analysis is one procedure's control-flow graph and liveness.
+type Analysis struct {
+	Proc *Procedure
+	CFG  *CFG
+	Live *Liveness
+}
+
+// Analyse returns p's analysed procedures: the declared ones or, when p
+// declares none, one whole-program procedure named "<all>". The
+// analyses are intraprocedural, so rewriting one procedure's
+// instructions leaves the others' analyses valid.
+func (p *Program) Analyse() []Analysis {
+	procs := p.Procs
+	if len(procs) == 0 {
+		procs = []Procedure{{Name: "<all>", Start: 0, End: len(p.Insts)}}
+	}
+	out := make([]Analysis, len(procs))
+	for i := range procs {
+		g := BuildCFG(p, &procs[i])
+		out[i] = Analysis{Proc: &procs[i], CFG: g, Live: ComputeLiveness(p, g)}
+	}
+	return out
 }

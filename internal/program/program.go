@@ -1,7 +1,9 @@
 // Package program models an assembled program: its instructions, data
 // image, procedures, control-flow graphs, natural loops, and register
 // liveness. It is the substrate for the register-reuse profiler and for
-// the Section 7.3 register re-allocator.
+// the Section 7.3 register re-allocator: it alone defines the calling
+// convention both assume, and Analyse gives both the same analysed
+// procedures.
 package program
 
 import (
@@ -12,7 +14,8 @@ import (
 
 // Calling conventions, Alpha-flavoured. The paper's re-allocator assumes
 // "all nonvolatile registers are live at entrance and exit, and each
-// procedure call uses all argument registers"; these sets define that.
+// procedure call uses all argument registers"; these lists, and the
+// register sets built from them in liveness.go, define that.
 var (
 	// ArgRegs are the integer argument registers (a0..a5 = r16..r21).
 	ArgRegs = []isa.Reg{16, 17, 18, 19, 20, 21}

@@ -283,3 +283,52 @@ func TestRegSet(t *testing.T) {
 		t.Error("Union wrong")
 	}
 }
+
+// TestAnalyseFallsBackToWholeProgram: without declared procedures the
+// analysis covers every instruction as one "<all>" procedure; with them
+// it follows the declarations.
+func TestAnalyseFallsBackToWholeProgram(t *testing.T) {
+	p := mustAsm(t, nestedLoops)
+	as := p.Analyse()
+	if len(as) != 1 || as[0].Proc != &p.Procs[0] {
+		t.Fatalf("declared: %d analyses, proc %v", len(as), as[0].Proc)
+	}
+	p.Procs = nil
+	as = p.Analyse()
+	if len(as) != 1 || as[0].Proc.Name != "<all>" || as[0].Proc.Start != 0 || as[0].Proc.End != len(p.Insts) {
+		t.Fatalf("fallback: %d analyses, proc %+v", len(as), as[0].Proc)
+	}
+	if len(as[0].CFG.Blocks) != 5 || as[0].Live.Proc != as[0].Proc {
+		t.Errorf("fallback: %d blocks, liveness of %+v", len(as[0].CFG.Blocks), as[0].Live.Proc)
+	}
+}
+
+// TestConventionUsesAndDefs pins the convention at its boundaries: a
+// call reads the arguments and clobbers every volatile register, a
+// return reads the exit-live set, and HALT reads only the return value.
+func TestConventionUsesAndDefs(t *testing.T) {
+	ra := isa.Reg(5)
+	if got, want := program.Uses(isa.Inst{Op: isa.JSR, Rd: isa.RRA, Ra: ra}), program.CallUses|1<<ra; got != want {
+		t.Errorf("Uses(jsr) = %#x, want %#x", got, want)
+	}
+	if got, want := program.Defs(isa.Inst{Op: isa.JSR, Rd: isa.RRA, Ra: ra}), program.CallClobbers|1<<isa.RRA; got != want {
+		t.Errorf("Defs(jsr) = %#x, want %#x", got, want)
+	}
+	if got, want := program.Uses(isa.Inst{Op: isa.RET, Rd: isa.RZero, Ra: isa.RRA}), program.ExitLive; got != want {
+		t.Errorf("Uses(ret) = %#x, want %#x", got, want)
+	}
+	if got, want := program.Uses(isa.Inst{Op: isa.HALT}), program.RegSet(1<<isa.RV); got != want {
+		t.Errorf("Uses(halt) = %#x, want only RV", got)
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if clob, nonvol := program.CallClobbers.Has(r), program.Nonvolatile.Has(r); clob == (nonvol || r.IsZero()) {
+			t.Errorf("%v: clobbered=%v nonvolatile=%v", r, clob, nonvol)
+		}
+		// The volatile registers the convention fixes: return values and
+		// arguments.
+		fixed := r == isa.RV || r == isa.FPReg(0) || program.CallUses.Has(r)
+		if program.CallClobbers.Has(r) && program.ConventionRegs.Has(r) != fixed {
+			t.Errorf("%v: convention register = %v, want %v", r, program.ConventionRegs.Has(r), fixed)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"rvpsim/internal/isa"
+	"rvpsim/internal/program"
 )
 
 // trial is one attempted application of a set of reuses to the
@@ -213,7 +214,7 @@ func (t *trial) colour() (map[int]isa.Reg, bool) {
 	// Degree counts same-file neighbours; pinned neighbours with colours
 	// outside the palette cannot actually conflict, so they are excluded
 	// from degree but their colours are respected at select time.
-	inPalette := func(r isa.Reg) bool { return !pinnedReg[r] && !r.IsZero() }
+	inPalette := func(r isa.Reg) bool { return !program.ConventionRegs.Has(r) }
 	degree := func(g int) int {
 		d := 0
 		for nb := range neighbours[g] {

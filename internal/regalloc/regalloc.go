@@ -15,6 +15,8 @@
 // rewritten program exhibits the reuse as plain same-register reuse with
 // no hints at all.
 //
+// The calling convention and the per-procedure CFG and liveness come from
+// package program (ConventionRegs, Uses, CallClobbers, Analyse).
 // Calling-convention webs (args, return value, SP, RA, callee-saved
 // registers, values reaching back to procedure entry, and call-clobber
 // definitions) are pinned: they keep their architectural names, and reuses
@@ -57,41 +59,18 @@ type Result struct {
 	Dropped []Reuse
 }
 
-// volatile palettes: the colours a non-pinned web may take. The
-// complement (args, RV, SP, RA, callee-saved, zero) is pinned.
+// The colours a non-pinned web may take: every register outside the
+// calling convention's (program.ConventionRegs), per register file.
 var intPalette, fpPalette []isa.Reg
 
-// pinnedReg marks registers that must keep their architectural identity.
-var pinnedReg [isa.NumRegs]bool
-
 func init() {
-	pin := func(r isa.Reg) { pinnedReg[r] = true }
-	pin(isa.RV)
-	pin(isa.RSP)
-	pin(isa.RRA)
-	pin(isa.RZero)
-	pin(isa.FZero)
-	pin(isa.FPReg(0)) // FP return value
-	for _, r := range program.ArgRegs {
-		pin(r)
-	}
-	for _, r := range program.FPArgRegs {
-		pin(r)
-	}
-	for _, r := range program.NonvolatileRegs {
-		pin(r)
-	}
-	for _, r := range program.FPNonvolatileRegs {
-		pin(r)
-	}
-	for r := 0; r < isa.NumIntRegs; r++ {
-		if !pinnedReg[r] {
-			intPalette = append(intPalette, isa.Reg(r))
-		}
-	}
-	for r := isa.FPBase; r < isa.NumRegs; r++ {
-		if !pinnedReg[r] {
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		switch {
+		case program.ConventionRegs.Has(r):
+		case r.IsFP():
 			fpPalette = append(fpPalette, r)
+		default:
+			intPalette = append(intPalette, r)
 		}
 	}
 }
@@ -102,14 +81,9 @@ func init() {
 func Reallocate(prog *program.Program, prof *profile.Profile, lists profile.Lists) (*Result, error) {
 	out := prog.Clone()
 	res := &Result{Prog: out}
-
-	procs := out.Procs
-	if len(procs) == 0 {
-		procs = []program.Procedure{{Name: "<all>", Start: 0, End: len(out.Insts)}}
-	}
-	for pi := range procs {
-		if err := reallocProc(out, &procs[pi], prof, lists, res); err != nil {
-			return nil, fmt.Errorf("regalloc: %s: %w", procs[pi].Name, err)
+	for _, a := range out.Analyse() {
+		if err := reallocProc(out, a, prof, lists, res); err != nil {
+			return nil, fmt.Errorf("regalloc: %s: %w", a.Proc.Name, err)
 		}
 	}
 	return res, nil
@@ -126,12 +100,9 @@ type procState struct {
 	reuses []Reuse // candidate reuses, stable order
 }
 
-func reallocProc(prog *program.Program, proc *program.Procedure, prof *profile.Profile, lists profile.Lists, res *Result) error {
-	ps := &procState{prog: prog, proc: proc}
-	ps.g = program.BuildCFG(prog, proc)
-	live := program.ComputeLiveness(prog, ps.g)
-	ps.lp = ps.g.NaturalLoops()
-	ps.wi = buildWebs(prog, proc, ps.g, live)
+func reallocProc(prog *program.Program, a program.Analysis, prof *profile.Profile, lists profile.Lists, res *Result) error {
+	ps := &procState{prog: prog, proc: a.Proc, g: a.CFG, lp: a.CFG.NaturalLoops()}
+	ps.wi = buildWebs(prog, a.Proc, a.CFG, a.Live)
 
 	ps.collectReuses(prof, lists)
 

@@ -90,47 +90,6 @@ func (u dfUnion) union(a, b int) {
 	}
 }
 
-// convUses returns extra convention-implied source registers (beyond
-// Inst.Sources) for instruction in.
-func convUses(in isa.Inst) []isa.Reg {
-	switch in.Op {
-	case isa.JSR:
-		out := append([]isa.Reg(nil), program.ArgRegs...)
-		return append(out, program.FPArgRegs...)
-	case isa.RET, isa.HALT:
-		out := []isa.Reg{isa.RV}
-		out = append(out, program.NonvolatileRegs...)
-		return append(out, program.FPNonvolatileRegs...)
-	}
-	return nil
-}
-
-// callClobbers returns the volatile registers a call synthetically
-// defines.
-func callClobbers() []isa.Reg {
-	var out []isa.Reg
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if !r.IsZero() && !pinnedNonvolatile(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func pinnedNonvolatile(r isa.Reg) bool {
-	for _, n := range program.NonvolatileRegs {
-		if r == n {
-			return true
-		}
-	}
-	for _, n := range program.FPNonvolatileRegs {
-		if r == n {
-			return true
-		}
-	}
-	return false
-}
-
 // buildWebs performs reaching-definitions analysis over the procedure,
 // merges definitions that share uses into webs, and constructs the web
 // interference graph (def-point vs live-web, Chaitin style).
@@ -155,21 +114,19 @@ func buildWebs(prog *program.Program, proc *program.Procedure, g *program.CFG, l
 	}
 	// Per-instruction definition lists (explicit first, then clobbers).
 	instDefs := make([][]int, proc.End-proc.Start)
-	clobbers := callClobbers()
 	for i := proc.Start; i < proc.End; i++ {
 		in := prog.Insts[i]
 		var ids []int
-		if d, ok := in.Dest(); ok {
+		d, hasDest := in.Dest()
+		if hasDest {
 			ids = append(ids, addDef(defRecord{inst: i, reg: d}))
 		}
 		if in.Op == isa.JSR {
-			dd, hasDest := in.Dest()
-			for _, r := range clobbers {
-				if hasDest && r == dd {
-					continue
+			program.CallClobbers.Each(func(r isa.Reg) {
+				if !hasDest || r != d {
+					ids = append(ids, addDef(defRecord{inst: i, reg: r, synth: true}))
 				}
-				ids = append(ids, addDef(defRecord{inst: i, reg: r, synth: true}))
-			}
+			})
 		}
 		instDefs[i-proc.Start] = ids
 	}
@@ -253,9 +210,6 @@ func buildWebs(prog *program.Program, proc *program.Procedure, g *program.CFG, l
 		}
 	}
 	recordUse := func(i int, r isa.Reg, st state) {
-		if r.IsZero() {
-			return
-		}
 		first := -1
 		st[r].forEach(func(id int) {
 			if first < 0 {
@@ -269,13 +223,7 @@ func buildWebs(prog *program.Program, proc *program.Procedure, g *program.CFG, l
 		}
 	}
 	walk(func(i int, st state) {
-		in := prog.Insts[i]
-		for _, r := range in.Sources(nil) {
-			recordUse(i, r, st)
-		}
-		for _, r := range convUses(in) {
-			recordUse(i, r, st)
-		}
+		program.Uses(prog.Insts[i]).Each(func(r isa.Reg) { recordUse(i, r, st) })
 	})
 
 	// --- Webs from the union-find.
@@ -297,7 +245,7 @@ func buildWebs(prog *program.Program, proc *program.Procedure, g *program.CFG, l
 		} else {
 			web.Defs = append(web.Defs, defs[id].inst)
 		}
-		if pinnedReg[defs[id].reg] {
+		if program.ConventionRegs.Has(defs[id].reg) {
 			web.Pinned = true
 		}
 	}

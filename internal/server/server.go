@@ -744,14 +744,16 @@ func (s *Server) runJob(j *job) {
 		rec.State = StateSucceeded
 		rec.Result = res
 		s.mSucceeded.Inc()
+		// Drop the simulation scratch state before the terminal record
+		// lands, so no reader that sees the job succeeded finds it. If
+		// the append fails, the job re-simulates from the start on
+		// restart: slower, never wrong.
+		os.RemoveAll(s.jobDir(j.id))
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job success failed", "job", j.id, "error", serr)
 			s.storageDegraded.Trip(serr)
-			return // keep the state dir: the result is not durable
+			return
 		}
-		// The result is durable; the simulation scratch state is now
-		// redundant.
-		os.RemoveAll(s.jobDir(j.id))
 		s.tel.publish(j.id, JobEvent{Type: EvDone, Attempt: rec.Attempts})
 		s.log.Info("job succeeded", "job", j.id, "attempt", rec.Attempts, "trace", rec.TraceID)
 
@@ -784,12 +786,12 @@ func (s *Server) runJob(j *job) {
 			rec.Flight = &FlightRecord{SpecDigest: j.spec.Digest(), Events: f.events()}
 		}
 		s.mFailed.Inc()
+		os.RemoveAll(s.jobDir(j.id))
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job failure failed", "job", j.id, "error", serr)
 			s.storageDegraded.Trip(serr)
 			return
 		}
-		os.RemoveAll(s.jobDir(j.id))
 		s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: err.Error()})
 		s.log.Warn("job failed", "job", j.id, "attempt", rec.Attempts,
 			"trace", rec.TraceID, "error", err)
@@ -814,11 +816,11 @@ func (s *Server) abandonExpired(j *job) {
 			time.Since(j.deadline).Round(time.Millisecond)),
 		Timeout: true,
 	}
+	os.RemoveAll(s.jobDir(j.id))
 	if err := s.store.Append(rec); err != nil {
 		s.log.Error("recording deadline abandonment failed", "job", j.id, "error", err)
 		s.storageDegraded.Trip(err)
 	}
-	os.RemoveAll(s.jobDir(j.id))
 	s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: rec.Error.Message})
 	s.log.Warn("job abandoned: caller deadline expired while queued",
 		"job", j.id, "trace", rec.TraceID)

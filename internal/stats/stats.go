@@ -7,7 +7,6 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -22,22 +21,6 @@ func Mean(vs []float64) float64 {
 		s += v
 	}
 	return s / float64(len(vs))
-}
-
-// GeoMean returns the geometric mean of vs (0 for empty input; values
-// must be positive).
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	p := 1.0
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		p *= v
-	}
-	return math.Pow(p, 1/float64(len(vs)))
 }
 
 // Table is a labelled grid: one row per series, one column per item.

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 )
@@ -13,18 +12,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v", got)
-	}
-	if got := GeoMean([]float64{2, 0}); got != 0 {
-		t.Errorf("GeoMean with zero = %v", got)
 	}
 }
 
