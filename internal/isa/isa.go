@@ -320,46 +320,10 @@ func HasImm(op Op) bool {
 // IsLoad reports whether op reads memory.
 func IsLoad(op Op) bool { return Classify(op) == ClassLoad }
 
-// IsRVPMarked reports whether op is one of the static-RVP load opcodes.
-func IsRVPMarked(op Op) bool { return op == RVPLDQ || op == RVPLDT }
-
-// RVPVariant returns the rvp-marked twin of a plain load opcode, and ok ==
-// false when op has no rvp form.
-func RVPVariant(op Op) (Op, bool) {
-	switch op {
-	case LDQ:
-		return RVPLDQ, true
-	case LDT:
-		return RVPLDT, true
-	}
-	return op, false
-}
-
-// PlainVariant undoes RVPVariant: it maps rvp-marked loads back to their
-// ordinary opcodes and leaves every other opcode unchanged.
-func PlainVariant(op Op) Op {
-	switch op {
-	case RVPLDQ:
-		return LDQ
-	case RVPLDT:
-		return LDT
-	}
-	return op
-}
-
 // IsCondBranch reports whether op is a conditional branch.
 func IsCondBranch(op Op) bool {
 	switch op {
 	case BEQ, BNE, BLT, BGE, BGT, BLE, FBEQ, FBNE:
-		return true
-	}
-	return false
-}
-
-// IsUncondCTI reports whether op is an unconditional control transfer.
-func IsUncondCTI(op Op) bool {
-	switch op {
-	case BR, JSR, RET:
 		return true
 	}
 	return false

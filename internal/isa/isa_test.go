@@ -202,45 +202,18 @@ func TestSourcesAndDest(t *testing.T) {
 	}
 }
 
-func TestRVPVariants(t *testing.T) {
-	if v, ok := RVPVariant(LDQ); !ok || v != RVPLDQ {
-		t.Errorf("RVPVariant(LDQ) = %v, %v", v, ok)
-	}
-	if v, ok := RVPVariant(LDT); !ok || v != RVPLDT {
-		t.Errorf("RVPVariant(LDT) = %v, %v", v, ok)
-	}
-	if _, ok := RVPVariant(ADD); ok {
-		t.Error("RVPVariant(ADD) should not exist")
-	}
-	if PlainVariant(RVPLDQ) != LDQ || PlainVariant(RVPLDT) != LDT {
-		t.Error("PlainVariant of rvp loads wrong")
-	}
-	if PlainVariant(ADD) != ADD {
-		t.Error("PlainVariant changed a non-rvp op")
-	}
-	if !IsRVPMarked(RVPLDQ) || IsRVPMarked(LDQ) {
-		t.Error("IsRVPMarked wrong")
-	}
-}
-
 func TestBranchPredicates(t *testing.T) {
 	for _, op := range []Op{BEQ, BNE, BLT, BGE, BGT, BLE, FBEQ, FBNE} {
 		if !IsCondBranch(op) {
 			t.Errorf("IsCondBranch(%v) = false", op)
-		}
-		if IsUncondCTI(op) {
-			t.Errorf("IsUncondCTI(%v) = true", op)
 		}
 	}
 	for _, op := range []Op{BR, JSR, RET} {
 		if IsCondBranch(op) {
 			t.Errorf("IsCondBranch(%v) = true", op)
 		}
-		if !IsUncondCTI(op) {
-			t.Errorf("IsUncondCTI(%v) = false", op)
-		}
 	}
-	if IsCondBranch(ADD) || IsUncondCTI(ADD) {
+	if IsCondBranch(ADD) {
 		t.Error("ADD classified as branch")
 	}
 }

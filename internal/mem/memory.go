@@ -228,16 +228,6 @@ func MustNewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
-// Access touches addr and reports whether it hit, ignoring fill timing.
-// The line is installed (with an instant fill) on a miss.
-func (c *Cache) Access(addr uint64) bool {
-	hit, _ := c.Probe(addr, 0)
-	if !hit {
-		c.Install(addr, 0)
-	}
-	return hit
-}
-
 // Probe looks addr up at cycle now. It returns whether the line is
 // present and, for a present line whose fill is still in flight, the
 // remaining wait in cycles (MSHR-style secondary-miss behaviour). A miss

@@ -70,18 +70,28 @@ func TestRestoreMemoryValidatesGeometry(t *testing.T) {
 	}
 }
 
+// access looks addr up with Probe and, on a miss, installs it with an
+// instant fill, ignoring fill timing; it reports whether addr hit.
+func access(c *Cache, addr uint64) bool {
+	hit, _ := c.Probe(addr, 0)
+	if !hit {
+		c.Install(addr, 0)
+	}
+	return hit
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := MustNewCache(CacheConfig{Name: "t", SizeBytes: 1024, Assoc: 2, LineBytes: 64, MissPenalty: 10, HitLatency: 1})
-	if c.Access(0) {
+	if access(c, 0) {
 		t.Error("cold access hit")
 	}
-	if !c.Access(0) {
+	if !access(c, 0) {
 		t.Error("second access missed")
 	}
-	if !c.Access(63) {
+	if !access(c, 63) {
 		t.Error("same-line access missed")
 	}
-	if c.Access(64) {
+	if access(c, 64) {
 		t.Error("next-line access hit")
 	}
 	if c.Hits != 2 || c.Misses != 2 {
@@ -92,14 +102,14 @@ func TestCacheHitMiss(t *testing.T) {
 func TestCacheLRUReplacement(t *testing.T) {
 	// 2-way, 8 sets of 64B lines: addresses 0, 512, 1024 map to set 0.
 	c := MustNewCache(CacheConfig{Name: "t", SizeBytes: 1024, Assoc: 2, LineBytes: 64})
-	c.Access(0)    // miss, installs A
-	c.Access(512)  // miss, installs B
-	c.Access(0)    // hit A; B becomes LRU
-	c.Access(1024) // miss, evicts B
-	if !c.Access(0) {
+	access(c, 0)    // miss, installs A
+	access(c, 512)  // miss, installs B
+	access(c, 0)    // hit A; B becomes LRU
+	access(c, 1024) // miss, evicts B
+	if !access(c, 0) {
 		t.Error("A evicted though it was MRU")
 	}
-	if c.Access(512) {
+	if access(c, 512) {
 		t.Error("B hit though it should have been evicted")
 	}
 }
@@ -124,13 +134,13 @@ func TestCacheConfigValidate(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c := MustNewCache(CacheConfig{Name: "t", SizeBytes: 1024, Assoc: 2, LineBytes: 64})
-	c.Access(0)
-	c.Access(0)
+	access(c, 0)
+	access(c, 0)
 	c.Reset()
 	if c.Hits != 0 || c.Misses != 0 {
 		t.Error("stats not reset")
 	}
-	if c.Access(0) {
+	if access(c, 0) {
 		t.Error("contents not reset")
 	}
 }

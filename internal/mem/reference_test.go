@@ -72,7 +72,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			default:
 				addr = rng.next() % (1 << 12) // hot region
 			}
-			got := c.Access(addr)
+			got := access(c, addr)
 			want := ref.access(addr)
 			if got != want {
 				t.Fatalf("%s: step %d addr %#x: hit=%v, reference %v", cfg.Name, step, addr, got, want)

@@ -1,7 +1,6 @@
 package netfault
 
 import (
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -19,12 +18,8 @@ type Conn struct {
 	// done closes when the conn closes, releasing partition waiters.
 	done   chan struct{}
 	closed bool
-	// cut marks a truncated stream: reads return EOF, writes ErrReset.
-	cut bool
 	// drip is the slow-loris per-op pause (0 = full speed).
 	drip time.Duration
-	// replay holds a duplicated chunk to re-deliver on the next read.
-	replay []byte
 }
 
 // WrapConn wraps inner so its I/O goes through inj.
@@ -32,197 +27,79 @@ func WrapConn(inner net.Conn, inj *Injector) *Conn {
 	return &Conn{inner: inner, inj: inj, done: make(chan struct{})}
 }
 
-// dripDelay returns the current trickle pause.
-func (c *Conn) dripDelay() time.Duration {
+// fault is the part of a read or write that runs before its I/O: it
+// waits out a partition blocking op, counts op, applies the fault
+// scheduled there, and pauses a trickling stream. flip reports a
+// scheduled KindFlip, trickle a stream in slow-loris mode. A non-nil
+// error ends the operation without I/O.
+func (c *Conn) fault(op Op) (flip, trickle bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drip
+	closed := c.closed
+	c.mu.Unlock()
+	if closed || !c.inj.awaitHealed(op, c.done) {
+		return false, false, net.ErrClosed
+	}
+	if p, ok := c.inj.step(op); ok {
+		switch p.Kind {
+		case KindLatency:
+			if !sleepOr(durOr(p.Dur, 50*time.Millisecond), c.done) {
+				return false, false, net.ErrClosed
+			}
+		case KindReset:
+			_ = c.Close()
+			return false, false, ErrReset
+		case KindPartition, KindPartitionOneWay:
+			// step armed the partition; this op waits it out like any other.
+			if !c.inj.awaitHealed(op, c.done) {
+				return false, false, net.ErrClosed
+			}
+		case KindFlip:
+			flip = true
+		case KindSlowLoris:
+			c.mu.Lock()
+			c.drip = durOr(p.Dur, 10*time.Millisecond)
+			c.mu.Unlock()
+		}
+	}
+	c.mu.Lock()
+	d := c.drip
+	c.mu.Unlock()
+	if d > 0 && !sleepOr(d, c.done) {
+		return false, false, net.ErrClosed
+	}
+	return flip, d > 0, nil
 }
 
 // Read implements net.Conn. A partition (full or one-way) blocks it
-// until heal; scheduled faults then shape the delivered bytes.
+// until heal; a flip corrupts the bytes it delivers.
 func (c *Conn) Read(b []byte) (int, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, net.ErrClosed
+	flip, trickle, err := c.fault(OpRead)
+	if err != nil {
+		return 0, err
 	}
-	if c.cut {
-		c.mu.Unlock()
-		return 0, io.EOF
+	if trickle && len(b) > 16 {
+		b = b[:16]
 	}
-	if len(c.replay) > 0 {
-		// Duplicated delivery: the copy arrives as its own segment,
-		// without counting a new op (the duplicate is one fault).
-		n := copy(b, c.replay)
-		c.replay = c.replay[n:]
-		c.mu.Unlock()
-		return n, nil
+	n, err := c.inner.Read(b)
+	if flip && n > 0 {
+		flipDigit(b[:n])
 	}
-	c.mu.Unlock()
-
-	if !c.inj.awaitHealed(OpRead, c.done) {
-		return 0, net.ErrClosed
-	}
-	p, ok := c.inj.step(OpRead)
-	if d := c.dripDelay(); d > 0 {
-		if !sleepOr(d, c.done) {
-			return 0, net.ErrClosed
-		}
-		if len(b) > 16 {
-			b = b[:16]
-		}
-	}
-	if !ok {
-		return c.inner.Read(b)
-	}
-	switch p.Kind {
-	case KindLatency, KindSkewRetryAfter:
-		d := p.Dur
-		if d <= 0 {
-			d = 50 * time.Millisecond
-		}
-		if !sleepOr(d, c.done) {
-			return 0, net.ErrClosed
-		}
-		return c.inner.Read(b)
-	case KindReset:
-		_ = c.Close()
-		return 0, ErrReset
-	case KindPartition, KindPartitionOneWay:
-		// step armed the partition; this read waits it out like any other.
-		if !c.inj.awaitHealed(OpRead, c.done) {
-			return 0, net.ErrClosed
-		}
-		return c.inner.Read(b)
-	case KindTruncate:
-		n, err := c.inner.Read(b)
-		if n > 1 {
-			n = n / 2
-		}
-		c.mu.Lock()
-		c.cut = true
-		c.mu.Unlock()
-		if err != nil {
-			return n, err
-		}
-		return n, nil
-	case KindFlip:
-		n, err := c.inner.Read(b)
-		if n > 0 {
-			flipDigit(b[:n])
-		}
-		return n, err
-	case KindDuplicate:
-		n, err := c.inner.Read(b)
-		if n > 0 {
-			c.mu.Lock()
-			c.replay = append(c.replay, b[:n]...)
-			c.mu.Unlock()
-		}
-		return n, err
-	case KindSlowLoris:
-		d := p.Dur
-		if d <= 0 {
-			d = 10 * time.Millisecond
-		}
-		c.mu.Lock()
-		c.drip = d
-		c.mu.Unlock()
-		if !sleepOr(d, c.done) {
-			return 0, net.ErrClosed
-		}
-		if len(b) > 16 {
-			b = b[:16]
-		}
-		return c.inner.Read(b)
-	default:
-		return c.inner.Read(b)
-	}
+	return n, err
 }
 
 // Write implements net.Conn. Only a full partition blocks writes (a
 // one-way partition lets requests through — that asymmetry is its
 // point).
 func (c *Conn) Write(b []byte) (int, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, net.ErrClosed
+	flip, _, err := c.fault(OpWrite)
+	if err != nil {
+		return 0, err
 	}
-	if c.cut {
-		c.mu.Unlock()
-		return 0, ErrReset
+	if flip {
+		b = append([]byte(nil), b...)
+		flipDigit(b)
 	}
-	c.mu.Unlock()
-
-	if !c.inj.awaitHealed(OpWrite, c.done) {
-		return 0, net.ErrClosed
-	}
-	p, ok := c.inj.step(OpWrite)
-	if d := c.dripDelay(); d > 0 {
-		if !sleepOr(d, c.done) {
-			return 0, net.ErrClosed
-		}
-	}
-	if !ok {
-		return c.inner.Write(b)
-	}
-	switch p.Kind {
-	case KindLatency, KindSkewRetryAfter:
-		d := p.Dur
-		if d <= 0 {
-			d = 50 * time.Millisecond
-		}
-		if !sleepOr(d, c.done) {
-			return 0, net.ErrClosed
-		}
-		return c.inner.Write(b)
-	case KindReset:
-		_ = c.Close()
-		return 0, ErrReset
-	case KindPartition, KindPartitionOneWay:
-		if !c.inj.awaitHealed(OpWrite, c.done) {
-			return 0, net.ErrClosed
-		}
-		return c.inner.Write(b)
-	case KindTruncate:
-		k := len(b) / 2
-		if k == 0 && len(b) > 0 {
-			k = 1
-		}
-		if _, err := c.inner.Write(b[:k]); err != nil {
-			return 0, err
-		}
-		c.mu.Lock()
-		c.cut = true
-		c.mu.Unlock()
-		return k, ErrReset
-	case KindFlip:
-		mut := append([]byte(nil), b...)
-		flipDigit(mut)
-		n, err := c.inner.Write(mut)
-		return n, err
-	case KindDuplicate:
-		if _, err := c.inner.Write(b); err != nil {
-			return 0, err
-		}
-		return c.inner.Write(b)
-	case KindSlowLoris:
-		d := p.Dur
-		if d <= 0 {
-			d = 10 * time.Millisecond
-		}
-		c.mu.Lock()
-		c.drip = d
-		c.mu.Unlock()
-		if !sleepOr(d, c.done) {
-			return 0, net.ErrClosed
-		}
-		return c.inner.Write(b)
-	default:
-		return c.inner.Write(b)
-	}
+	return c.inner.Write(b)
 }
 
 // Close implements net.Conn; it releases any partition waiters.
@@ -252,50 +129,3 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadli
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
-
-// Listener wraps a net.Listener: every accepted connection is counted
-// (OpAccept) and wrapped in a Conn sharing the injector.
-type Listener struct {
-	inner net.Listener
-	inj   *Injector
-}
-
-// WrapListener wraps ln so accepted connections go through inj.
-func WrapListener(ln net.Listener, inj *Injector) *Listener {
-	return &Listener{inner: ln, inj: inj}
-}
-
-// Accept implements net.Listener. A KindReset plan closes the fresh
-// connection immediately (the SYN-then-RST pattern) and waits for the
-// next one — an http.Server must keep serving through injected resets,
-// not die on a non-Temporary Accept error. A KindLatency plan delays
-// the hand-off.
-func (l *Listener) Accept() (net.Conn, error) {
-	for {
-		conn, err := l.inner.Accept()
-		if err != nil {
-			return nil, err
-		}
-		p, ok := l.inj.step(OpAccept)
-		if ok {
-			switch p.Kind {
-			case KindReset:
-				_ = conn.Close()
-				continue
-			case KindLatency:
-				d := p.Dur
-				if d <= 0 {
-					d = 50 * time.Millisecond
-				}
-				time.Sleep(d)
-			}
-		}
-		return WrapConn(conn, l.inj), nil
-	}
-}
-
-// Close implements net.Listener.
-func (l *Listener) Close() error { return l.inner.Close() }
-
-// Addr implements net.Listener.
-func (l *Listener) Addr() net.Addr { return l.inner.Addr() }

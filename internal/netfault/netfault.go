@@ -1,23 +1,19 @@
 // Package netfault is the deterministic network fault seam: the
 // network-side twin of internal/vfs. An Injector counts network
-// operations (HTTP round trips, accepted connections, connection reads
-// and writes) and applies scheduled faults at exact op indices, so a
-// failing run replays from nothing but its schedule — and a schedule is
-// derivable from a single printed seed.
+// operations (accepted connections, connection reads and writes) and
+// applies scheduled faults at exact op indices, so a failing run
+// replays from nothing but its schedule — and a schedule is derivable
+// from a single printed seed.
 //
-// Two wrappers thread the injector into real traffic:
-//
-//   - Transport wraps an http.RoundTripper (client-side faults: the
-//     retrying rvpc client, the fleet coordinator's dispatch path).
-//   - Conn/WrapListener wrap net.Conn/net.Listener, and Proxy chains
-//     them into a TCP proxy so an unmodified rvpd worker process can sit
-//     behind a hostile link in end-to-end tests.
+// One wrapper threads the injector into real traffic: Conn wraps a
+// net.Conn, and Proxy forwards TCP connections to a fixed target
+// through a Conn, so an unmodified process (a real rvpd worker) can sit
+// behind a hostile link. A Conn on the client side of an http.Transport
+// (via its DialContext) faults one client's traffic the same way.
 //
 // The fault taxonomy covers what real networks do to protocols: added
-// latency, connection reset, full and one-way partition, response
-// truncation, payload bit-flip (silent corruption), duplicated
-// delivery, slow-loris trickle reads, and clock-skewed Retry-After
-// hints.
+// latency, connection reset, full and one-way partition, payload
+// bit-flip (silent corruption) and slow-loris trickle reads.
 //
 // Determinism contract: the schedule — which op index suffers which
 // fault — is exactly reproducible from a seed. Under concurrent
@@ -41,9 +37,7 @@ import (
 type Op string
 
 const (
-	// OpRequest is one HTTP round trip through a Transport.
-	OpRequest Op = "request"
-	// OpAccept is one accepted connection on a wrapped listener/proxy.
+	// OpAccept is one connection accepted by a Proxy.
 	OpAccept Op = "accept"
 	// OpRead is one Read on a wrapped connection (the response direction
 	// in a Proxy).
@@ -68,9 +62,9 @@ const (
 	// KindLatency delays the operation by Dur, then lets it proceed.
 	KindLatency Kind = iota
 	// KindReset kills the connection: the operation fails with ErrReset.
-	// On a Transport the request is still delivered before the response
-	// is torn down — the worst case for a retrying client, whose retry
-	// must rewind the request body.
+	// On a read, the request written before it has already been
+	// delivered — the worst case for a retrying client, whose retry must
+	// rewind the request body.
 	KindReset
 	// KindPartition blackholes the link in both directions for Dur:
 	// operations block (delivery resumes after heal, like TCP
@@ -81,27 +75,17 @@ const (
 	// responses do not — the asymmetric-partition case that breaks naive
 	// lease protocols.
 	KindPartitionOneWay
-	// KindTruncate delivers a prefix of the payload, then cuts the
-	// stream.
-	KindTruncate
 	// KindFlip delivers the payload with one bit flipped and reports
 	// success — silent corruption in flight. The flip targets the first
-	// ASCII digit (low bit), so JSON payloads stay parseable and the
-	// corruption reaches the decoded values instead of dying in the
-	// decoder.
+	// ASCII digit (low bit), so a JSON payload usually stays parseable
+	// and the corruption reaches the decoded values instead of dying in
+	// the decoder. (A multi-digit number whose first digit is 1 gets a
+	// leading zero, which a JSON decoder rejects.)
 	KindFlip
-	// KindDuplicate delivers the payload twice (at-least-once delivery;
-	// on a Transport the whole request is issued twice).
-	KindDuplicate
 	// KindSlowLoris switches the stream to trickle mode: every
-	// subsequent read/write on it moves at most a few bytes after a Dur
-	// pause.
+	// subsequent read/write on it waits Dur first, and reads return at
+	// most 16 bytes.
 	KindSlowLoris
-	// KindSkewRetryAfter multiplies a response's Retry-After header by
-	// Skew — the clock-skewed server whose hints would stretch a naive
-	// retry schedule forever. Transport only; elsewhere it degrades to
-	// KindLatency.
-	KindSkewRetryAfter
 )
 
 // String names the kind for schedule printouts.
@@ -115,16 +99,10 @@ func (k Kind) String() string {
 		return "partition"
 	case KindPartitionOneWay:
 		return "partition1w"
-	case KindTruncate:
-		return "truncate"
 	case KindFlip:
 		return "flip"
-	case KindDuplicate:
-		return "duplicate"
 	case KindSlowLoris:
 		return "slowloris"
-	case KindSkewRetryAfter:
-		return "skew"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -140,18 +118,12 @@ type Plan struct {
 	// partition duration, the slow-loris per-read pause. Zero takes a
 	// kind-appropriate default.
 	Dur time.Duration
-	// Skew is the Retry-After multiplier for KindSkewRetryAfter
-	// (default 10).
-	Skew float64
 }
 
 func (p Plan) String() string {
 	s := fmt.Sprintf("@%d %s", p.At, p.Kind)
 	if p.Dur > 0 {
 		s += fmt.Sprintf(" dur=%v", p.Dur)
-	}
-	if p.Skew > 0 {
-		s += fmt.Sprintf(" skew=%g", p.Skew)
 	}
 	return s
 }
@@ -167,7 +139,7 @@ func FormatPlans(plans []Plan) string {
 }
 
 // Injector counts operations and applies the fault schedule. One
-// injector models one link; wrappers sharing it share its op counter
+// injector models one link; the conns sharing it share its op counter
 // and partition state.
 type Injector struct {
 	mu    sync.Mutex
@@ -233,11 +205,7 @@ func (inj *Injector) step(op Op) (Plan, bool) {
 	}
 	switch p.Kind {
 	case KindPartition, KindPartitionOneWay:
-		d := p.Dur
-		if d <= 0 {
-			d = 200 * time.Millisecond
-		}
-		until := time.Now().Add(d)
+		until := time.Now().Add(durOr(p.Dur, 200*time.Millisecond))
 		if until.After(inj.partUntil) {
 			inj.partUntil = until
 			inj.partOneWay = p.Kind == KindPartitionOneWay
@@ -257,7 +225,7 @@ func (inj *Injector) partitionRemaining(op Op) time.Duration {
 	if rem <= 0 {
 		return 0
 	}
-	if inj.partOneWay && op != OpRead && op != OpRequest {
+	if inj.partOneWay && op != OpRead {
 		return 0
 	}
 	return rem
@@ -310,9 +278,6 @@ func Schedule(seed int64, span int64, n int, kinds []Kind, maxDur time.Duration)
 		if maxDur > 0 {
 			p.Dur = time.Duration(rng.Int63n(int64(maxDur))) + 1
 		}
-		if k == KindSkewRetryAfter {
-			p.Skew = float64(2 + rng.Intn(9)) // 2x..10x
-		}
 		plans = append(plans, p)
 	}
 	// Stable order for printing; the map application is order-free.
@@ -326,8 +291,9 @@ func Schedule(seed int64, span int64, n int, kinds []Kind, maxDur time.Duration)
 
 // flipDigit flips the low bit of the first ASCII digit in b (in place),
 // turning it into a different digit — a single-bit corruption that
-// keeps JSON parseable so it reaches the decoded values. Without a
-// digit it falls back to the vfs idiom: flip 0x40 in the middle byte.
+// usually keeps JSON parseable so it reaches the decoded values (see
+// KindFlip). Without a digit it falls back to the vfs idiom: flip 0x40
+// in the middle byte.
 func flipDigit(b []byte) {
 	for i, c := range b {
 		if c >= '0' && c <= '9' {
@@ -338,6 +304,15 @@ func flipDigit(b []byte) {
 	if len(b) > 0 {
 		b[len(b)/2] ^= 0x40
 	}
+}
+
+// durOr returns d, or def when d is not positive: a zero Plan.Dur takes
+// its kind's default.
+func durOr(d, def time.Duration) time.Duration {
+	if d <= 0 {
+		return def
+	}
+	return d
 }
 
 // sleepOr sleeps d unless done fires first; it reports false when done

@@ -1,11 +1,13 @@
 package netfault
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -48,38 +50,63 @@ func TestScheduleDeterministic(t *testing.T) {
 
 // newBackend is a test origin that counts requests and serves a JSON
 // payload with a numeric field (so flips have a digit to corrupt).
-func newBackend(t *testing.T, retryAfter string) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
+func newBackend(t *testing.T) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
 	var hits, bodyBytes atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
 		n, _ := io.Copy(io.Discard, r.Body)
 		bodyBytes.Add(n)
-		if retryAfter != "" {
-			w.Header().Set("Retry-After", retryAfter)
-		}
+		hits.Add(1)
 		fmt.Fprint(w, `{"value":1234567890,"pad":"abcdefghijklmnopqrstuvwxyz"}`)
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &hits, &bodyBytes
 }
 
-func transportGet(t *testing.T, tr *Transport, url string) (*http.Response, error) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
+// faultyClient returns an HTTP client whose http.Transport dials
+// through a Conn on inj: writes carry requests, reads responses. The
+// transport's read loop and write loop run concurrently, so which of a
+// connection's first read and first write is op 0 is not fixed; tests
+// schedule only faults whose effect does not depend on it.
+func faultyClient(t *testing.T, inj *Injector) *http.Client {
+	tr := &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			var d net.Dialer
+			raw, err := d.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return WrapConn(raw, inj), nil
+		},
 	}
-	return tr.RoundTrip(req)
+	t.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
+}
+
+// drainClose consumes and closes a response body so the underlying
+// connection can be reused.
+func drainClose(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+}
+
+// eventually polls cond for up to 5s: the server handles a delivered
+// request on its own goroutine, after the client may have given up.
+func eventually(t *testing.T, cond func() bool, format string, args ...any) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf(format, args...)
+		}
+	}
 }
 
 func TestTransportLatency(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
+	srv, _, _ := newBackend(t)
 	inj := NewInjector()
 	inj.FailAt(Plan{At: 0, Kind: KindLatency, Dur: 80 * time.Millisecond})
-	tr := NewTransport(nil, inj)
 	start := time.Now()
-	resp, err := transportGet(t, tr, srv.URL)
+	resp, err := faultyClient(t, inj).Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,39 +114,49 @@ func TestTransportLatency(t *testing.T) {
 	if d := time.Since(start); d < 80*time.Millisecond {
 		t.Fatalf("latency fault added only %v", d)
 	}
-	if got := inj.Trace(); len(got) != 1 || got[0] != OpRequest {
-		t.Fatalf("trace = %v", got)
-	}
 }
 
-func TestTransportResetDeliversRequestFirst(t *testing.T) {
-	srv, hits, bodyBytes := newBackend(t, "")
+// TestConnResetDeliversRequestFirst: a reset on the first read after a
+// request was written fails the read with ErrReset, and the server has
+// still received the whole request — the case that punishes clients
+// whose retries resend a drained body.
+func TestConnResetDeliversRequestFirst(t *testing.T) {
+	srv, hits, bodyBytes := newBackend(t)
+	raw, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj := NewInjector()
-	inj.FailAt(Plan{At: 0, Kind: KindReset})
-	tr := NewTransport(nil, inj)
+	c := WrapConn(raw, inj)
+	defer c.Close()
 
 	body := bytes.Repeat([]byte("x"), 4096)
 	req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tr.RoundTrip(req)
+	if err := req.Write(c); err != nil {
+		t.Fatal(err)
+	}
+	inj.FailAt(Plan{At: inj.Ops(), Kind: KindReset})
+	_, err = http.ReadResponse(bufio.NewReader(c), req)
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("want injected reset, got %v", err)
 	}
-	// The worst case for retrying clients: the server did the work.
-	if hits.Load() != 1 || bodyBytes.Load() != int64(len(body)) {
-		t.Fatalf("request not fully delivered before reset: hits=%d bytes=%d", hits.Load(), bodyBytes.Load())
+	eventually(t, func() bool { return hits.Load() == 1 && bodyBytes.Load() == int64(len(body)) },
+		"request not fully delivered before reset: hits=%d bytes=%d", hits.Load(), bodyBytes.Load())
+	if _, err := c.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("write after reset = %v, want net.ErrClosed", err)
 	}
 }
 
 func TestTransportPartitionDelaysThenDelivers(t *testing.T) {
-	srv, hits, _ := newBackend(t, "")
+	srv, hits, _ := newBackend(t)
 	inj := NewInjector()
 	inj.FailAt(Plan{At: 0, Kind: KindPartition, Dur: 100 * time.Millisecond})
-	tr := NewTransport(nil, inj)
+	hc := faultyClient(t, inj)
 	start := time.Now()
-	resp, err := transportGet(t, tr, srv.URL)
+	resp, err := hc.Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +168,20 @@ func TestTransportPartitionDelaysThenDelivers(t *testing.T) {
 		t.Fatalf("hits = %d", hits.Load())
 	}
 	// A second request after heal flows cleanly.
-	resp, err = transportGet(t, tr, srv.URL)
+	resp, err = hc.Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainClose(resp)
 }
 
+// TestTransportPartitionRespectsContext: a cancelled request closes its
+// connection, and closing a Conn releases an op waiting out a
+// partition.
 func TestTransportPartitionRespectsContext(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
+	srv, _, _ := newBackend(t)
 	inj := NewInjector()
 	inj.FailAt(Plan{At: 0, Kind: KindPartition, Dur: 5 * time.Second})
-	tr := NewTransport(nil, inj)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
@@ -150,8 +189,7 @@ func TestTransportPartitionRespectsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = tr.RoundTrip(req)
-	if err == nil {
+	if _, err := faultyClient(t, inj).Do(req); err == nil {
 		t.Fatal("expected context error inside partition")
 	}
 	if time.Since(start) > 2*time.Second {
@@ -159,139 +197,86 @@ func TestTransportPartitionRespectsContext(t *testing.T) {
 	}
 }
 
+// TestTransportOneWayPartitionLosesResponse: the request reaches the
+// server while the response is held past the client's patience.
 func TestTransportOneWayPartitionLosesResponse(t *testing.T) {
-	srv, hits, _ := newBackend(t, "")
+	srv, hits, _ := newBackend(t)
 	inj := NewInjector()
-	inj.FailAt(Plan{At: 0, Kind: KindPartitionOneWay, Dur: 50 * time.Millisecond})
-	tr := NewTransport(nil, inj)
-	_, err := transportGet(t, tr, srv.URL)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected loss, got %v", err)
+	inj.FailAt(Plan{At: 0, Kind: KindPartitionOneWay, Dur: 5 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hits.Load() != 1 {
-		t.Fatalf("request should have reached the server: hits=%d", hits.Load())
+	if _, err := faultyClient(t, inj).Do(req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want the response lost past the deadline, got %v", err)
 	}
+	eventually(t, func() bool { return hits.Load() == 1 },
+		"request should have reached the server: hits=%d", hits.Load())
 }
 
-func TestTransportTruncate(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
-	inj := NewInjector()
-	inj.FailAt(Plan{At: 0, Kind: KindTruncate})
-	tr := NewTransport(nil, inj)
-	resp, err := transportGet(t, tr, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("want unexpected EOF, got %v (read %d bytes)", err, len(raw))
-	}
-	if len(raw) == 0 || int64(len(raw)) >= resp.ContentLength && resp.ContentLength > 0 {
-		t.Fatalf("truncation delivered %d bytes of %d", len(raw), resp.ContentLength)
-	}
-}
-
-func TestTransportFlipCorruptsOneDigit(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
-	clean, err := transportGet(t, NewTransport(nil, NewInjector()), srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := io.ReadAll(clean.Body)
-	clean.Body.Close()
-
-	inj := NewInjector()
-	inj.FailAt(Plan{At: 0, Kind: KindFlip})
-	resp, err := transportGet(t, NewTransport(nil, inj), srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("flip changed length: %d != %d", len(got), len(want))
-	}
-	diff := 0
-	for i := range got {
-		if got[i] != want[i] {
-			diff++
+// TestConnFlipCorruptsOneDigit: a flip changes exactly one digit of the
+// bytes it carries, in either direction.
+func TestConnFlipCorruptsOneDigit(t *testing.T) {
+	want := []byte(`{"value":1234567890,"pad":"abc"}`)
+	for _, op := range []Op{OpWrite, OpRead} {
+		near, far := net.Pipe()
+		inj := NewInjector()
+		inj.FailAt(Plan{At: 0, Kind: KindFlip})
+		c := WrapConn(near, inj)
+		src, dst := io.Writer(c), io.Reader(far)
+		if op == OpRead {
+			src, dst = far, c
 		}
-	}
-	if diff != 1 {
-		t.Fatalf("flip changed %d bytes, want exactly 1\nwant %q\ngot  %q", diff, want, got)
-	}
-}
-
-func TestTransportDuplicateDeliversTwice(t *testing.T) {
-	srv, hits, bodyBytes := newBackend(t, "")
-	inj := NewInjector()
-	inj.FailAt(Plan{At: 0, Kind: KindDuplicate})
-	tr := NewTransport(nil, inj)
-	body := []byte(`{"k":1}`)
-	req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.GetBody == nil {
-		t.Fatal("bytes.Reader bodies must set GetBody")
-	}
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainClose(resp)
-	if hits.Load() != 2 {
-		t.Fatalf("duplicate delivered %d times", hits.Load())
-	}
-	if bodyBytes.Load() != 2*int64(len(body)) {
-		t.Fatalf("duplicate bodies incomplete: %d bytes", bodyBytes.Load())
+		go func() { _, _ = src.Write(want) }()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(dst, got); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		c.Close()
+		diff, digits := 0, 0
+		for i := range got {
+			if got[i] != want[i] {
+				diff++
+				if '0' <= got[i] && got[i] <= '9' {
+					digits++
+				}
+			}
+		}
+		if diff != 1 || digits != 1 {
+			t.Fatalf("%s: flip changed %d bytes, want exactly one digit\nwant %q\ngot  %q", op, diff, want, got)
+		}
 	}
 }
 
 func TestTransportSlowLoris(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
+	srv, _, _ := newBackend(t)
 	inj := NewInjector()
 	inj.FailAt(Plan{At: 0, Kind: KindSlowLoris, Dur: 5 * time.Millisecond})
-	tr := NewTransport(nil, inj)
-	resp, err := transportGet(t, tr, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	start := time.Now()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~59 bytes at ≤16 bytes/read with a 5ms pause each: ≥4 reads.
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("slow-loris body arrived too fast: %v for %d bytes", d, len(raw))
-	}
-}
-
-func TestTransportSkewsRetryAfter(t *testing.T) {
-	srv, _, _ := newBackend(t, "3")
-	inj := NewInjector()
-	inj.FailAt(Plan{At: 0, Kind: KindSkewRetryAfter, Skew: 10})
-	tr := NewTransport(nil, inj)
-	resp, err := transportGet(t, tr, srv.URL)
+	resp, err := faultyClient(t, inj).Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainClose(resp)
-	if got := resp.Header.Get("Retry-After"); got != "30" {
-		t.Fatalf("Retry-After = %q, want 30", got)
+	// A response of well over 128 bytes at ≤16 bytes per read, each
+	// read after a 5ms pause: ≥8 reads.
+	reads := 0
+	for _, op := range inj.Trace() {
+		if op == OpRead {
+			reads++
+		}
+	}
+	if d := time.Since(start); reads < 8 || d < 40*time.Millisecond {
+		t.Fatalf("slow-loris response arrived in %d reads over %v", reads, d)
 	}
 }
 
 // TestProxyForwardsCleanly: with an empty schedule the proxy is a
 // transparent pipe.
 func TestProxyForwardsCleanly(t *testing.T) {
-	srv, hits, _ := newBackend(t, "")
+	srv, hits, _ := newBackend(t)
 	inj := NewInjector()
 	px, err := NewProxy(srv.Listener.Addr().String(), inj)
 	if err != nil {
@@ -315,7 +300,7 @@ func TestProxyForwardsCleanly(t *testing.T) {
 // TestProxyReadReset: a reset on the response path kills the request
 // but the next connection succeeds.
 func TestProxyReadReset(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
+	srv, _, _ := newBackend(t)
 	inj := NewInjector()
 	// Op 0 is the accept; the first read of the response stream comes
 	// later. Schedule resets broadly over early ops to catch it.
@@ -349,7 +334,7 @@ func TestProxyReadReset(t *testing.T) {
 // TestProxyFlipCorruptsPayload: a flip on the response path reaches the
 // client as a changed byte, not a transport error.
 func TestProxyFlipCorruptsPayload(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
+	srv, _, _ := newBackend(t)
 	inj := NewInjector()
 	px, err := NewProxy(srv.Listener.Addr().String(), inj)
 	if err != nil {
@@ -384,10 +369,10 @@ func TestProxyFlipCorruptsPayload(t *testing.T) {
 	}
 }
 
-// TestConnPartitionBlocksThenHeals drives a wrapped pipe directly: a
-// full partition stalls both directions, then delivery resumes.
+// TestConnPartitionBlocksThenHeals: a full partition on a Proxy stalls
+// both directions, then delivery resumes.
 func TestConnPartitionBlocksThenHeals(t *testing.T) {
-	srv, _, _ := newBackend(t, "")
+	srv, _, _ := newBackend(t)
 	inj := NewInjector()
 	px, err := NewProxy(srv.Listener.Addr().String(), inj)
 	if err != nil {

@@ -44,9 +44,6 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // worker URL).
 func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
-// Injector returns the proxy's injector (for schedule inspection).
-func (p *Proxy) Injector() *Injector { return p.inj }
-
 // Close stops accepting, tears down every live connection, and waits
 // for the forwarding goroutines to exit.
 func (p *Proxy) Close() error {

@@ -76,9 +76,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Inc raises the gauge by one (a resource came up).
 func (g *Gauge) Inc() { g.v.Add(1) }
 
-// Dec lowers the gauge by one (a resource went away).
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

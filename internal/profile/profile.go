@@ -88,8 +88,6 @@ type Profile struct {
 // Options configures the profiler.
 type Options struct {
 	MaxInsts uint64 // committed-instruction budget (0 = to completion)
-	// MinExecs is not read: Lists takes its own minimum execution count.
-	MinExecs uint64
 }
 
 // Run profiles prog in one run of the program. It counts reuse, tracks

@@ -18,9 +18,6 @@ func (s *RegSet) Remove(r isa.Reg) { *s &^= 1 << r }
 // Has reports membership.
 func (s RegSet) Has(r isa.Reg) bool { return s&(1<<r) != 0 }
 
-// Union returns s | t.
-func (s RegSet) Union(t RegSet) RegSet { return s | t }
-
 // Count returns the number of registers in the set.
 func (s RegSet) Count() int {
 	n := 0

@@ -82,16 +82,6 @@ func (p *Program) ProcAt(i int) *Procedure {
 	return nil
 }
 
-// ProcByName returns the named procedure, or nil.
-func (p *Program) ProcByName(name string) *Procedure {
-	for k := range p.Procs {
-		if p.Procs[k].Name == name {
-			return &p.Procs[k]
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep copy of the program; the re-allocator rewrites the
 // copy's registers without disturbing the original.
 func (p *Program) Clone() *Program {

@@ -59,7 +59,7 @@ func TestReallocateFuzz(t *testing.T) {
 	applied := 0
 	for seed := 1; seed <= seeds; seed++ {
 		p := progtest.Random(uint64(seed))
-		pr, err := profile.Run(p, profile.Options{MaxInsts: 50_000, MinExecs: 8})
+		pr, err := profile.Run(p, profile.Options{MaxInsts: 50_000})
 		if err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
@@ -101,7 +101,7 @@ func TestReallocateFuzzStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := profile.Run(p, profile.Options{MaxInsts: 50_000, MinExecs: 8})
+		pr, err := profile.Run(p, profile.Options{MaxInsts: 50_000})
 		if err != nil {
 			t.Fatal(err)
 		}

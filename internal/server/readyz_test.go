@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 )
 
 // TestReadyzDrainTransition pins the contract the fleet coordinator
@@ -50,5 +51,33 @@ func TestReadyzDrainTransition(t *testing.T) {
 	code, st = get()
 	if code != http.StatusServiceUnavailable || !st.Draining {
 		t.Fatalf("drain did not stick: %d %+v", code, st)
+	}
+}
+
+// TestReadyzReportsAdmissionP99: /readyz's p99_wait_ms is the p99 that
+// admission sheds on, for a known set of queue waits.
+func TestReadyzReportsAdmissionP99(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	// 97 fast waits and a 3% slow tail, fed as a worker reports them
+	// when it takes a job off the queue.
+	for i := 0; i < 100; i++ {
+		wait := 3 * time.Millisecond
+		if i%50 == 0 || i == 99 {
+			wait = 250 * time.Millisecond
+		}
+		srv.queue.depth.Add(1)
+		srv.queue.noteDequeue(testJob("x"), wait)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatalf("GET /readyz: %v", err)
+	}
+	defer resp.Body.Close()
+	var st readyStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("readyz body: %v", err)
+	}
+	if want := srv.queue.p99().Milliseconds(); st.P99WaitMS != want || want != 250 {
+		t.Fatalf("readyz p99_wait_ms = %d, admission p99 = %dms, want both 250", st.P99WaitMS, want)
 	}
 }

@@ -603,8 +603,8 @@ type readyStatus struct {
 	Draining   bool  `json:"draining"`
 	QueueDepth int   `json:"queue_depth"`
 	Inflight   int64 `json:"inflight"`
-	// P99WaitMS is the 99th-percentile queue wait from the service's
-	// wait histogram (obs quantile estimate).
+	// P99WaitMS is the p99 queue wait that admission sheds on: exact
+	// over the queue's recent, unexpired window of waits.
 	P99WaitMS int64 `json:"p99_wait_ms"`
 	// StorageDegraded is true while durable appends are failing: the
 	// daemon is alive but shedding new work until the disk recovers.
@@ -617,7 +617,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Draining:        s.draining.Load(),
 		QueueDepth:      s.queue.depthNow(),
 		Inflight:        s.inflight.Load(),
-		P99WaitMS:       s.hWaitMS.Snapshot().Quantile(0.99),
+		P99WaitMS:       s.queue.p99().Milliseconds(),
 		StorageDegraded: s.storageDegraded.Load(),
 	}
 	code := http.StatusOK

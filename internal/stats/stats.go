@@ -278,13 +278,3 @@ func (t *Table) UnmarshalJSON(b []byte) error {
 	}
 	return nil
 }
-
-// SortedKeys returns the map's keys in sorted order (test helper).
-func SortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -60,14 +60,6 @@ func TestMarkdown(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2}
-	ks := SortedKeys(m)
-	if len(ks) != 2 || ks[0] != "a" || ks[1] != "b" {
-		t.Errorf("SortedKeys = %v", ks)
-	}
-}
-
 func TestFailedCells(t *testing.T) {
 	tab := NewTable("T", []string{"a", "b"})
 	tab.AddRow("r1", "%.1f", map[string]float64{"a": 1})

@@ -48,10 +48,6 @@ type Report struct {
 // Clean reports whether the scrub found no damage.
 func (r *Report) Clean() bool { return len(r.Issues) == 0 }
 
-// TailDamage reports whether the damage (if any) is confined to the
-// tail, i.e. safely repairable by truncation.
-func (r *Report) TailDamage() bool { return !r.Clean() && !r.Interior }
-
 // String renders a one-line operator summary.
 func (r *Report) String() string {
 	var b strings.Builder
