@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 determinism:
-	$(GO) test -run 'TestDeterminism|TestCheckpointDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthResume|TestResumeFixedRingCheckpoint|TestRestoreRejectsCorruptSlot|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned|TestResumeLastValueCheckpoints|TestEligibleMatchesRule|TestPinnedWarmDigests|TestFigure7ReallocWarmedOnItself|TestPinnedProfileDigests|TestPinnedReallocDigests' ./...
+	$(GO) test -run 'TestDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthPinned|TestFixedRingStatsPinned|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned|TestLastValueStatsPinned|TestEligibleMatchesRule|TestPinnedWarmDigests|TestFigure7ReallocWarmedOnItself|TestPinnedProfileDigests|TestPinnedReallocDigests' ./...
 
 # Differential validation: run the timing pipeline and the reference
 # emulator in lockstep over all nine workloads under every recovery
@@ -186,20 +186,21 @@ net-faults:
 sync-vet:
 	$(GO) test -count 1 ./internal/tools/syncvet/
 
-# Offline-scrub smoke through the shipped binary: a torn WAL tail and a
-# garbage checkpoint must be detected (exit 1), repaired / quarantined
+# Offline-scrub smoke through the shipped binary: a torn WAL tail and an
+# interior-corrupt WAL (a blank line, then a valid record whose CRC-32 of
+# `{}` is 2745614147) must be detected (exit 1), repaired / quarantined
 # on request, and leave a state dir fsck then calls clean (exit 0).
 fsck-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/rvpadmin" ./cmd/rvpadmin; \
 	mkdir -p "$$tmp/state"; \
 	printf '{"crc":1,"rec":{"torn' > "$$tmp/state/cells.jsonl"; \
-	printf 'not a checkpoint' > "$$tmp/state/bad.ckpt"; \
+	printf '\n{"crc":2745614147,"rec":{}}\n' > "$$tmp/state/journal.jsonl"; \
 	if "$$tmp/rvpadmin" fsck "$$tmp/state" >/dev/null; then \
 		echo "fsck missed the damage"; exit 1; fi; \
 	"$$tmp/rvpadmin" fsck -repair -quarantine "$$tmp/q" "$$tmp/state" >/dev/null; \
 	"$$tmp/rvpadmin" fsck "$$tmp/state" >/dev/null; \
-	[ -f "$$tmp/q/bad.ckpt.corrupt" ] || { echo "checkpoint not quarantined"; exit 1; }; \
+	[ -f "$$tmp/q/journal.jsonl.corrupt" ] || { echo "interior-corrupt WAL not quarantined"; exit 1; }; \
 	echo "fsck-smoke OK"
 
 fmt-check:

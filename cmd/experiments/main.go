@@ -7,7 +7,7 @@
 //	            [-warmup insts] [-md report.md]
 //	            [-only fig1,fig3,...] [-manifest dir] [-metrics out.prom]
 //	            [-pprof dir] [-heartbeat seconds] [-watchdog cycles]
-//	            [-resume dir] [-ckpt-every insts]
+//	            [-resume dir]
 //
 // With no -only filter it runs the full set: Figure 1 (reuse degrees),
 // Table 1 (machine config), Figure 3 (static RVP), Figure 4 (recovery
@@ -30,12 +30,13 @@
 // watchdog so a hung run aborts with a structured error.
 //
 // Crash safety: -resume names a state directory holding a write-ahead
-// journal (journal.jsonl) plus per-run checkpoints (ckpt/*.ckpt). Every
-// finished cell is fsync'd to the journal before aggregation; rerunning
-// with the same -resume dir replays completed cells and re-enters
-// half-finished runs from their latest checkpoint (cadence set by
-// -ckpt-every). SIGINT/SIGTERM checkpoint in-flight runs and exit
-// cleanly, so an interrupted sweep loses no completed work.
+// journal (journal.jsonl). Every finished cell is fsync'd to the journal
+// before aggregation; rerunning with the same -resume dir replays
+// completed cells and re-simulates the rest from their start.
+// SIGINT/SIGTERM stop in-flight runs and exit cleanly, so an interrupted
+// sweep loses no completed cell: at most one unfinished cell per worker.
+// A ckpt/ directory older versions left in a state dir is ignored and
+// may be deleted.
 package main
 
 import (
@@ -70,8 +71,7 @@ func run() int {
 	pprofDir := flag.String("pprof", "", "capture CPU and heap profiles of the sweep into this directory")
 	heartbeat := flag.Int("heartbeat", 0, "print a progress heartbeat to stderr every N seconds (0 = off)")
 	watchdog := flag.Int("watchdog", 0, "abort a run if no instruction commits for N simulated cycles (0 = off)")
-	resumeDir := flag.String("resume", "", "state directory for crash-safe sweeps: journal finished cells, checkpoint and resume in-flight runs")
-	ckptEvery := flag.Uint64("ckpt-every", 500_000, "auto-checkpoint cadence in committed instructions for in-flight runs (needs -resume; 0 = off)")
+	resumeDir := flag.String("resume", "", "state directory for crash-safe sweeps: journal finished cells and replay them on rerun")
 	flag.Parse()
 
 	ctx, stop := shutdown.Context(context.Background())
@@ -89,10 +89,7 @@ func run() int {
 	opts.WarmupInsts = *warmup
 	opts.WatchdogCycles = *watchdog
 	opts.Context = ctx
-	if *resumeDir != "" {
-		opts.StateDir = *resumeDir
-		opts.CheckpointEvery = *ckptEvery
-	}
+	opts.StateDir = *resumeDir
 
 	reg := obs.NewRegistry()
 	if *manifestDir != "" || *metricsOut != "" {
@@ -244,7 +241,7 @@ func run() int {
 		fmt.Printf("markdown report written to %s\n", *md)
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "experiments: interrupted; in-flight runs checkpointed")
+		fmt.Fprintln(os.Stderr, "experiments: interrupted; in-flight cells stopped unfinished")
 		if *resumeDir != "" {
 			fmt.Fprintf(os.Stderr, "experiments: rerun with -resume %s to continue where this sweep stopped\n", *resumeDir)
 		} else {

@@ -1,26 +1,23 @@
 // Command rvpadmin is the offline operator toolbox for rvpd state
-// directories (job store, sweep journals, checkpoints and the fleet
-// coordinator's cell ledger).
+// directories (job store, sweep journals and the fleet coordinator's
+// cell ledger).
 //
 // Usage:
 //
 //	rvpadmin fsck [-repair] [-quarantine dir] <state-dir>...
 //
 // fsck scrubs every durable artifact under the given state
-// directories while the services are stopped:
-//
-//   - *.jsonl write-ahead logs are scanned record by record (CRC
-//     envelopes), distinguishing a torn tail (crash mid-append;
-//     repairable) from interior damage (bitrot or an outside writer;
-//     never silently repaired).
-//   - *.ckpt checkpoint files are structurally verified against their
-//     embedded CRC.
+// directories while the services are stopped: the *.jsonl write-ahead
+// logs. Each is scanned record by record (CRC envelopes), telling a
+// torn tail (crash mid-append; repairable) from interior damage (bitrot
+// or an outside writer; never silently repaired). Any other file, such
+// as a ckpt/ directory older versions left behind, is not read.
 //
 // With -repair, torn WAL tails are truncated to the last valid record
 // (the cut bytes are preserved next to the log, or under the
 // quarantine directory when one is given). With -quarantine dir,
-// interior-corrupt WALs and damaged checkpoints are moved aside so the
-// next service start begins clean instead of refusing to open.
+// interior-corrupt WALs are moved aside so the next service start
+// begins clean instead of refusing to open.
 //
 // Exit codes: 0 everything clean (or fully repaired/quarantined),
 // 1 damage found that was not (or could not be) handled, 2 usage or
@@ -28,7 +25,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +33,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/vfs"
 	"rvpsim/internal/wal"
 )
@@ -62,7 +57,7 @@ func runFsck(args []string, stdout, stderr io.Writer) int {
 	fset := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	fset.SetOutput(stderr)
 	repair := fset.Bool("repair", false, "truncate torn WAL tails to the last valid record (cut bytes preserved)")
-	quarantine := fset.String("quarantine", "", "move interior-corrupt WALs and damaged checkpoints into this directory")
+	quarantine := fset.String("quarantine", "", "move interior-corrupt WALs into this directory")
 	if err := fset.Parse(args); err != nil {
 		return 2
 	}
@@ -118,11 +113,8 @@ func (f *fsck) walk(dir string) error {
 			}
 			return nil
 		}
-		switch {
-		case strings.HasSuffix(path, ".jsonl"):
+		if strings.HasSuffix(path, ".jsonl") {
 			return f.checkWAL(path)
-		case strings.HasSuffix(path, ".ckpt"):
-			return f.checkCheckpoint(path)
 		}
 		return nil
 	})
@@ -171,50 +163,6 @@ func (f *fsck) checkWAL(path string) error {
 		fmt.Fprintf(f.stdout, "        interior damage: rerun with -quarantine <dir> to move aside\n")
 	default:
 		fmt.Fprintf(f.stdout, "        torn tail: rerun with -repair to truncate to the last valid record\n")
-	}
-	return nil
-}
-
-func (f *fsck) checkCheckpoint(path string) error {
-	f.scanned++
-	data, err := vfs.ReadFile(f.fsys, path)
-	if err != nil {
-		return fmt.Errorf("read %s: %w", path, err)
-	}
-	if err := checkpoint.Verify(data); err != nil {
-		f.damaged++
-		fmt.Fprintf(f.stdout, "DAMAGED %s: %v\n", path, err)
-		if f.quarantine != "" {
-			if qerr := quarantineFile(f.fsys, path, f.quarantine); qerr != nil {
-				return fmt.Errorf("quarantine %s: %w", path, qerr)
-			}
-			f.quarantined++
-			fmt.Fprintf(f.stdout, "        quarantined -> %s\n",
-				filepath.Join(f.quarantine, filepath.Base(path)+".corrupt"))
-		} else {
-			fmt.Fprintf(f.stdout, "        rerun with -quarantine <dir> to move aside (the run will recompute)\n")
-		}
-		return nil
-	}
-	fmt.Fprintf(f.stdout, "ok    %s (%d bytes)\n", path, len(data))
-	return nil
-}
-
-// quarantineFile moves any damaged file into dir with a .corrupt
-// suffix, syncing both directories so the move itself is durable.
-func quarantineFile(fsys vfs.FS, path, dir string) error {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	dst := filepath.Join(dir, filepath.Base(path)+".corrupt")
-	if err := fsys.Rename(path, dst); err != nil {
-		return err
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return err
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
 	}
 	return nil
 }

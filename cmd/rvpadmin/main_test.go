@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/exp"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/server"
@@ -24,8 +23,7 @@ func runFsckCLI(t *testing.T, args ...string) (int, string) {
 	return code, out.String()
 }
 
-// seedState builds a realistic state dir: a job store, a journal, and
-// one checkpoint.
+// seedState builds a realistic state dir: a job store and a journal.
 func seedState(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -51,9 +49,6 @@ func seedState(t *testing.T) string {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkpoint.Save(filepath.Join(dir, "ckpt", "a.ckpt"), &pipeline.Snapshot{Program: "x"}); err != nil {
-		t.Fatal(err)
-	}
 	return dir
 }
 
@@ -63,7 +58,7 @@ func TestFsckCleanState(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("clean state: exit %d\n%s", code, out)
 	}
-	if !strings.Contains(out, "3 file(s) scanned, 0 damaged") {
+	if !strings.Contains(out, "2 file(s) scanned, 0 damaged") {
 		t.Fatalf("summary line wrong:\n%s", out)
 	}
 }
@@ -151,28 +146,25 @@ func TestFsckInteriorQuarantine(t *testing.T) {
 	}
 }
 
-func TestFsckDamagedCheckpoint(t *testing.T) {
+// TestFsckIgnoresLeftoverCheckpoints: a state dir as older versions
+// left it, with a ckpt/ directory beside the logs, is clean, and fsck
+// leaves that directory alone even with -quarantine.
+func TestFsckIgnoresLeftoverCheckpoints(t *testing.T) {
 	dir := seedState(t)
 	ckpt := filepath.Join(dir, "ckpt", "a.ckpt")
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+	if err := os.WriteFile(ckpt, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	code, out := runFsckCLI(t, dir)
-	if code != 1 || !strings.Contains(out, "DAMAGED") {
-		t.Fatalf("damaged checkpoint: exit %d\n%s", code, out)
 	}
 	qdir := filepath.Join(t.TempDir(), "q")
-	code, _ = runFsckCLI(t, "-quarantine", qdir, dir)
-	if code != 0 {
-		t.Fatalf("checkpoint quarantine: exit %d", code)
+	code, out := runFsckCLI(t, "-quarantine", qdir, dir)
+	if code != 0 || !strings.Contains(out, "2 file(s) scanned, 0 damaged") {
+		t.Fatalf("state dir with a ckpt/ directory: exit %d\n%s", code, out)
 	}
-	if _, err := os.Stat(filepath.Join(qdir, "a.ckpt.corrupt")); err != nil {
-		t.Fatalf("quarantined checkpoint missing: %v", err)
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("leftover checkpoint moved: %v", err)
 	}
 }
 

@@ -20,7 +20,7 @@
 // with -wait it polls until the job is terminal and renders the result
 // (exit 1 on a failed job), and with -watch it streams the job's live
 // events (progress heartbeats with committed instructions and IPC,
-// checkpoints, terminal state) instead of polling. -trace-out writes
+// requeues, terminal state) instead of polling. -trace-out writes
 // the merged client+server span trace as a Chrome trace_event file
 // loadable in chrome://tracing or ui.perfetto.dev.
 //
@@ -192,8 +192,6 @@ func printEvent(ev server.JobEvent) {
 	switch ev.Type {
 	case server.EvProgress:
 		fmt.Printf("%s progress %s: %d insts, IPC %.3f\n", ts, ev.Label, ev.Committed, ev.IPC)
-	case server.EvCheckpointed:
-		fmt.Printf("%s checkpointed %s\n", ts, ev.Label)
 	case server.EvFailed:
 		fmt.Printf("%s FAILED (attempt %d): %s\n", ts, ev.Attempt, ev.Error)
 	case server.EvDone:

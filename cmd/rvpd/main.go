@@ -9,7 +9,7 @@
 //
 //	rvpd [-addr host:port] [-addr-file path] [-state dir] [-workers n]
 //	     [-queue depth] [-max-wait dur] [-job-timeout dur]
-//	     [-drain-timeout dur] [-insts n] [-ckpt-every n]
+//	     [-drain-timeout dur] [-insts n]
 //	     [-watchdog cycles] [-max-body bytes] [-body-read-timeout dur]
 //	     [-log-level level] [-log-json] [-progress-every n]
 //	     [-peers url,...] [-advertise peer-url] [-advertise-url worker-url]
@@ -22,7 +22,7 @@
 //
 // Endpoints: POST /v1/jobs (submit; 429/503 + Retry-After under
 // overload), GET /v1/jobs/{id} (status/results), GET /v1/jobs/{id}/events
-// (live Server-Sent Events stream: progress heartbeats, checkpoints,
+// (live Server-Sent Events stream: progress heartbeats, requeues,
 // terminal state; resumable via Last-Event-ID), GET /v1/jobs/{id}/trace
 // (the job's daemon-side spans; ?format=chrome for chrome://tracing),
 // POST /v1/sweeps, GET /v1/sweeps, GET /v1/sweeps/{id} (fleet sweeps
@@ -40,11 +40,12 @@
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: it stops accepting
 // (readyz flips to 503, submissions get 503 + Retry-After), lets
-// in-flight jobs finish within -drain-timeout, checkpoints anything
-// unfinished, and exits. Restarting with the same -state directory
-// re-enqueues unfinished jobs and resumes them from their journals and
-// checkpoints instead of recomputing. A second signal kills the process
-// immediately.
+// in-flight jobs finish within -drain-timeout, cancels and requeues
+// anything unfinished, and exits. Restarting with the same -state
+// directory re-enqueues unfinished jobs: each replays the cells its
+// journal holds and re-simulates the rest from their start, so a drain
+// costs at most one job's unfinished simulation per worker. A second
+// signal kills the process immediately.
 //
 // -addr-file writes the actually bound address (useful with -addr
 // 127.0.0.1:0 in scripts and smoke tests).
@@ -74,14 +75,13 @@ func main() { os.Exit(run()) }
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	state := flag.String("state", "rvpd-state", "state directory: job store, journals, checkpoints")
+	state := flag.String("state", "rvpd-state", "state directory: job store, journals")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = one per core)")
 	queueDepth := flag.Int("queue", 64, "bounded queue depth (admission limit)")
 	maxWait := flag.Duration("max-wait", 30*time.Second, "shed submissions when recent p99 queue wait exceeds this")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job deadline")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline before in-flight jobs are checkpointed")
+	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline before in-flight jobs are cancelled and requeued")
 	insts := flag.Uint64("insts", 2_000_000, "default committed-instruction budget for jobs that omit one")
-	ckptEvery := flag.Uint64("ckpt-every", 200_000, "in-flight checkpoint cadence in committed instructions (0 = off)")
 	watchdog := flag.Int("watchdog", 0, "abort a run if no instruction commits for N simulated cycles (0 = off)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST body size in bytes (larger gets 413)")
 	bodyReadTimeout := flag.Duration("body-read-timeout", 30*time.Second, "slow-loris guard: deadline for reading one request's headers (connection closed past it) and one submission body (408 past it)")
@@ -116,7 +116,6 @@ func run() int {
 		JobTimeout:      *jobTimeout,
 		DrainTimeout:    *drainTimeout,
 		DefaultInsts:    *insts,
-		CheckpointEvery: *ckptEvery,
 		WatchdogCycles:  *watchdog,
 		MaxBody:         *maxBody,
 		BodyReadTimeout: *bodyReadTimeout,
@@ -210,7 +209,7 @@ func run() int {
 	}
 
 	// Drain order matters: the job layer first (stop accepting, finish
-	// or checkpoint work) while the HTTP listener keeps answering
+	// or requeue work) while the HTTP listener keeps answering
 	// status polls, then the listener, then the coordinator (its ledger
 	// already holds every finished cell; leased ones re-run on restart).
 	clean := srv.Drain()
@@ -224,7 +223,7 @@ func run() int {
 		logger.Error("close", "error", err)
 	}
 	if !clean {
-		logger.Warn("drain deadline hit; unfinished jobs checkpointed for resume", "state", *state)
+		logger.Warn("drain deadline hit; unfinished jobs requeued for resume", "state", *state)
 	}
 	return 0
 }

@@ -14,11 +14,9 @@ package exp
 import (
 	"context"
 	"errors"
-	"io/fs"
 	"runtime"
 	"sync"
 
-	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
 	"rvpsim/internal/emu"
 	"rvpsim/internal/faultinject"
@@ -68,7 +66,7 @@ type Options struct {
 	// injector for a workload is created once and persists across that
 	// workload's runs and retries, so sticky faults stay stuck. Such a
 	// workload's cells are therefore simulated every time they are asked
-	// for: never shared, journaled or checkpointed.
+	// for: never shared or journaled.
 	Faults map[string]faultinject.Config
 	// Registry, when non-nil, receives every simulation run's metrics
 	// (the runs attach observers publishing into it; counters aggregate
@@ -85,13 +83,9 @@ type Options struct {
 	// StateDir, when set (and EnableResume is called), makes sweeps
 	// crash-safe: every finished cell is fsync'd to a write-ahead
 	// journal under this directory before table aggregation, a rerun
-	// replays journaled cells instead of re-simulating them, and
-	// half-finished runs resume from their latest checkpoint.
+	// replays journaled cells instead of re-simulating them. A cell the
+	// crash interrupted re-simulates from its start.
 	StateDir string
-	// CheckpointEvery is the auto-checkpoint cadence, in committed
-	// instructions, for in-flight runs when StateDir is active. Zero
-	// disables checkpointing (the journal still works).
-	CheckpointEvery uint64
 	// Tracer, when non-nil, collects a span per profiling pass and per
 	// simulation run so a job's wall-clock time decomposes into its
 	// pipeline stages. Spans parent under TraceParent.
@@ -109,15 +103,10 @@ type Options struct {
 	// ProgressEvery is the OnProgress cadence in committed instructions
 	// (default 100_000 when OnProgress is set).
 	ProgressEvery uint64
-	// FS is the filesystem seam all of the runner's durability I/O —
-	// the sweep journal and run checkpoints — goes through. Nil means
-	// the real filesystem; tests inject vfs.Mem/vfs.Fault to simulate
-	// hostile storage.
+	// FS is the filesystem seam the runner's durability I/O (the sweep
+	// journal) goes through. Nil means the real filesystem; tests inject
+	// vfs.Mem/vfs.Fault to simulate hostile storage.
 	FS vfs.FS
-	// OnCheckpoint, when non-nil, is called with a "workload/predictor"
-	// label after each periodic checkpoint is durably saved. Same
-	// concurrency contract as OnProgress.
-	OnCheckpoint func(label string)
 }
 
 // DefaultOptions returns a laptop-scale configuration: large enough for
@@ -179,7 +168,7 @@ func NewRunner(opts Options) *Runner {
 // instead of hammering the shared allocator; reuse is proven
 // byte-identical to a fresh Sim by pipeline's TestSimReuseDeterminism.
 // Callers must return the Sim with putSim and re-arm every hook they
-// need: a pooled Sim's observer/fault/progress/checkpoint hooks are
+// need: a pooled Sim's observer/fault/progress hooks are
 // whatever the previous cell left behind.
 func (r *Runner) simFor(cfg pipeline.Config) (*pipeline.Sim, error) {
 	r.mu.Lock()
@@ -197,9 +186,6 @@ func (r *Runner) simFor(cfg pipeline.Config) (*pipeline.Sim, error) {
 
 // putSim returns a simulator taken with simFor to its pool.
 func (r *Runner) putSim(cfg pipeline.Config, sim *pipeline.Sim) {
-	if sim == nil {
-		return
-	}
 	r.mu.Lock()
 	pool := r.simPools[cfg]
 	r.mu.Unlock()
@@ -207,19 +193,6 @@ func (r *Runner) putSim(cfg pipeline.Config, sim *pipeline.Sim) {
 		pool.Put(sim)
 	}
 }
-
-// fsys is the runner's filesystem seam (the real filesystem unless
-// Options.FS injects another).
-func (r *Runner) fsys() vfs.FS {
-	if r.opts.FS != nil {
-		return r.opts.FS
-	}
-	return vfs.OS
-}
-
-// removeQuiet deletes a redundant or rejected checkpoint; failure is
-// harmless (the file is re-validated or overwritten on next use).
-func removeQuiet(fsys vfs.FS, path string) { _ = fsys.Remove(path) }
 
 // injector returns the memoised fault injector for a workload, nil when
 // none is configured. One injector per workload persists across every
@@ -423,9 +396,9 @@ func (r *Runner) runOn(p *program.Program, cfg pipeline.Config, pred core.Predic
 
 // simulate runs one cell. The runner's context, watchdog, fault
 // injection and progress options all apply here. With a journal open and
-// a cell key, the run is periodically checkpointed, resumed from a prior
-// checkpoint when one exists, and journaled (fsync'd) on completion
-// before its result is returned to any aggregation.
+// a cell key, the finished cell is journaled (fsync'd) before its result
+// is returned to any aggregation; an interrupted cell leaves nothing
+// behind and re-simulates from its start on resume.
 func (r *Runner) simulate(p *program.Program, cfg pipeline.Config, pred core.Predictor, inj *faultinject.Injector, label, key string) (pipeline.Stats, error) {
 	var journal *Journal
 	if key != "" {
@@ -437,71 +410,6 @@ func (r *Runner) simulate(p *program.Program, cfg pipeline.Config, pred core.Pre
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The cell's simulator comes from the per-config pool and goes back
-	// when the cell finishes (any exit path). Every hook is set
-	// unconditionally — a pooled Sim carries whatever the previous cell
-	// armed, so "not configured" must be written as explicitly as
-	// "configured". A failed checkpoint resume reuses the same Sim for
-	// the from-scratch rerun.
-	var sim *pipeline.Sim
-	defer func() { r.putSim(cfg, sim) }()
-	newSim := func() (*pipeline.Sim, error) {
-		if sim == nil {
-			s, err := r.simFor(cfg)
-			if err != nil {
-				return nil, err
-			}
-			sim = s
-		}
-		if r.opts.Registry != nil {
-			sim.SetObserver(obs.NewObserverWith(r.opts.Registry))
-		} else {
-			sim.SetObserver(nil)
-		}
-		if inj != nil {
-			sim.SetFaults(inj)
-		} else {
-			// A plain nil, not the typed-nil *Injector, so the pipeline's
-			// `faults != nil` fast path stays off.
-			sim.SetFaults(nil)
-		}
-		if r.opts.OnProgress != nil && r.opts.ProgressEvery > 0 {
-			sim.SetProgress(r.opts.ProgressEvery, func(committed uint64, cycles int64) {
-				r.opts.OnProgress(label, committed, cycles)
-			})
-		} else {
-			sim.SetProgress(0, nil)
-		}
-		sim.SetCheckpoint(0, nil)
-		return sim, nil
-	}
-
-	// Checkpointing applies only to keyed cells, which are unperturbed
-	// runs: a fault injector's effects are not captured in a snapshot, so
-	// resuming an injected run would not replay deterministically.
-	ckptable, isCkptable := pred.(core.Checkpointable)
-	canCkpt := journal != nil && r.opts.CheckpointEvery > 0 && isCkptable
-	var ckptPath string
-	var pristine core.PredictorState
-	if canCkpt {
-		ckptPath = ckptFile(r.opts.StateDir, key)
-		pristine = ckptable.SnapshotState()
-	}
-	arm := func(sim *pipeline.Sim) {
-		if !canCkpt {
-			return
-		}
-		sim.SetCheckpoint(r.opts.CheckpointEvery, func(snap *pipeline.Snapshot) error {
-			if err := checkpoint.SaveFS(r.fsys(), ckptPath, snap); err != nil {
-				return err
-			}
-			r.count("exp_ckpt_saves", "periodic run checkpoints written")
-			if r.opts.OnCheckpoint != nil {
-				r.opts.OnCheckpoint(label)
-			}
-			return nil
-		})
-	}
 
 	var st pipeline.Stats
 	var err error
@@ -509,89 +417,53 @@ func (r *Runner) simulate(p *program.Program, cfg pipeline.Config, pred core.Pre
 	sp.SetAttr("workload", p.Name)
 	sp.SetAttr("predictor", pred.Name())
 	defer func() { sp.EndErr(err) }()
-	ran := false
-	if canCkpt {
-		snap, lerr := checkpoint.LoadFS(r.fsys(), ckptPath)
-		switch {
-		case lerr == nil:
-			if sim, err = newSim(); err != nil {
-				return pipeline.Stats{}, err
-			}
-			arm(sim)
-			// The key proves the checkpoint's predictor behaves as this
-			// one; it may have been saved under another report name.
-			snap.PredictorName = pred.Name()
-			st, err = sim.ResumeContext(ctx, snap, p, pred, r.opts.Insts)
-			if err != nil && errors.Is(err, simerr.ErrCorrupt) {
-				// The checkpoint does not belong to this cell as currently
-				// configured (changed budget, predictor sizing, schema).
-				// Discard it, restore the predictor's pristine state, and
-				// run the cell from scratch.
-				r.warn("checkpoint for %s rejected (%v); re-running cell from scratch", label, lerr2str(err))
-				r.count("exp_ckpt_corrupt", "checkpoints discarded as damaged or mismatched")
-				removeQuiet(r.fsys(), ckptPath)
-				_ = ckptable.RestoreState(pristine)
-			} else {
-				ran = true
-				r.count("exp_ckpt_restores", "runs resumed from a checkpoint")
-			}
-		case errors.Is(lerr, fs.ErrNotExist):
-			// Nothing to resume.
-		default:
-			r.warn("checkpoint for %s unreadable (%v); re-running cell from scratch", label, lerr2str(lerr))
-			r.count("exp_ckpt_corrupt", "checkpoints discarded as damaged or mismatched")
-			removeQuiet(r.fsys(), ckptPath)
-		}
-	}
-	if !ran {
-		start, serr := r.startState(p)
-		if serr != nil {
-			err = serr
-			return pipeline.Stats{}, err
-		}
-		if sim, err = newSim(); err != nil {
-			return pipeline.Stats{}, err
-		}
-		arm(sim)
-		st, err = sim.RunFromContext(ctx, start, pred, r.opts.Insts)
-	}
+	start, err := r.startState(p)
 	if err != nil {
-		// Checkpoint-then-exit: a cancelled or timed-out run leaves its
-		// latest coherent state behind so a -resume rerun picks the cell
-		// up mid-stream instead of starting over.
-		if canCkpt && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			if snap, serr := sim.Snapshot(); serr == nil {
-				if werr := checkpoint.SaveFS(r.fsys(), ckptPath, snap); werr == nil {
-					r.count("exp_ckpt_saves", "periodic run checkpoints written")
-				}
-			}
-		}
+		return pipeline.Stats{}, err
+	}
+	// The cell's simulator comes from the per-config pool and goes back
+	// when the cell finishes. Every hook is set unconditionally: a pooled
+	// Sim carries whatever the previous cell armed, so "not configured"
+	// must be written as explicitly as "configured".
+	sim, err := r.simFor(cfg)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	defer r.putSim(cfg, sim)
+	if r.opts.Registry != nil {
+		sim.SetObserver(obs.NewObserverWith(r.opts.Registry))
+	} else {
+		sim.SetObserver(nil)
+	}
+	if inj != nil {
+		sim.SetFaults(inj)
+	} else {
+		// A plain nil, not the typed-nil *Injector, so the pipeline's
+		// `faults != nil` fast path stays off.
+		sim.SetFaults(nil)
+	}
+	if r.opts.OnProgress != nil && r.opts.ProgressEvery > 0 {
+		sim.SetProgress(r.opts.ProgressEvery, func(committed uint64, cycles int64) {
+			r.opts.OnProgress(label, committed, cycles)
+		})
+	} else {
+		sim.SetProgress(0, nil)
+	}
+	if st, err = sim.RunFromContext(ctx, start, pred, r.opts.Insts); err != nil {
 		return st, err
 	}
 	// Write-ahead: the finished cell is durable in the journal before the
-	// caller can aggregate it; its checkpoint is then redundant.
+	// caller can aggregate it.
 	if journal != nil {
 		if err = journal.Record(key, st); err != nil {
 			return st, err
 		}
 		r.count("exp_journal_appends", "sweep cells appended to the journal")
 	}
-	if canCkpt {
-		removeQuiet(r.fsys(), ckptPath)
-	}
 	if r.opts.OnRunDone != nil {
 		r.opts.OnRunDone(label)
 	}
 	return st, nil
-}
-
-// lerr2str compacts a load/validation error for a one-line footnote.
-func lerr2str(err error) string {
-	var se *simerr.SimError
-	if errors.As(err, &se) {
-		return se.Err.Error()
-	}
-	return err.Error()
 }
 
 // transientRetries is how many times a run or workload whose failure
@@ -669,7 +541,7 @@ func failReason(fails map[string]error, name string) string {
 
 // noteFailures appends one footnote per failed workload, in input order
 // so table output stays deterministic, then drains any non-fatal
-// recovery warnings (truncated journal tail, discarded checkpoints)
+// recovery warnings (a truncated journal tail)
 // accumulated since the last table into footnotes as well.
 func (r *Runner) noteFailures(t *stats.Table, names []string, fails map[string]error) {
 	for _, n := range names {

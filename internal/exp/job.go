@@ -21,7 +21,7 @@ import (
 // sweep. It is the wire format the simulation service accepts, so every
 // field is validated before any simulator state is touched, and a
 // normalized spec has a stable digest that keys the job's crash-safe
-// simulation state (journal + checkpoints) across process restarts.
+// simulation state (its journal) across process restarts.
 type JobSpec struct {
 	// Kind selects the job shape: "run" (one cell) or "figure" (a sweep).
 	Kind string `json:"kind"`
@@ -182,7 +182,7 @@ func (s JobSpec) Validate() error {
 
 // Digest returns a stable hex fingerprint of the spec. Normalize first:
 // the digest of a normalized spec keys the job's on-disk simulation
-// state, so a restarted daemon resumes the same journal and checkpoints.
+// state, so a restarted daemon resumes the same journal.
 func (s JobSpec) Digest() string {
 	canon := fmt.Sprintf("kind=%s|wl=%s|pred=%s|rec=%s|fig=%s|n=%d|pn=%d|th=%.6f",
 		s.Kind, s.Workload, s.Predictor, s.Recovery, s.Figure, s.Insts, s.ProfileInsts, s.Threshold)
@@ -239,10 +239,10 @@ func (r *JobResult) Verify() bool {
 // RunJob executes one job under the runner options. The spec's budgets
 // and threshold override the corresponding options; ctx overrides
 // opts.Context. With opts.StateDir set the job is crash-safe exactly
-// like a -resume sweep: finished cells are journaled write-ahead,
-// in-flight runs checkpoint on the opts.CheckpointEvery cadence, and a
-// rerun of the same (normalized) spec against the same StateDir resumes
-// instead of recomputing. A "run" job goes through the same isolation
+// like a -resume sweep: finished cells are journaled write-ahead, and a
+// rerun of the same (normalized) spec against the same StateDir replays
+// them instead of recomputing; an interrupted cell re-simulates from its
+// start. A "run" job goes through the same isolation
 // as every sweep cell (Runner.forEach): a panic becomes an error, and a
 // failure the simulator marks transient (simerr.IsTransient) is retried
 // once; retries are counted on the registry as exp_transient_retries.

@@ -140,8 +140,8 @@ func TestRunJobRecoversPanic(t *testing.T) {
 }
 
 // TestRunJobResumesFromStateDir proves the crash-safe path: a job
-// interrupted by context cancellation leaves journal/checkpoint state
-// behind, and rerunning the same spec against the same StateDir
+// interrupted by context cancellation leaves its state dir behind, and
+// rerunning the same spec against the same StateDir
 // produces a result identical to an uninterrupted run.
 func TestRunJobResumesFromStateDir(t *testing.T) {
 	spec := JobSpec{Kind: "run", Workload: "go", Predictor: "rvp", Insts: 60_000}
@@ -154,11 +154,11 @@ func TestRunJobResumesFromStateDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // run is canceled before the first commit batch completes
-	if _, err := RunJob(ctx, spec, Options{StateDir: dir, CheckpointEvery: 5_000}); err == nil {
+	if _, err := RunJob(ctx, spec, Options{StateDir: dir}); err == nil {
 		t.Fatalf("canceled run reported no error")
 	}
 
-	res, err := RunJob(context.Background(), spec, Options{StateDir: dir, CheckpointEvery: 5_000})
+	res, err := RunJob(context.Background(), spec, Options{StateDir: dir})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -171,15 +171,14 @@ func TestRunJobResumesFromStateDir(t *testing.T) {
 // end at the exp layer: a traced run job emits a connected span tree
 // (job root -> sim run) parented under the caller's span, fires the
 // progress heartbeat on the requested cadence with monotonically
-// increasing committed counts, and reports a checkpoint callback for
-// each periodic checkpoint.
+// increasing committed counts.
 func TestRunJobTracedWithProgress(t *testing.T) {
 	tr := obs.NewTracer("test", 64)
 	root := tr.Start(obs.SpanContext{}, "root")
 
 	var mu sync.Mutex
 	var progress []uint64
-	var ckpts, progLabels []string
+	var progLabels []string
 	opts := Options{
 		Tracer:        tr,
 		TraceParent:   root.Context(),
@@ -193,13 +192,7 @@ func TestRunJobTracedWithProgress(t *testing.T) {
 				t.Errorf("progress cycles = %d, want > 0", cycles)
 			}
 		},
-		OnCheckpoint: func(label string) {
-			mu.Lock()
-			ckpts = append(ckpts, label)
-			mu.Unlock()
-		},
-		StateDir:        filepath.Join(t.TempDir(), "state"),
-		CheckpointEvery: 10_000,
+		StateDir: filepath.Join(t.TempDir(), "state"),
 	}
 	spec := JobSpec{Kind: "run", Workload: "go", Predictor: "rvp", Insts: 30_000}
 	if _, err := RunJob(context.Background(), spec, opts); err != nil {
@@ -221,9 +214,6 @@ func TestRunJobTracedWithProgress(t *testing.T) {
 		if l != "go/drvp" {
 			t.Fatalf("progress label = %q, want go/drvp", l)
 		}
-	}
-	if len(ckpts) == 0 {
-		t.Fatalf("no checkpoint callbacks over 30k insts at 10k cadence")
 	}
 
 	spans := tr.Spans()

@@ -103,16 +103,11 @@ func (j *Journal) Close() error {
 	return j.w.Close()
 }
 
-// ckptFile maps a cell key (a hex digest) to its checkpoint path under
-// dir.
-func ckptFile(dir, key string) string { return filepath.Join(dir, "ckpt", key+".ckpt") }
-
 // JournalPath is the journal's location inside a state directory.
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }
 
-// warning records a non-fatal recovery event (corrupt journal tail
-// truncated, damaged checkpoint discarded) destined for a table
-// footnote.
+// warning records a non-fatal recovery event (a corrupt journal tail
+// truncated) destined for a table footnote.
 func (r *Runner) warn(format string, args ...any) {
 	r.mu.Lock()
 	r.warnings = append(r.warnings, fmt.Sprintf(format, args...))

@@ -597,8 +597,8 @@ type readyzBody struct {
 
 // probe asks the worker's /readyz whether it should receive work. A
 // draining worker (SIGTERM in progress) answers 503 with Draining:true
-// and is deliberately left alone: its in-flight jobs will checkpoint
-// and requeue on its own state dir, and this coordinator's lease expiry
+// and is deliberately left alone: its in-flight jobs will requeue on
+// its own state dir, and this coordinator's lease expiry
 // re-runs the cell elsewhere.
 func (c *Coordinator) probe(w *workerState) bool {
 	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.Lease)

@@ -95,6 +95,10 @@ func run(prog, refProg *program.Program, cfg pipeline.Config, mkPred func() core
 	if err != nil {
 		return res, err
 	}
+	st, err := emu.New(prog)
+	if err != nil {
+		return res, err
+	}
 	ref, err := emu.New(refProg)
 	if err != nil {
 		return res, err
@@ -156,34 +160,35 @@ func run(prog, refProg *program.Program, cfg pipeline.Config, mkPred func() core
 		}
 	})
 
+	// The progress hook fires between committed instructions, where st
+	// (the pipeline's own emulator) holds the architectural state.
 	lastGood := uint64(0)
 	if !opts.NoStateChecks {
-		sim.SetCheckpoint(opts.CheckEvery, func(snap *pipeline.Snapshot) error {
+		sim.SetProgress(opts.CheckEvery, func(committed uint64, cycles int64) {
 			if derr != nil {
-				return nil
+				return
 			}
-			d := compareArch(&snap.Emu, ref)
+			d := compareArch(st, ref)
 			if d == nil {
-				lastGood = snap.Stats.Committed
+				lastGood = committed
 				res.StateChecks++
-				return nil
+				return
 			}
 			// The commit streams agreed up to here but the architectural
 			// states do not: bisect to the first commit count at which
 			// replayed states disagree.
-			c, berr := bisectDivergence(prog, refProg, cfg, mkPred, lastGood, snap.Stats.Committed)
+			c, berr := bisectDivergence(prog, refProg, cfg, mkPred, lastGood, committed)
 			if berr != nil {
 				derr = berr
 				cancel()
-				return nil
+				return
 			}
 			d.Commit = c
-			fail(prog.PC(snap.Emu.PC), snap.Stats.Cycles, d)
-			return nil
+			fail(prog.PC(st.PC), cycles, d)
 		})
 	}
 
-	stats, rerr := sim.RunContext(ctx, prog, mkPred(), opts.MaxInsts)
+	stats, rerr := sim.RunFromContext(ctx, st, mkPred(), opts.MaxInsts)
 	res.Stats = stats
 	res.Committed = n
 	if derr != nil {
@@ -195,27 +200,23 @@ func run(prog, refProg *program.Program, cfg pipeline.Config, mkPred func() core
 
 	// Final boundary: compare the end-of-run architectural state too.
 	if !opts.NoStateChecks {
-		snap, serr := sim.Snapshot()
-		if serr != nil {
-			return res, serr
-		}
-		if d := compareArch(&snap.Emu, ref); d != nil {
-			c, berr := bisectDivergence(prog, refProg, cfg, mkPred, lastGood, snap.Stats.Committed)
+		if d := compareArch(st, ref); d != nil {
+			c, berr := bisectDivergence(prog, refProg, cfg, mkPred, lastGood, stats.Committed)
 			if berr != nil {
 				return res, berr
 			}
 			d.Commit = c
-			return res, simerr.At("lockstep", prog.Name, prog.PC(snap.Emu.PC), snap.Stats.Cycles, d)
+			return res, simerr.At("lockstep", prog.Name, prog.PC(st.PC), stats.Cycles, d)
 		}
 		res.StateChecks++
 	}
 	return res, nil
 }
 
-// compareArch compares a pipeline emulator snapshot against the live
+// compareArch compares the pipeline's emulator state against the live
 // reference state. Returns nil when identical; Commit is left zero for
 // the caller (bisection) to fill in.
-func compareArch(got *emu.Snapshot, ref *emu.State) *Divergence {
+func compareArch(got, ref *emu.State) *Divergence {
 	if got.Count != ref.Count {
 		return &Divergence{Field: "regs",
 			Got: fmt.Sprintf("count %d", got.Count), Want: fmt.Sprintf("count %d", ref.Count)}
@@ -233,7 +234,7 @@ func compareArch(got *emu.Snapshot, ref *emu.State) *Divergence {
 		return &Divergence{Field: "pc-state",
 			Got: fmt.Sprintf("index %d", got.PC), Want: fmt.Sprintf("index %d", ref.PC)}
 	}
-	if d := compareMem(got.Mem, ref.Mem.Snapshot()); d != nil {
+	if d := compareMem(got.Mem.Snapshot(), ref.Mem.Snapshot()); d != nil {
 		return d
 	}
 	return nil
@@ -309,18 +310,17 @@ func stateAgreesAt(prog, refProg *program.Program, cfg pipeline.Config, mkPred f
 		if err != nil {
 			return false, err
 		}
-		snap := a.Snapshot()
-		return compareArch(&snap, b) == nil, nil
+		return compareArch(a, b) == nil, nil
 	}
 	sim, err := pipeline.New(cfg)
 	if err != nil {
 		return false, err
 	}
-	if _, err := sim.Run(prog, mkPred(), k); err != nil {
+	st, err := emu.New(prog)
+	if err != nil {
 		return false, err
 	}
-	snap, err := sim.Snapshot()
-	if err != nil {
+	if _, err := sim.RunFromContext(context.Background(), st, mkPred(), k); err != nil {
 		return false, err
 	}
 	ref, err := emu.New(refProg)
@@ -328,7 +328,7 @@ func stateAgreesAt(prog, refProg *program.Program, cfg pipeline.Config, mkPred f
 		return false, err
 	}
 	ref.Run(k)
-	return compareArch(&snap.Emu, ref) == nil, nil
+	return compareArch(st, ref) == nil, nil
 }
 
 // firstDivergent binary-searches for the smallest commit count in

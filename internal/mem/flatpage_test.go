@@ -39,7 +39,7 @@ func checkProbes(t *testing.T, m *Memory, label string) {
 
 // TestMemorySnapshotAcrossFlatAndOverflow: snapshot/restore round-trips
 // pages from both the flat root and the overflow map, and the restored
-// image re-snapshots identically (checkpoint byte-determinism).
+// image re-snapshots identically (warm-start byte-determinism).
 func TestMemorySnapshotAcrossFlatAndOverflow(t *testing.T) {
 	m := NewMemory()
 	writeProbes(m)

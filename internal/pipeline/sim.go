@@ -154,10 +154,8 @@ type FaultInjector interface {
 // runState is the complete per-run mutable simulation state: the oracle
 // emulator, statistics, per-register and per-instruction timing, queue
 // occupancy, bandwidth books, and front-end position. Keeping it in one
-// struct (rather than locals of the run loop) is what makes a run
-// snapshot-able: Sim.Snapshot serializes exactly these fields plus the
-// subsystem states (emu, memory hierarchy, branch predictor, value
-// predictor).
+// struct (rather than locals of the run loop) is what lets a pooled Sim
+// recycle it from run to run (resetRunState).
 type runState struct {
 	prog *program.Program
 	pred core.Predictor
@@ -192,8 +190,7 @@ type runState struct {
 	fpN    uint64
 	winN   uint64
 	// Ring cursors: intN % len(intIQ) etc., maintained incrementally so
-	// the commit loop never does a 64-bit modulo. Derived state — not
-	// serialized; restoreRunState recomputes them from the counters.
+	// the commit loop never does a 64-bit modulo.
 	intIdx int
 	fpIdx  int
 	winIdx int
@@ -218,9 +215,7 @@ type runState struct {
 	lastCycle   int64
 	activePreds []*pendingPred
 
-	lastCkpt uint64 // stats.Committed at the last periodic checkpoint
 	lastProg uint64 // stats.Committed at the last progress callback
-	coherent bool   // state is at an instruction boundary (snapshot-safe)
 }
 
 // Sim is the timing simulator. One Sim runs one program; allocate a new
@@ -235,8 +230,6 @@ type Sim struct {
 	faults FaultInjector
 
 	cur       *runState // state of the current / most recent run
-	ckptEvery uint64
-	ckptFn    func(*Snapshot) error
 	progEvery uint64
 	progFn    func(committed uint64, cycles int64)
 }
@@ -255,25 +248,14 @@ func (s *Sim) SetFaults(f FaultInjector) { s.faults = f }
 // records go to the tracer (SetTracer), not the observer.
 func (s *Sim) SetObserver(o *obs.Observer) { s.obs = o }
 
-// SetCheckpoint arms periodic checkpointing: fn receives a fresh
-// Snapshot at the first commit-batch boundary after each further
-// `every` committed instructions. fn runs on the simulation goroutine;
-// a non-nil error aborts the run with a "checkpoint"-stage SimError
-// (return nil from fn to treat write failures as non-fatal). every == 0
-// or fn == nil disables periodic checkpointing. Snapshot construction
-// only reads simulator state, so arming checkpoints cannot change the
-// committed instruction/value stream.
-func (s *Sim) SetCheckpoint(every uint64, fn func(*Snapshot) error) {
-	s.ckptEvery, s.ckptFn = every, fn
-}
-
 // SetProgress arms a periodic progress callback: fn receives the run's
 // committed-instruction count and current cycle at the first
 // commit-batch boundary after each further `every` committed
 // instructions. fn runs on the simulation goroutine between committed
-// instructions; it only reads the two values handed to it, so arming
-// progress cannot change the committed instruction/value stream. It is
-// the live-heartbeat hook the service's SSE job streams are fed from.
+// instructions, where the emulator state handed to RunFromContext is at
+// an instruction boundary; fn must only read, so arming progress cannot
+// change the committed instruction/value stream. It feeds the service's
+// SSE job streams and lockstep's periodic architectural-state check.
 // every == 0 or fn == nil disables.
 func (s *Sim) SetProgress(every uint64, fn func(committed uint64, cycles int64)) {
 	s.progEvery, s.progFn = every, fn
@@ -329,7 +311,6 @@ func (s *Sim) newRunState(prog *program.Program, pred core.Predictor, st *emu.St
 		lsCap:       newCapRing(cfg.LoadStore),
 		fpCap:       newCapRing(cfg.FPUnits),
 		curLine:     ^uint64(0),
-		coherent:    true,
 	}
 	r.info = buildInfo(prog)
 	sizeHint(pred, len(r.info))
@@ -412,8 +393,7 @@ func (s *Sim) resetRunState(r *runState, prog *program.Program, pred core.Predic
 	r.fetchSlots, r.fetchBlocks = 0, 0
 	r.curLine = ^uint64(0)
 	r.lastCycle = 0
-	r.lastCkpt, r.lastProg = 0, 0
-	r.coherent = true
+	r.lastProg = 0
 	sizeHint(pred, len(r.info))
 }
 
@@ -528,59 +508,7 @@ func (s *Sim) startRun(pred core.Predictor) error {
 	return nil
 }
 
-// ResumeContext continues a run from a Snapshot: the simulator state is
-// rebuilt exactly as it was when the snapshot was taken, and simulation
-// proceeds until maxInsts *total* committed instructions (0 = until
-// HALT). The restored run commits the identical instruction/value stream
-// — and ends with identical Stats — as an uninterrupted run of the same
-// program, predictor, and configuration.
-//
-// prog must be the same program the snapshot was taken from, and pred a
-// predictor constructed identically to the original (its dynamic state
-// is overwritten from the snapshot; it must implement
-// core.Checkpointable). Mismatches are rejected with errors wrapping
-// simerr.ErrCorrupt, not silently misrestored.
-func (s *Sim) ResumeContext(ctx context.Context, snap *Snapshot, prog *program.Program, pred core.Predictor, maxInsts uint64) (Stats, error) {
-	if snap == nil {
-		return Stats{}, simerr.Newf("checkpoint", "nil snapshot")
-	}
-	if err := snap.validateFor(s.cfg, prog, pred); err != nil {
-		return Stats{}, err
-	}
-	st, err := emu.Restore(prog, snap.Emu)
-	if err != nil {
-		return Stats{}, simerr.New("checkpoint", err)
-	}
-	if err := s.startRun(pred); err != nil {
-		return Stats{}, err
-	}
-	if err := s.hier.Restore(snap.Mem); err != nil {
-		return Stats{}, simerr.New("checkpoint", err)
-	}
-	if err := s.bp.Restore(snap.Bpred); err != nil {
-		return Stats{}, simerr.New("checkpoint", err)
-	}
-	if err := pred.(core.Checkpointable).RestoreState(snap.Predictor); err != nil {
-		return Stats{}, simerr.New("checkpoint", err)
-	}
-	r, err := s.restoreRunState(snap, prog, pred, st)
-	if err != nil {
-		return Stats{}, err
-	}
-	s.cur = r
-	return s.loop(ctx, r, maxInsts)
-}
-
-// RestoreSim builds a fresh simulator configured exactly as the one the
-// snapshot was taken from. Follow with ResumeContext to continue the run.
-func RestoreSim(snap *Snapshot) (*Sim, error) {
-	if snap == nil {
-		return nil, simerr.Newf("checkpoint", "nil snapshot")
-	}
-	return New(snap.Config)
-}
-
-// loop is the simulation main loop, shared by fresh and resumed runs.
+// loop is the simulation main loop.
 func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, error) {
 	cfg := s.cfg
 	prog, pred, st := r.prog, r.pred, r.st
@@ -645,22 +573,7 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 				r.lastProg = r.stats.Committed
 				s.progFn(r.stats.Committed, r.lastCycle)
 			}
-			if s.ckptFn != nil && s.ckptEvery > 0 && r.stats.Committed >= r.lastCkpt+s.ckptEvery {
-				r.lastCkpt = r.stats.Committed
-				snap, err := s.buildSnapshot(r)
-				if err == nil {
-					err = s.ckptFn(snap)
-				}
-				if err != nil {
-					finalize()
-					return r.stats, &simerr.SimError{
-						Stage: "checkpoint", Workload: prog.Name,
-						Cycle: r.lastCycle, HasCycle: true, Err: err,
-					}
-				}
-			}
 		}
-		r.coherent = false
 		ok := st.StepInto(&e)
 		if !ok {
 			if st.Err() != nil {
@@ -671,7 +584,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 					Err: fmt.Errorf("oracle: %w", st.Err()),
 				}
 			}
-			r.coherent = true
 			break
 		}
 		in := e.Inst
@@ -1016,7 +928,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 			})
 		}
 
-		r.coherent = true
 		if in.Op == isa.HALT {
 			break
 		}

@@ -176,63 +176,6 @@ func TestWarmupZeroIsColdRun(t *testing.T) {
 	diffStreams(t, "zero-warmup vs cold", cold, warmed)
 }
 
-// TestWarmedRunCheckpointResume: a warmed run stays checkpointable — a
-// snapshot taken mid-measured-phase resumes into a fresh simulator and
-// finishes with the same stream tail and stats as the uninterrupted
-// warmed run.
-func TestWarmedRunCheckpointResume(t *testing.T) {
-	const (
-		warmN    = 20_000
-		ckptAt   = 10_000
-		measureN = 30_000
-	)
-	prog, err := workloads.ByName("li")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pipeline.BaselineConfig()
-	warm := warmSnapshot(t, prog, warmN)
-
-	// Uninterrupted warmed reference.
-	var ref []archRec
-	refSim := pipeline.MustNew(cfg)
-	refSim.SetTracer(archTracer(&ref))
-	refStats, err := runWarm(t, refSim, prog, warm, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same run, snapshotted at ckptAt commits.
-	var head []archRec
-	var snap *pipeline.Snapshot
-	runSim := pipeline.MustNew(cfg)
-	runSim.SetTracer(archTracer(&head))
-	runSim.SetCheckpoint(ckptAt, func(s *pipeline.Snapshot) error {
-		if snap == nil {
-			snap = s
-		}
-		return nil
-	})
-	if _, err := runWarm(t, runSim, prog, warm, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("checkpoint callback never fired during warmed run")
-	}
-
-	var tail []archRec
-	resSim := pipeline.MustNew(cfg)
-	resSim.SetTracer(archTracer(&tail))
-	resStats, err := resSim.ResumeContext(t.Context(), snap, prog, core.MustDynamicRVP(core.DefaultCounterConfig()), measureN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resStats.Committed != refStats.Committed {
-		t.Fatalf("resumed warmed run committed %d, want %d", resStats.Committed, refStats.Committed)
-	}
-	diffStreams(t, "resumed tail vs reference", ref[int(snap.Stats.Committed):], tail)
-}
-
 // TestSimReuseDeterminism proves the recycled-runState path: one Sim
 // driven through a sweep-shaped sequence of runs (different predictors,
 // different programs, a warmed run in the middle) commits, on every run,

@@ -1,8 +1,8 @@
 // Package server is the hardened simulation service: an HTTP/JSON API
 // in front of a bounded job queue with admission control, a fixed
 // worker pool driving jobs through the crash-safe experiment runner,
-// and a graceful drain that checkpoints unfinished work so a restarted
-// daemon resumes instead of recomputing.
+// and a graceful drain that requeues unfinished work so a restarted
+// daemon resumes it, replaying the cells its journal holds.
 //
 // The contract with clients:
 //
@@ -30,7 +30,7 @@
 //     negative wait is 400. Without ?wait= the answer is immediate.
 //   - GET /v1/jobs/{id}/events streams the job's lifecycle as
 //     Server-Sent Events (queued, started, progress heartbeats with
-//     committed/IPC, checkpointed, requeued, done/failed); Last-Event-ID
+//     committed/IPC, requeued, done/failed); Last-Event-ID
 //     resumes a dropped stream from the job's bounded event ring.
 //   - GET /v1/jobs/{id}/trace returns the daemon-side spans of the
 //     job's trace (?format=chrome for a chrome://tracing file). Clients
@@ -43,8 +43,10 @@
 // Every state transition of an accepted job is fsync'd to a CRC-checked
 // job store before it is acknowledged, so accepted jobs survive a
 // restart: on startup, queued and interrupted jobs are re-enqueued and
-// their simulation state (write-ahead journal + checkpoints, keyed by
-// the normalized spec digest) lets them resume mid-stream.
+// their write-ahead journal (keyed by the normalized spec digest)
+// replays every finished cell; a cell the restart interrupted
+// re-simulates from its start, so one job loses at most the simulation
+// of its unfinished cells.
 package server
 
 import (

@@ -2,7 +2,7 @@
 // it mid-figure-sweep, restart it against the same state directory, and
 // require the resumed job's table to be byte-identical to an
 // uninterrupted in-process run of the same spec. This is the only test
-// that proves the checkpoint/journal contract holds across an actual
+// that proves the journal contract holds across an actual
 // process boundary rather than a context cancellation.
 package server_test
 
@@ -22,19 +22,22 @@ import (
 )
 
 // e2eSpec is the sweep both the daemon and the in-process reference
-// run. The budget is sized so the whole figure takes seconds, not
-// milliseconds: the SIGTERM must land while the sweep is genuinely
-// mid-flight even though the daemon simulates cells in parallel.
+// run. The budget is sized so the whole figure takes about a second on
+// two cores, not milliseconds: the SIGTERM must land while the sweep is
+// genuinely mid-flight even though the daemon simulates cells in
+// parallel.
 var e2eSpec = exp.JobSpec{Kind: "figure", Figure: "fig5", Insts: 500_000, ProfileInsts: 125_000, Threshold: 0.80}
 
 // startDaemon launches the rvpd binary and waits for its bound address.
 func startDaemon(t *testing.T, bin, state, addrFile string) (*exec.Cmd, string, *bytes.Buffer) {
 	t.Helper()
 	os.Remove(addrFile)
+	// The drain deadline is far below the time left in the sweep, so a
+	// SIGTERM cancels and requeues the job mid-flight on any host.
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-state", state, "-workers", "1",
-		"-drain-timeout", "1s", "-ckpt-every", "50000")
+		"-drain-timeout", "1ms")
 	var logs bytes.Buffer
 	cmd.Stdout = &logs
 	cmd.Stderr = &logs

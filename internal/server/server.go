@@ -43,7 +43,8 @@ type Config struct {
 	// JobTimeout bounds each job attempt (default 10m).
 	JobTimeout time.Duration
 	// DrainTimeout is how long a graceful drain lets in-flight jobs
-	// finish before force-cancelling them into checkpoints (default 10s).
+	// finish before cancelling and requeueing them; a requeued job
+	// re-simulates its unfinished cells from their start (default 10s).
 	DrainTimeout time.Duration
 	// Deprecated: ignored; deleted with the next benchmark change.
 	BreakerThreshold int
@@ -52,8 +53,7 @@ type Config struct {
 	// DefaultInsts is the per-run budget for specs that omit one
 	// (default 2M).
 	DefaultInsts uint64
-	// CheckpointEvery is the in-flight checkpoint cadence in committed
-	// instructions (default 200k; 0 disables mid-run checkpoints).
+	// Deprecated: ignored; deleted with the next benchmark change.
 	CheckpointEvery uint64
 	// WatchdogCycles arms the pipeline watchdog for every run (0 off).
 	WatchdogCycles int
@@ -72,7 +72,7 @@ type Config struct {
 	// instructions (default 100k).
 	ProgressEvery uint64
 	// FS is the filesystem seam all durability I/O (job store, sweep
-	// journals, checkpoints) goes through. Nil means the real
+	// journals) goes through. Nil means the real
 	// filesystem; tests inject vfs.Mem/vfs.Fault to simulate hostile
 	// storage.
 	FS vfs.FS
@@ -156,7 +156,7 @@ type Server struct {
 	tracer *obs.Tracer
 
 	// baseCtx parents every job run; cancelling it is the drain
-	// deadline's hammer that turns in-flight runs into checkpoints.
+	// deadline's hammer that stops in-flight runs for requeueing.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -264,7 +264,7 @@ func (s *Server) initMetrics() {
 	s.mShedStorage = s.reg.Counter("srv_shed_storage_total", "submissions shed while storage-degraded (503)")
 	s.mSucceeded = s.reg.Counter("srv_jobs_succeeded_total", "jobs that reached a successful terminal state")
 	s.mFailed = s.reg.Counter("srv_jobs_failed_total", "jobs that reached a failed terminal state")
-	s.mRequeued = s.reg.Counter("srv_jobs_requeued_total", "in-flight jobs checkpointed and requeued by a drain")
+	s.mRequeued = s.reg.Counter("srv_jobs_requeued_total", "in-flight jobs cancelled and requeued by a drain")
 	s.mBodyTimeouts = s.reg.Counter("srv_body_timeouts_total", "submissions cut for exceeding the body-read timeout (slow-loris defense, 408)")
 	s.mDeadlineExpired = s.reg.Counter("srv_deadline_expired_total", "jobs abandoned or refused because the caller's propagated deadline passed")
 	s.gDepth = s.reg.Gauge("srv_queue_depth", "jobs currently queued")
@@ -278,7 +278,7 @@ func (s *Server) initMetrics() {
 
 // jobDir is where one job's crash-safe simulation state lives. It is
 // keyed by the job ID, which is stable across restarts, and the
-// journal/checkpoint keys inside are derived from the normalized spec,
+// journal keys inside are derived from the normalized spec,
 // so a resumed job finds its own work.
 func (s *Server) jobDir(id string) string {
 	return filepath.Join(s.cfg.StateDir, "jobs", id)
@@ -706,28 +706,24 @@ func (s *Server) runJob(j *job) {
 		defer dcancel()
 	}
 	opts := exp.Options{
-		Parallel:        true,
-		StateDir:        s.jobDir(j.id),
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		Registry:        s.reg,
-		Faults:          s.cfg.Faults,
-		WatchdogCycles:  s.cfg.WatchdogCycles,
-		Tracer:          s.tracer,
-		TraceParent:     wsp.Context(),
-		FS:              s.cfg.FS,
-		ProgressEvery:   s.cfg.ProgressEvery,
-		// The heartbeat and checkpoint hooks run on simulation
-		// goroutines; publish is lock-bounded and never blocks, which is
-		// what makes them safe there.
+		Parallel:       true,
+		StateDir:       s.jobDir(j.id),
+		Registry:       s.reg,
+		Faults:         s.cfg.Faults,
+		WatchdogCycles: s.cfg.WatchdogCycles,
+		Tracer:         s.tracer,
+		TraceParent:    wsp.Context(),
+		FS:             s.cfg.FS,
+		ProgressEvery:  s.cfg.ProgressEvery,
+		// The heartbeat hook runs on simulation goroutines; publish is
+		// lock-bounded and never blocks, which is what makes it safe
+		// there.
 		OnProgress: func(label string, committed uint64, cycles int64) {
 			ev := JobEvent{Type: EvProgress, Label: label, Committed: committed, Cycles: cycles}
 			if cycles > 0 {
 				ev.IPC = float64(committed) / float64(cycles)
 			}
 			s.tel.publish(j.id, ev)
-		},
-		OnCheckpoint: func(label string) {
-			s.tel.publish(j.id, JobEvent{Type: EvCheckpointed, Label: label})
 		},
 	}
 	start := time.Now()
@@ -758,8 +754,9 @@ func (s *Server) runJob(j *job) {
 		s.log.Info("job succeeded", "job", j.id, "attempt", rec.Attempts, "trace", rec.TraceID)
 
 	case s.baseCtx.Err() != nil:
-		// Drain hammer: the run checkpointed on its way out. Requeue so
-		// the next daemon resumes it.
+		// Drain hammer: the run was cancelled on its way out. Requeue so
+		// the next daemon replays its journaled cells and re-simulates
+		// the rest.
 		rec.State = StateQueued
 		s.mRequeued.Inc()
 		if serr := s.store.Append(rec); serr != nil {
@@ -767,7 +764,7 @@ func (s *Server) runJob(j *job) {
 			s.storageDegraded.Trip(serr)
 		}
 		s.tel.publish(j.id, JobEvent{Type: EvRequeued, Attempt: rec.Attempts})
-		s.log.Info("job checkpointed and requeued by drain", "job", j.id)
+		s.log.Info("job cancelled and requeued by drain", "job", j.id)
 
 	default:
 		timeout := errors.Is(err, context.DeadlineExceeded)
@@ -860,7 +857,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // Drain gracefully shuts the service down: stop accepting, stop picking
 // new jobs, give in-flight jobs DrainTimeout to finish, then cancel the
-// stragglers — which checkpoints them and requeues their records — and
+// stragglers — which requeues their records — and
 // wait for the workers to exit. It reports whether every in-flight job
 // finished inside the deadline. Queued jobs that never started keep
 // their queued records and are re-enqueued by the next daemon. Safe to
@@ -873,7 +870,7 @@ func (s *Server) Drain() bool {
 		s.stopOnce.Do(func() { close(s.stopPick) })
 		s.drainedOK = shutdown.WaitGroup(s.wg.Wait, s.cfg.DrainTimeout)
 		if !s.drainedOK {
-			s.log.Warn("drain deadline elapsed; cancelling in-flight jobs into checkpoints",
+			s.log.Warn("drain deadline elapsed; cancelling and requeueing in-flight jobs",
 				"inflight", s.inflight.Load())
 			s.baseCancel()
 			// Cancellation propagates within one commit batch; workers

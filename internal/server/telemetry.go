@@ -12,16 +12,15 @@ import (
 // read it directly. One buffer, three views — the ring is the single
 // source of truth for "what happened to this job recently".
 
-// Job event types, in lifecycle order. "progress" and "checkpointed"
-// repeat; the others appear at most once per attempt.
+// Job event types, in lifecycle order. "progress" repeats; the others
+// appear at most once per attempt.
 const (
-	EvQueued       = "queued"
-	EvStarted      = "started"
-	EvProgress     = "progress"
-	EvCheckpointed = "checkpointed"
-	EvRequeued     = "requeued"
-	EvDone         = "done"
-	EvFailed       = "failed"
+	EvQueued   = "queued"
+	EvStarted  = "started"
+	EvProgress = "progress"
+	EvRequeued = "requeued"
+	EvDone     = "done"
+	EvFailed   = "failed"
 )
 
 // terminalEvent reports whether typ ends a job's stream.
@@ -41,7 +40,7 @@ type JobEvent struct {
 	// done/failed).
 	Attempt int `json:"attempt,omitempty"`
 	// Label names the simulation cell ("workload/predictor") a progress
-	// or checkpoint event came from.
+	// event came from.
 	Label string `json:"label,omitempty"`
 	// Committed/Cycles/IPC are the live heartbeat payload.
 	Committed uint64  `json:"committed,omitempty"`

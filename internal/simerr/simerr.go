@@ -25,11 +25,11 @@ var (
 	// ErrInjected reports a deliberately injected fault (see
 	// internal/faultinject).
 	ErrInjected = errors.New("injected fault")
-	// ErrCorrupt reports a damaged durability artifact: a checkpoint
-	// file or journal record whose checksum, header, or geometry does
-	// not validate. Corruption is recoverable — callers discard the
-	// artifact and recompute — so this is never fatal to a sweep.
-	ErrCorrupt = errors.New("corrupt checkpoint or journal data")
+	// ErrCorrupt reports damaged durable state: a log record whose
+	// checksum does not validate, or an emulator snapshot that does not
+	// fit its program. Corruption is recoverable — callers discard the
+	// damaged record and recompute — so this is never fatal to a sweep.
+	ErrCorrupt = errors.New("corrupt journal or snapshot data")
 	// ErrDivergence reports that the lockstep differential harness
 	// found the timing pipeline committing a different (PC, dest-reg,
 	// value) stream or architectural state than the reference emulator.
@@ -40,7 +40,7 @@ var (
 // and, when known, where in the run. Zero-valued coordinate fields mean
 // "unknown", not "cycle/PC zero"; HasPC/HasCycle disambiguate.
 type SimError struct {
-	Stage    string // failing subsystem: "pipeline", "mem", "core", "emu", "exp", "faultinject", "checkpoint", "journal", "lockstep"
+	Stage    string // failing subsystem: "pipeline", "mem", "core", "emu", "exp", "faultinject", "journal", "lockstep"
 	Workload string // workload / program name, when known
 	PC       uint64 // simulated-memory address of the faulting instruction
 	Cycle    int64  // simulated cycle of the failure

@@ -15,7 +15,6 @@ func TestDurabilityLayerDiscardsNoSyncErrors(t *testing.T) {
 		"internal/wal",
 		"internal/wal/waltest",
 		"internal/vfs",
-		"internal/checkpoint",
 		"internal/server",
 		"internal/exp",
 		"internal/fleet",

@@ -1,7 +1,6 @@
 // Package vfs is the filesystem seam under every durability artifact in
-// the system — the write-ahead logs (internal/wal) and the checkpoint
-// container (internal/checkpoint) perform all their I/O through an FS
-// value instead of the os package. Production code passes OS, the thin
+// the system — the write-ahead logs (internal/wal) perform all their I/O
+// through an FS value instead of the os package. Production code passes OS, the thin
 // passthrough; tests pass a Mem (an in-memory filesystem that models
 // what actually survives a crash: fsync'd file content and
 // directory-fsync'd namespace entries, nothing else) and wrap either in
@@ -117,8 +116,8 @@ func ReadFile(fsys FS, path string) ([]byte, error) {
 // crash-safe discipline: temp file in the same directory, write, fsync,
 // close, rename over path, fsync the directory. On any error the temp
 // file is removed and the previous content of path is untouched. This
-// is the one canonical implementation of the atomic-replace idiom; the
-// checkpoint container and quarantine moves both use it.
+// is the one canonical implementation of the atomic-replace idiom; a
+// WAL tail repair saves the bytes it cuts with it.
 func WriteFileAtomic(fsys FS, path string, data []byte, perm os.FileMode) (err error) {
 	dir := filepath.Dir(path)
 	tmp := path + ".tmp"

@@ -18,7 +18,6 @@ import (
 	"io/fs"
 	"testing"
 
-	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/exp"
 	"rvpsim/internal/fleet"
 	"rvpsim/internal/pipeline"
@@ -138,10 +137,14 @@ func TestCrashAtEveryOp(t *testing.T) {
 			},
 		},
 		{
-			name: "checkpoint",
+			// The atomic-replace idiom RepairTail saves cut bytes with.
+			name: "atomic-replace",
 			run: func(fsys vfs.FS, ack func(string)) error {
+				if err := fsys.MkdirAll("/state/q", 0o755); err != nil {
+					return err
+				}
 				for _, v := range []string{"v1", "v2"} {
-					if err := checkpoint.SaveFS(fsys, "/state/ckpt/a.ckpt", &pipeline.Snapshot{Program: v}); err != nil {
+					if err := vfs.WriteFileAtomic(fsys, "/state/q/a.tail", []byte(v), 0o644); err != nil {
 						return err
 					}
 					ack(v)
@@ -149,21 +152,20 @@ func TestCrashAtEveryOp(t *testing.T) {
 				return nil
 			},
 			verify: func(t *testing.T, fsys vfs.FS, acked []string) {
-				snap, err := checkpoint.LoadFS(fsys, "/state/ckpt/a.ckpt")
+				data, err := vfs.ReadFile(fsys, "/state/q/a.tail")
 				switch {
 				case errors.Is(err, fs.ErrNotExist):
 					if len(acked) > 0 {
-						t.Fatalf("acknowledged checkpoint vanished (acked %v)", acked)
+						t.Fatalf("acknowledged file vanished (acked %v)", acked)
 					}
 					return
 				case err != nil:
-					// Old-or-new-never-torn: any other load error means the
-					// atomic save left a damaged file behind.
-					t.Fatalf("post-crash load: %v", err)
+					t.Fatalf("post-crash read: %v", err)
 				}
-				got := snap.Program
+				// Old-or-new-never-torn.
+				got := string(data)
 				if got != "v1" && got != "v2" {
-					t.Fatalf("checkpoint holds %q, never written", got)
+					t.Fatalf("file holds %q, never written", got)
 				}
 				// Once v2 is acknowledged, v1 must be gone.
 				for _, a := range acked {

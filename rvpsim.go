@@ -28,7 +28,6 @@ import (
 	"io"
 
 	"rvpsim/internal/asm"
-	"rvpsim/internal/checkpoint"
 	"rvpsim/internal/core"
 	"rvpsim/internal/exp"
 	"rvpsim/internal/lockstep"
@@ -143,9 +142,8 @@ var (
 	// ErrInjected reports a deliberately injected fault (robustness
 	// testing; see internal/faultinject).
 	ErrInjected = simerr.ErrInjected
-	// ErrCorrupt reports a damaged or mismatched checkpoint: a torn or
-	// bit-flipped file, or a snapshot restored against the wrong program,
-	// machine configuration, or predictor.
+	// ErrCorrupt reports damaged durable state: a torn or bit-flipped
+	// journal or job-store record.
 	ErrCorrupt = simerr.ErrCorrupt
 	// ErrDivergence reports that the timing pipeline and the reference
 	// emulator disagreed during a lockstep validation run.
@@ -186,12 +184,11 @@ func NewChromeTrace(w io.Writer) *ChromeTrace { return pipeline.NewChromeTrace(w
 // after the run to flush.
 func NewJSONLTrace(w io.Writer) *JSONLTrace { return pipeline.NewJSONLTrace(w) }
 
-// RunOptions carries a run's optional inputs. The zero value runs a fresh
-// simulation to HALT with no tracing, metrics or checkpoints.
+// RunOptions carries a run's optional inputs. The zero value runs a
+// simulation to HALT with no tracing or metrics.
 type RunOptions struct {
-	// MaxInsts bounds the run to this many committed instructions in
-	// total, counting any a resumed snapshot already committed (0 = run
-	// to HALT).
+	// MaxInsts bounds the run to this many committed instructions
+	// (0 = run to HALT).
 	MaxInsts uint64
 	// Trace, when non-nil, receives every committed instruction in
 	// commit order, on the simulating goroutine.
@@ -200,21 +197,6 @@ type RunOptions struct {
 	// be shared by several runs; counters aggregate across them, and a
 	// canceled run's metrics cover its committed prefix.
 	Metrics *Registry
-	// CheckpointEvery and OnCheckpoint arm periodic checkpointing:
-	// OnCheckpoint receives a fresh Snapshot after each further
-	// CheckpointEvery committed instructions, at the next commit-batch
-	// boundary. Its error aborts the run; return nil to treat write
-	// failures as non-fatal. Snapshots only read simulator state, so
-	// checkpointing never perturbs the committed stream.
-	CheckpointEvery uint64
-	OnCheckpoint    func(*Snapshot) error
-	// From, when non-nil, continues the run from a snapshot instead of
-	// starting fresh, committing the identical stream (and ending with
-	// identical Stats) as the uninterrupted run. prog, cfg and pred must
-	// match the run the snapshot was taken from — pred constructed
-	// identically; its dynamic state is overwritten — and mismatches
-	// fail with errors wrapping ErrCorrupt.
-	From *Snapshot
 }
 
 // Run simulates prog on the configured machine under the given value
@@ -236,10 +218,6 @@ func Run(ctx context.Context, prog *Program, cfg Config, pred Predictor, opts Ru
 	sim.SetTracer(opts.Trace)
 	if opts.Metrics != nil {
 		sim.SetObserver(obs.NewObserverWith(opts.Metrics))
-	}
-	sim.SetCheckpoint(opts.CheckpointEvery, opts.OnCheckpoint)
-	if opts.From != nil {
-		return sim.ResumeContext(ctx, opts.From, prog.p, pred, opts.MaxInsts)
 	}
 	return sim.RunContext(ctx, prog.p, pred, opts.MaxInsts)
 }
@@ -399,26 +377,6 @@ func (e *Experiments) Figure8() (*Table, error) { return e.r.Figure8() }
 // Table1 renders the simulated machine configuration.
 func (e *Experiments) Table1() string { return e.r.Table1() }
 
-// Snapshot is the complete, serializable state of a run at an
-// instruction boundary: architectural state, every microarchitectural
-// table, the accumulated Stats, and the timing model's position.
-// Resuming from a Snapshot commits the identical instruction/value
-// stream — and produces identical final Stats — as the uninterrupted
-// run it was taken from.
-type Snapshot = pipeline.Snapshot
-
-// SaveCheckpoint writes a snapshot to path in the versioned, checksummed
-// on-disk checkpoint format. The write is atomic (temp file + rename),
-// so a crash mid-save can never leave a half-written checkpoint behind.
-func SaveCheckpoint(path string, snap *Snapshot) error { return checkpoint.Save(path, snap) }
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. Damage of
-// any kind — truncation, bit flips, a wrong or future format version —
-// is reported as an error wrapping ErrCorrupt; a missing file keeps its
-// raw filesystem error so callers can distinguish "never checkpointed"
-// from "checkpoint destroyed".
-func LoadCheckpoint(path string) (*Snapshot, error) { return checkpoint.Load(path) }
-
 // Service job re-exports (see internal/exp and internal/server): a
 // JobSpec is the unit of work the rvpd simulation service accepts —
 // one workload × predictor × recovery run or one figure sweep — and
@@ -446,9 +404,9 @@ func ParseRecovery(name string) (Recovery, error) { return exp.ParseRecovery(nam
 
 // RunJob executes one job spec with the experiment runner's crash
 // safety: with opts.StateDir set, finished cells are journaled
-// write-ahead, in-flight runs checkpoint periodically, and rerunning
-// the same spec against the same StateDir resumes instead of
-// recomputing. Transient failures are retried once.
+// write-ahead, and rerunning the same spec against the same StateDir
+// replays them instead of recomputing; an interrupted cell re-simulates
+// from its start. Transient failures are retried once.
 func RunJob(ctx context.Context, spec JobSpec, opts ExperimentOptions) (*JobResult, error) {
 	return exp.RunJob(ctx, spec, opts)
 }

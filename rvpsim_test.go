@@ -3,7 +3,6 @@ package rvpsim_test
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"rvpsim"
@@ -231,64 +230,6 @@ func TestFacadeStorageBits(t *testing.T) {
 	}
 	if bits("none") != 0 {
 		t.Error("no prediction has storage")
-	}
-}
-
-func TestFacadeCheckpointResume(t *testing.T) {
-	prog, err := rvpsim.Workload("li")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := rvpsim.BaselineConfig()
-	ref, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{MaxInsts: 30_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Run the first 12k instructions, checkpointing to disk along the way.
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	saves := 0
-	_, err = rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), rvpsim.RunOptions{
-		MaxInsts:        12_000,
-		CheckpointEvery: 4_000,
-		OnCheckpoint: func(snap *rvpsim.Snapshot) error {
-			saves++
-			return rvpsim.SaveCheckpoint(path, snap)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saves == 0 {
-		t.Fatal("no periodic checkpoints taken")
-	}
-
-	// Resume from the last on-disk checkpoint: final stats must be
-	// identical to the uninterrupted run.
-	snap, err := rvpsim.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resume := rvpsim.RunOptions{MaxInsts: 30_000, From: snap}
-	got, err := rvpsim.Run(context.Background(), prog, cfg, rvpsim.MustPredictor("rvp"), resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ref {
-		t.Errorf("resumed stats differ from uninterrupted run:\ngot  %+v\nwant %+v", got, ref)
-	}
-
-	// A resume against the wrong program is corruption, not garbage.
-	other, err := rvpsim.Workload("go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rvpsim.Run(context.Background(), other, cfg, rvpsim.MustPredictor("rvp"), resume); !errors.Is(err, rvpsim.ErrCorrupt) {
-		t.Errorf("wrong-program resume: want ErrCorrupt, got %v", err)
-	}
-	// So is a resume on a machine the snapshot was not taken on.
-	if _, err := rvpsim.Run(context.Background(), prog, rvpsim.AggressiveConfig(), rvpsim.MustPredictor("rvp"), resume); !errors.Is(err, rvpsim.ErrCorrupt) {
-		t.Errorf("wrong-config resume: want ErrCorrupt, got %v", err)
 	}
 }
 
