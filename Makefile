@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race determinism lockstep bench fmt-check fuzz-smoke faults staticcheck govulncheck serve-smoke obs-smoke fleet-smoke storage-faults net-faults fsck-smoke sync-vet pgo release
+.PHONY: all ci vet build test race determinism lockstep bench fmt-check fuzz-smoke faults staticcheck govulncheck serve-smoke obs-smoke fleet-smoke storage-faults net-faults fsck-smoke sync-vet release
 
 all: ci
 
@@ -206,23 +206,7 @@ fsck-smoke:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Profile-guided optimization. `make pgo` captures a CPU profile of a
-# representative sweep (the saturation benchmark plus one figure sweep)
-# into default.pgo; `make release` then builds the binaries with that
-# profile applied. The profile is a local artifact (gitignored): release
-# falls back to a plain build when it is absent, so CI stays hermetic.
-pgo:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorParallel|BenchmarkFigure5' \
-		-benchtime 3x -count 1 -cpuprofile default.pgo -o "$$tmp/bench.test" .; \
-	echo "wrote default.pgo; run 'make release' to build with it"
-
+# `make release` builds every command into bin/.
 release:
 	@mkdir -p bin
-	@if [ -f default.pgo ]; then \
-		echo "building with profile-guided optimization (default.pgo)"; \
-		$(GO) build -pgo=default.pgo -o bin/ ./cmd/...; \
-	else \
-		echo "default.pgo not found; plain build (run 'make pgo' first to enable PGO)"; \
-		$(GO) build -o bin/ ./cmd/...; \
-	fi
+	$(GO) build -o bin/ ./cmd/...

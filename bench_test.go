@@ -184,8 +184,7 @@ func BenchmarkSimulator(b *testing.B) {
 // goroutines, each owning a private simulator and predictor (reused
 // across iterations, exercising the recycled-runState path sweeps use),
 // all committing against one shared metrics registry. Sub-benchmarks at
-// 1, 2, and GOMAXPROCS workers expose the scaling curve. `make pgo`
-// profiles it, together with BenchmarkFigure5.
+// 1, 2, and GOMAXPROCS workers expose the scaling curve.
 func BenchmarkSimulatorParallel(b *testing.B) {
 	prog, err := workloads.ByName("li")
 	if err != nil {

@@ -31,7 +31,9 @@ type Exec struct {
 	IsCTI   bool     // control-transfer instruction
 }
 
-// State is the architectural machine state.
+// State is the architectural machine state. RZero and FZero always hold
+// zero: StepInto never writes them, and Restore rejects a snapshot that
+// says otherwise, so register reads need no zero-register test.
 type State struct {
 	Prog   *program.Program
 	Mem    *mem.Memory
@@ -40,7 +42,24 @@ type State struct {
 	Halted bool
 	Count  uint64 // committed instructions
 
+	dec []decoded // per static instruction, built once by New and Restore
 	err error
+}
+
+// decoded is what StepInto needs of one static instruction beyond the
+// instruction itself, derived once per program instead of every step.
+type decoded struct {
+	pc     uint64 // Prog.PC of the instruction
+	writes bool   // WritesReg
+	cond   bool   // isa.IsCondBranch
+}
+
+func decode(prog *program.Program) []decoded {
+	dec := make([]decoded, len(prog.Insts))
+	for i, in := range prog.Insts {
+		dec[i] = decoded{pc: prog.PC(i), writes: in.WritesReg(), cond: isa.IsCondBranch(in.Op)}
+	}
+	return dec
 }
 
 // New creates an architectural state for prog: memory is populated with
@@ -56,7 +75,7 @@ func New(prog *program.Program) (*State, error) {
 		return nil, fmt.Errorf("emu: program %q entry %d out of range [0,%d): %w",
 			prog.Name, prog.Entry, len(prog.Insts), simerr.ErrConfig)
 	}
-	s := &State{Prog: prog, Mem: mem.NewMemory(), PC: prog.Entry}
+	s := &State{Prog: prog, Mem: mem.NewMemory(), PC: prog.Entry, dec: decode(prog)}
 	for i, in := range prog.Insts {
 		w, err := isa.Encode(in)
 		if err != nil {
@@ -84,19 +103,6 @@ func MustNew(prog *program.Program) *State {
 
 // Err returns the first execution error (bad PC, bad JSR target).
 func (s *State) Err() error { return s.err }
-
-func (s *State) read(r isa.Reg) uint64 {
-	if r.IsZero() {
-		return 0
-	}
-	return s.Regs[r]
-}
-
-func (s *State) write(r isa.Reg, v uint64) {
-	if !r.IsZero() {
-		s.Regs[r] = v
-	}
-}
 
 func f(v uint64) float64  { return math.Float64frombits(v) }
 func fb(v float64) uint64 { return math.Float64bits(v) }
@@ -137,12 +143,13 @@ func (s *State) StepInto(e *Exec) bool {
 	}
 	i := s.PC
 	in := s.Prog.Insts[i]
+	d := &s.dec[i]
 	// Field-by-field reset instead of a composite-literal assignment: the
 	// latter compiles to a stack temporary plus duffcopy of the whole
 	// struct, which profiling shows at ~15% of simulation time.
 	e.Index = i
 	e.Inst = in
-	e.PC = s.Prog.PC(i)
+	e.PC = d.pc
 	e.Next = i + 1
 	e.WroteRd = false
 	e.OldDest = 0
@@ -152,10 +159,10 @@ func (s *State) StepInto(e *Exec) bool {
 	e.Taken = false
 	e.IsCTI = false
 
-	a := s.read(in.Ra)
-	b := s.read(in.Rb)
+	a := s.Regs[in.Ra]
+	b := s.Regs[in.Rb]
 	var result uint64
-	writes := in.WritesReg()
+	writes := d.writes
 
 	switch in.Op {
 	case isa.NOP:
@@ -228,7 +235,7 @@ func (s *State) StepInto(e *Exec) bool {
 	case isa.STQ, isa.STT:
 		e.EA = a + uint64(in.Imm)
 		e.IsMem = true
-		s.Mem.WriteWord(e.EA, s.read(in.Rd))
+		s.Mem.WriteWord(e.EA, s.Regs[in.Rd])
 	case isa.BEQ:
 		e.IsCTI = true
 		e.Taken = int64(a) == 0
@@ -303,14 +310,14 @@ func (s *State) StepInto(e *Exec) bool {
 		return false
 	}
 
-	if isa.IsCondBranch(in.Op) && e.Taken {
+	if d.cond && e.Taken {
 		e.Next = int(in.Imm)
 	}
-	if writes {
+	if writes { // WritesReg is false for a zero-register destination
 		e.WroteRd = true
-		e.OldDest = s.read(in.Rd)
+		e.OldDest = s.Regs[in.Rd]
 		e.NewDest = result
-		s.write(in.Rd, result)
+		s.Regs[in.Rd] = result
 	}
 	if e.Next < 0 || e.Next >= len(s.Prog.Insts) {
 		s.err = fmt.Errorf("emu: control transfer from %d to invalid index %d", i, e.Next)

@@ -7,6 +7,7 @@ import (
 	"rvpsim/internal/asm"
 	"rvpsim/internal/emu"
 	"rvpsim/internal/faultinject"
+	"rvpsim/internal/isa"
 	"rvpsim/internal/program"
 	"rvpsim/internal/simerr"
 )
@@ -67,5 +68,31 @@ func TestTruncatedProgramErrors(t *testing.T) {
 	}
 	if st.Err() == nil {
 		t.Fatal("truncated program terminated without an error")
+	}
+}
+
+// TestRestoreRejectsNonZeroZeroRegs checks Restore refuses a snapshot
+// whose RZero or FZero holds a value: register reads take both as zero
+// without testing, so such a state would read a value no program wrote.
+// The snapshot's PC is also checked against the program.
+func TestRestoreRejectsNonZeroZeroRegs(t *testing.T) {
+	p := asm.MustAssemble("t", tinySrc, asm.Options{})
+	st := emu.MustNew(p)
+	st.Step()
+	good := st.Snapshot()
+	if _, err := emu.Restore(p, good); err != nil {
+		t.Fatalf("restoring a clean snapshot: %v", err)
+	}
+	for _, r := range []isa.Reg{isa.RZero, isa.FZero} {
+		bad := good
+		bad.Regs[r] = 7
+		if _, err := emu.Restore(p, bad); !errors.Is(err, simerr.ErrCorrupt) {
+			t.Errorf("%v = 7: Restore = %v, want ErrCorrupt", r, err)
+		}
+	}
+	bad := good
+	bad.PC = len(p.Insts)
+	if _, err := emu.Restore(p, bad); !errors.Is(err, simerr.ErrCorrupt) {
+		t.Errorf("pc past the program: Restore = %v, want ErrCorrupt", err)
 	}
 }

@@ -36,7 +36,8 @@ func (s *State) Snapshot() Snapshot {
 
 // Restore rebuilds an architectural state for prog from a snapshot.
 // The snapshot must come from a run of the same program; a PC outside
-// the program is rejected with an error wrapping simerr.ErrCorrupt.
+// the program or a non-zero RZero or FZero is rejected with an error
+// wrapping simerr.ErrCorrupt.
 func Restore(prog *program.Program, snap Snapshot) (*State, error) {
 	if prog == nil || len(prog.Insts) == 0 {
 		return nil, fmt.Errorf("emu: restore into empty program: %w", simerr.ErrConfig)
@@ -45,10 +46,14 @@ func Restore(prog *program.Program, snap Snapshot) (*State, error) {
 		return nil, fmt.Errorf("emu: snapshot pc %d out of range [0,%d): %w",
 			snap.PC, len(prog.Insts), simerr.ErrCorrupt)
 	}
+	if snap.Regs[isa.RZero] != 0 || snap.Regs[isa.FZero] != 0 {
+		return nil, fmt.Errorf("emu: snapshot zero registers hold %#x and %#x: %w",
+			snap.Regs[isa.RZero], snap.Regs[isa.FZero], simerr.ErrCorrupt)
+	}
 	m, err := mem.RestoreMemory(snap.Mem)
 	if err != nil {
 		return nil, err
 	}
-	s := &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted, Count: snap.Count}
+	s := &State{Prog: prog, Mem: m, Regs: snap.Regs, PC: snap.PC, Halted: snap.Halted, Count: snap.Count, dec: decode(prog)}
 	return s, nil
 }

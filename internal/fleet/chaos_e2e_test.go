@@ -17,6 +17,8 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,6 +55,18 @@ func startWorker(t *testing.T, bin, state, addrFile string, extra ...string) (*e
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// runningJob reports whether the rvpd at url has a job on a worker
+// goroutine, by its srv_inflight_jobs gauge.
+func runningJob(url string) bool {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return err == nil && bytes.Contains(body, []byte("\nsrv_inflight_jobs 1\n"))
 }
 
 func TestChaosFleetSurvivesWorkerAndCoordinatorLoss(t *testing.T) {
@@ -121,8 +135,11 @@ func TestChaosFleetSurvivesWorkerAndCoordinatorLoss(t *testing.T) {
 	}
 	id := st.ID
 
-	// Wait until some worker holds a lease, then SIGKILL that worker —
-	// the cell it held must be recovered by expiry or steal, never lost.
+	// Wait until some worker holds a lease and is running its job, then
+	// SIGKILL that worker — the cell it held must be recovered by expiry
+	// or steal, never lost. A lease alone is not enough: killed before
+	// its dispatch lands, the worker fails the dispatch, and the
+	// coordinator releases the cell without an expiry or a steal.
 	var killed string
 	deadline := time.Now().Add(60 * time.Second)
 	for killed == "" {
@@ -134,7 +151,7 @@ func TestChaosFleetSurvivesWorkerAndCoordinatorLoss(t *testing.T) {
 			t.Fatalf("sweep finished before the kill could land; grow the budget")
 		}
 		for _, w := range got.Workers {
-			if w.Leased > 0 {
+			if w.Leased > 0 && runningJob(w.URL) {
 				killed = w.URL
 				break
 			}

@@ -22,6 +22,10 @@ func TestConfigErrors(t *testing.T) {
 			_, err := NewCache(CacheConfig{Name: "x", SizeBytes: 1152, Assoc: 1, LineBytes: 48})
 			return err
 		}},
+		{"cache line below a word", func() error {
+			_, err := NewCache(CacheConfig{Name: "x", SizeBytes: 64, Assoc: 1, LineBytes: 4})
+			return err
+		}},
 		{"cache non-pow2 sets", func() error {
 			_, err := NewCache(CacheConfig{Name: "x", SizeBytes: 3 * 64, Assoc: 1, LineBytes: 64})
 			return err

@@ -172,6 +172,11 @@ func (c CacheConfig) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("mem: cache %s: line size %d not a power of two: %w", c.Name, c.LineBytes, simerr.ErrConfig)
 	}
+	if c.LineBytes < 8 {
+		// Every access is one aligned 64-bit word. The bound also keeps
+		// a tag below 2^61, which Cache.key relies on.
+		return fmt.Errorf("mem: cache %s: line size %d below one 8-byte word: %w", c.Name, c.LineBytes, simerr.ErrConfig)
+	}
 	return nil
 }
 
@@ -183,10 +188,9 @@ type Cache struct {
 	lineBits uint
 	setBits  uint // log2(sets), precomputed off the probe path
 	setMask  uint64
-	tags     []uint64 // sets*assoc entries
-	valid    []bool
-	lru      []uint8 // per-entry LRU stamp; lower = older
-	fillAt   []int64 // cycle the line's fill completes (MSHR-style)
+	tags     []uint64 // sets*assoc entries: tag+1, 0 for an empty way
+	lru      []uint8  // per-entry LRU stamp; lower = older
+	fillAt   []int64  // cycle the line's fill completes (MSHR-style)
 
 	Hits       uint64
 	Misses     uint64
@@ -212,7 +216,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		setBits:  uint(log2(sets)),
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*cfg.Assoc),
-		valid:    make([]bool, sets*cfg.Assoc),
 		lru:      make([]uint8, sets*cfg.Assoc),
 		fillAt:   make([]int64, sets*cfg.Assoc),
 	}, nil
@@ -228,17 +231,23 @@ func MustNewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
+// key returns the first way of addr's set and the tag entry that marks
+// addr's line present: the tag plus one, so that 0 marks an empty way.
+// Validate keeps lines at least 8 bytes long, so a tag is below 2^61 and
+// tag+1 never wraps to 0.
+func (c *Cache) key(addr uint64) (base int, key uint64) {
+	line := addr >> c.lineBits
+	return int(line&c.setMask) * c.cfg.Assoc, line>>c.setBits + 1
+}
+
 // Probe looks addr up at cycle now. It returns whether the line is
 // present and, for a present line whose fill is still in flight, the
 // remaining wait in cycles (MSHR-style secondary-miss behaviour). A miss
 // does not install the line; callers follow up with Install.
 func (c *Cache) Probe(addr uint64, now int64) (bool, int64) {
-	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> c.setBits
-	base := set * c.cfg.Assoc
+	base, key := c.key(addr)
 	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
+		if c.tags[base+w] == key {
 			c.touch(base, w)
 			c.Hits++
 			if wait := c.fillAt[base+w] - now; wait > 0 {
@@ -255,13 +264,10 @@ func (c *Cache) Probe(addr uint64, now int64) (bool, int64) {
 // Install places addr's line in the cache with the given fill-completion
 // cycle, evicting the LRU way if needed.
 func (c *Cache) Install(addr uint64, fillDone int64) {
-	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> c.setBits
-	base := set * c.cfg.Assoc
+	base, key := c.key(addr)
 	victim := 0
 	for w := 0; w < c.cfg.Assoc; w++ {
-		if !c.valid[base+w] {
+		if c.tags[base+w] == 0 {
 			victim = w
 			break
 		}
@@ -269,8 +275,7 @@ func (c *Cache) Install(addr uint64, fillDone int64) {
 			victim = w
 		}
 	}
-	c.tags[base+victim] = tag
-	c.valid[base+victim] = true
+	c.tags[base+victim] = key
 	c.fillAt[base+victim] = fillDone
 	c.touch(base, victim)
 }
@@ -297,12 +302,9 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-		c.tags[i] = 0
-		c.fillAt[i] = 0
-	}
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.fillAt)
 	c.Hits, c.Misses, c.FillStalls = 0, 0, 0
 }
 

@@ -57,6 +57,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 		{Name: "small", SizeBytes: 1 << 10, Assoc: 2, LineBytes: 64},
 		{Name: "l1", SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64},
 		{Name: "direct", SizeBytes: 4 << 10, Assoc: 1, LineBytes: 64},
+		{Name: "word", SizeBytes: 32, Assoc: 4, LineBytes: 8}, // one set: the widest tags
 	}
 	for _, cfg := range cfgs {
 		c := MustNewCache(cfg)
@@ -64,13 +65,15 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 		rng := &refRNG{s: 99}
 		for step := 0; step < 50000; step++ {
 			var addr uint64
-			switch step % 3 {
+			switch step % 4 {
 			case 0:
 				addr = rng.next() % (1 << 16) // random within 64K
 			case 1:
 				addr = uint64(step) * 64 % (1 << 15) // stride
+			case 2:
+				addr = rng.next() % (1 << 12) // hot region, tag 0 included
 			default:
-				addr = rng.next() % (1 << 12) // hot region
+				addr = ^uint64(0) - rng.next()%(1<<12) // top of the address space
 			}
 			got := access(c, addr)
 			want := ref.access(addr)

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// count reads the number booked at cycle t: zero when the slot carries
-// another cycle's stamp.
-func (c *capRing) count(t int64) int {
-	e := c.ent[t&int64(len(c.ent)-1)]
-	if int64(e>>capCountBits) != t {
+// count reads the number book k holds at cycle t: zero when the slot
+// carries another cycle's stamp.
+func (b *issueBook) count(t int64, k int) int {
+	s := b.slot[t&int64(len(b.slot)-1)]
+	if s.stamp != t {
 		return 0
 	}
-	return int(e & capCountMask)
+	return int(s.n[k])
 }
 
 // TestBooksMatchReference drives every book with random booking streams
@@ -69,18 +69,20 @@ func seqBookStream(t *testing.T, rng *rand.Rand, limit int) {
 // issueStream books an out-of-order stream the way the run loop does:
 // each booking searches from above a rising dispatch floor for a cycle
 // free in the issue book, one unit book and, for memory operations, the
-// load/store book; the books start at 4 slots and grow, with spreads up
-// to 100 times that.
+// load/store book; the ring starts at 4 slots and grows, with spreads up
+// to 100 times that. At every cycle the search passes, all four probe
+// shapes (int or FP unit, with or without the load/store book) are
+// checked against per-book map references, so a count kept in the wrong
+// book or under the wrong cycle shows even when the search agrees.
 func issueStream(t *testing.T, rng *rand.Rand, limit int) {
 	t.Helper()
 	const start = 4
-	r := &runState{}
-	limits := [4]int{limit, 1 + rng.Intn(6), 1 + rng.Intn(4), 1 + rng.Intn(3)}
-	for i, c := range r.issueBooks() {
-		*c = capRing{ent: make([]uint64, start), limit: uint64(limits[i])}
+	limits := [numBooks]int{bookIssue: limit, bookInt: 1 + rng.Intn(6), bookLS: 1 + rng.Intn(4), bookFP: 1 + rng.Intn(3)}
+	b := &issueBook{slot: make([]issueSlot, start)}
+	for k, l := range limits {
+		b.limit[k] = uint16(l)
 	}
-	books := r.issueBooks()
-	refs := [4]map[int64]int{{}, {}, {}, {}}
+	refs := [numBooks]map[int64]int{{}, {}, {}, {}}
 	free := func(k int, t int64) bool { return refs[k][t] < limits[k] }
 
 	var dispatch int64
@@ -93,26 +95,29 @@ func issueStream(t *testing.T, rng *rand.Rand, limit int) {
 		case 1, 2:
 			t0 += int64(rng.Intn(20))
 		}
-		unit, isMem := 1, false // the int book; 2 is load/store, 3 fp
+		unit, isMem := bookInt, false
 		switch rng.Intn(3) {
 		case 0:
-			unit = 3
+			unit = bookFP
 		case 1:
 			isMem = true
 		}
 
 		want := t0
-		for !free(0, want) || !free(unit, want) || (isMem && !free(2, want)) {
+		for !free(bookIssue, want) || !free(unit, want) || (isMem && !free(bookLS, want)) {
 			want++
 		}
 		got := t0
 		for {
-			for k := range books {
-				if avail, ref := books[k].avail(got), free(k, got); avail != ref {
-					t.Fatalf("limits %v, op %d: book %d avail(%d) = %v, reference %v", limits, i, k, got, avail, ref)
+			for _, u := range []int{bookInt, bookFP} {
+				for _, mem := range []bool{false, true} {
+					ref := free(bookIssue, got) && free(u, got) && (!mem || free(bookLS, got))
+					if avail := b.avail(got, u, mem); avail != ref {
+						t.Fatalf("limits %v, op %d: avail(%d, %d, %v) = %v, reference %v", limits, i, got, u, mem, avail, ref)
+					}
 				}
 			}
-			if r.issueCap.avail(got) && books[unit].avail(got) && (!isMem || r.lsCap.avail(got)) {
+			if b.avail(got, unit, isMem) {
 				break
 			}
 			got++
@@ -120,28 +125,23 @@ func issueStream(t *testing.T, rng *rand.Rand, limit int) {
 		if got != want {
 			t.Fatalf("limits %v, op %d: issue search from %d found %d, want %d", limits, i, t0, got, want)
 		}
-		if got-dispatch >= int64(len(r.issueCap.ent)) {
-			r.growIssue(dispatch, got)
+		if got-dispatch >= int64(len(b.slot)) {
+			b.grow(dispatch, got)
 		}
-		for _, k := range []int{0, unit} {
-			books[k].book(got)
-			refs[k][got]++
-		}
+		b.book(got, unit, isMem)
+		refs[bookIssue][got]++
+		refs[unit][got]++
 		if isMem {
-			r.lsCap.book(got)
-			refs[2][got]++
+			refs[bookLS][got]++
 		}
 	}
-	if len(r.issueCap.ent) == start {
-		t.Fatalf("limits %v: the books never grew", limits)
+	if len(b.slot) == start {
+		t.Fatalf("limits %v: the ring never grew", limits)
 	}
-	for k, c := range books {
-		if len(c.ent) != len(r.issueCap.ent) {
-			t.Fatalf("book %d has %d slots, the issue book %d", k, len(c.ent), len(r.issueCap.ent))
-		}
+	for k := range refs {
 		for cyc, n := range refs[k] {
-			if cyc >= dispatch && c.count(cyc) != n {
-				t.Fatalf("limits %v: book %d holds %d at live cycle %d, reference %d", limits, k, c.count(cyc), cyc, n)
+			if cyc >= dispatch && b.count(cyc, k) != n {
+				t.Fatalf("limits %v: book %d holds %d at live cycle %d, reference %d", limits, k, b.count(cyc, k), cyc, n)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package pipeline
 
-// IssueRingLen reports the length of the current run's issue books.
-func IssueRingLen(s *Sim) int { return len(s.cur.issueCap.ent) }
+// IssueRingLen reports the length of the current run's issue book.
+func IssueRingLen(s *Sim) int { return len(s.cur.issue.slot) }
 
-// IssueRingStart is the length the issue books start at.
+// IssueRingStart is the length the issue book starts at.
 const IssueRingStart = issueRingStart

@@ -53,60 +53,107 @@ func (b *seqBook) tryBook(t int64) bool {
 	return true
 }
 
-// capRing is the bandwidth book of an out-of-order stage: the issue slots
-// and the int, load/store and FP units. It is a lazily cleared,
-// cycle-indexed counter; cycle t maps to slot t&(len(ent)-1), and each
-// entry packs the booked cycle (its stamp) and the count booked there
-// into one word, stamp<<capCountBits | count. Cycles are nonnegative and
-// bounded far below 2^48 by any realistic budget; Config.Validate bounds
+// issueBook is the bandwidth book of the out-of-order stages: the issue
+// slots and the int, load/store and FP units. It is one lazily cleared,
+// cycle-indexed ring of slots; cycle t maps to slot t&(len(slot)-1), and
+// each slot holds the cycle it books (its stamp) and the four counts
+// booked there, so one index probes and books every stage an
+// instruction needs. Cycles are nonnegative; Config.Validate bounds
 // every limit below 2^16.
 //
 // The ring is exact. No probe or booking by the current instruction or
 // any later one falls below the current dispatch cycle, and the loop
-// grows the rings (growIssue) before it books a cycle one ring length or
-// more past that cycle. Every live entry therefore lies within one ring
-// length of the dispatch cycle, a live entry is never overwritten, and a
-// stamp mismatch means "nothing booked here".
-type capRing struct {
-	ent   []uint64
-	limit uint64
+// grows the ring (grow) before it books a cycle one ring length or more
+// past that cycle. Every live slot therefore lies within one ring length
+// of the dispatch cycle, a live slot is never overwritten, and a stamp
+// mismatch means "nothing booked here".
+type issueBook struct {
+	slot  []issueSlot
+	limit [numBooks]uint16
 }
 
-const capCountBits = 16
-const capCountMask = 1<<capCountBits - 1
+// issueSlot is one cycle of the issue book. It packs into 16 bytes.
+type issueSlot struct {
+	stamp int64
+	n     [numBooks]uint16
+}
 
-// issueRingStart is the length, in cycles, the issue books start at. They
-// double only when an issue lands a full ring length past its dispatch;
+// The stages an issueBook counts, indexing issueSlot.n and limit.
+const (
+	bookIssue = iota
+	bookInt
+	bookLS
+	bookFP
+	numBooks
+)
+
+// issueRingStart is the length, in cycles, the issue book starts at. It
+// doubles only when an issue lands a full ring length past its dispatch;
 // no sim-hot run at 1M instructions needs more than 512.
 const issueRingStart = 1 << 10
 
-func newCapRing(limit int) capRing {
-	return capRing{ent: make([]uint64, issueRingStart), limit: uint64(limit)}
-}
-
-func (c *capRing) avail(cycle int64) bool {
-	e := c.ent[cycle&int64(len(c.ent)-1)]
-	return e>>capCountBits != uint64(cycle) || e&capCountMask < c.limit
-}
-
-func (c *capRing) book(cycle int64) {
-	i := cycle & int64(len(c.ent)-1)
-	if e := c.ent[i]; e>>capCountBits != uint64(cycle) {
-		c.ent[i] = uint64(cycle)<<capCountBits | 1
-	} else {
-		c.ent[i] = e + 1
+func newIssueBook(cfg Config) issueBook {
+	return issueBook{
+		slot: make([]issueSlot, issueRingStart),
+		limit: [numBooks]uint16{
+			bookIssue: uint16(cfg.IssueWidth),
+			bookInt:   uint16(cfg.IntALUs),
+			bookLS:    uint16(cfg.LoadStore),
+			bookFP:    uint16(cfg.FPUnits),
+		},
 	}
 }
 
-// resize moves the ring to n slots, keeping the entries stamped at or
-// after floor. Entries stamped before it are dead: nothing probes them.
-func (c *capRing) resize(n int, floor int64) {
-	old := c.ent
-	c.ent = make([]uint64, n)
-	for _, e := range old {
-		if st := int64(e >> capCountBits); e&capCountMask != 0 && st >= floor {
-			c.ent[st&int64(n-1)] = e
+// avail reports whether cycle t has a free issue slot, a free unit of
+// book unit (bookInt or bookFP) and, for a memory operation, a free
+// load/store port.
+func (b *issueBook) avail(t int64, unit int, isMem bool) bool {
+	s := &b.slot[t&int64(len(b.slot)-1)]
+	if s.stamp != t {
+		return true
+	}
+	return s.n[bookIssue] < b.limit[bookIssue] && s.n[unit] < b.limit[unit] &&
+		(!isMem || s.n[bookLS] < b.limit[bookLS])
+}
+
+// book takes what avail checked at cycle t.
+func (b *issueBook) book(t int64, unit int, isMem bool) {
+	s := &b.slot[t&int64(len(b.slot)-1)]
+	if s.stamp != t {
+		*s = issueSlot{stamp: t}
+	}
+	s.n[bookIssue]++
+	s.n[unit]++
+	if isMem {
+		s.n[bookLS]++
+	}
+}
+
+// grow doubles the ring until cycle t lies less than one ring length
+// past floor, the current dispatch cycle, keeping the slots stamped at
+// or after floor. Slots stamped before it are dead: nothing probes them.
+func (b *issueBook) grow(floor, t int64) {
+	n := len(b.slot)
+	for int64(n) <= t-floor {
+		n *= 2
+	}
+	old := b.slot
+	b.slot = make([]issueSlot, n)
+	for _, s := range old {
+		if s.n[bookIssue] != 0 && s.stamp >= floor {
+			b.slot[s.stamp&int64(n-1)] = s
 		}
+	}
+}
+
+// reset empties the book for a new run. It must be cleared, not merely
+// reused: a stale stamp from the prior run would alias a cycle of this
+// one. A ring an earlier run grew goes back to the starting length.
+func (b *issueBook) reset() {
+	if len(b.slot) == issueRingStart {
+		clear(b.slot)
+	} else {
+		b.slot = make([]issueSlot, issueRingStart)
 	}
 }
 
@@ -126,7 +173,9 @@ type pendingPred struct {
 // instInfo is the per-static-instruction decode information the commit
 // loop needs every iteration. It is computed once per run (newRunState)
 // so the loop never re-derives classification, latency, or source
-// registers from the opcode.
+// registers from the opcode. srcs leaves out the zero registers: they
+// are always ready and never predicted, so no source loop need test
+// for them.
 type instInfo struct {
 	srcs   [2]isa.Reg
 	lat    int64
@@ -196,14 +245,11 @@ type runState struct {
 	winIdx int
 
 	// Bandwidth books. The in-order books' last cycles are the last
-	// dispatch and commit cycles; the four issue rings share one length.
+	// dispatch and commit cycles.
 	dispatchCap seqBook
 	commitCap   seqBook
 	portCap     seqBook // unused unless cfg.PredictPorts > 0
-	issueCap    capRing
-	intCap      capRing
-	lsCap       capRing
-	fpCap       capRing
+	issue       issueBook
 
 	// Front-end state.
 	fetchCycle  int64
@@ -306,32 +352,12 @@ func (s *Sim) newRunState(prog *program.Program, pred core.Predictor, st *emu.St
 		dispatchCap: seqBook{limit: uint64(cfg.DispatchWidth)},
 		commitCap:   seqBook{limit: uint64(cfg.CommitWidth)},
 		portCap:     seqBook{limit: uint64(cfg.PredictPorts)},
-		issueCap:    newCapRing(cfg.IssueWidth),
-		intCap:      newCapRing(cfg.IntALUs),
-		lsCap:       newCapRing(cfg.LoadStore),
-		fpCap:       newCapRing(cfg.FPUnits),
+		issue:       newIssueBook(cfg),
 		curLine:     ^uint64(0),
 	}
 	r.info = buildInfo(prog)
 	sizeHint(pred, len(r.info))
 	return r
-}
-
-// issueBooks lists the four out-of-order books, which share one length.
-func (r *runState) issueBooks() [4]*capRing {
-	return [4]*capRing{&r.issueCap, &r.intCap, &r.lsCap, &r.fpCap}
-}
-
-// growIssue doubles the issue books until cycle t lies less than one
-// ring length past floor, the current dispatch cycle.
-func (r *runState) growIssue(floor, t int64) {
-	n := len(r.issueCap.ent)
-	for int64(n) <= t-floor {
-		n *= 2
-	}
-	for _, c := range r.issueBooks() {
-		c.resize(n, floor)
-	}
 }
 
 // resetRunState recycles the previous run's buffers for a fresh run on
@@ -375,16 +401,7 @@ func (s *Sim) resetRunState(r *runState, prog *program.Program, pred core.Predic
 	r.dispatchCap.last, r.dispatchCap.n = 0, 0
 	r.commitCap.last, r.commitCap.n = 0, 0
 	r.portCap.last, r.portCap.n = 0, 0
-	// The rings must be cleared, not merely reused: a stale stamp from
-	// the prior run would alias a cycle of this one. A ring an earlier
-	// run grew goes back to the starting length.
-	for _, c := range r.issueBooks() {
-		if len(c.ent) == issueRingStart {
-			clear(c.ent)
-		} else {
-			c.ent = make([]uint64, issueRingStart)
-		}
-	}
+	r.issue.reset()
 
 	r.stats = Stats{}
 	r.regReady = [isa.NumRegs]int64{}
@@ -409,8 +426,12 @@ func buildInfo(prog *program.Program) []instInfo {
 			useFPQ: cls == isa.ClassFPAdd || cls == isa.ClassFPMul || cls == isa.ClassFPDiv,
 			isMem:  cls == isa.ClassLoad || cls == isa.ClassStore,
 		}
-		srcs := in.Sources(inf.srcs[:0])
-		inf.nsrc = uint8(len(srcs))
+		for _, reg := range in.Sources(inf.srcs[:0]) {
+			if !reg.IsZero() {
+				inf.srcs[inf.nsrc] = reg
+				inf.nsrc++
+			}
+		}
 		info[i] = inf
 	}
 	return info
@@ -596,9 +617,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		// squashes from this instruction onward.
 		if cfg.Recovery == RecoverRefetch {
 			for _, reg := range srcs {
-				if reg.IsZero() {
-					continue
-				}
 				if p := r.regPending[reg]; p != nil && p.wrong && !p.useSeen {
 					p.useSeen = true
 					redirect := p.doneAt + int64(cfg.MispredPenalty)
@@ -716,9 +734,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		srcReady := dispatch + 1
 		var holdUntil int64
 		for _, reg := range srcs {
-			if reg.IsZero() {
-				continue
-			}
 			if t := r.regReady[reg]; t > srcReady {
 				srcReady = t
 			}
@@ -753,24 +768,17 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 			t = dispatch + 1
 		}
 		isMem := inf.isMem
-		unit := &r.intCap
+		unit := bookInt
 		if useFPQ {
-			unit = &r.fpCap
+			unit = bookFP
 		}
-		for {
-			if r.issueCap.avail(t) && unit.avail(t) && (!isMem || r.lsCap.avail(t)) {
-				break
-			}
+		for !r.issue.avail(t, unit, isMem) {
 			t++
 		}
-		if t-dispatch >= int64(len(r.issueCap.ent)) {
-			r.growIssue(dispatch, t)
+		if t-dispatch >= int64(len(r.issue.slot)) {
+			r.issue.grow(dispatch, t)
 		}
-		r.issueCap.book(t)
-		unit.book(t)
-		if isMem {
-			r.lsCap.book(t)
-		}
+		r.issue.book(t, unit, isMem)
 		issueAt := t
 
 		// ---- Completion.

@@ -72,7 +72,7 @@ type Config struct {
 	// instructions (default 100k).
 	ProgressEvery uint64
 	// FS is the filesystem seam all durability I/O (job store, sweep
-	// journals) goes through. Nil means the real
+	// journals, job state dirs) goes through. Nil means the real
 	// filesystem; tests inject vfs.Mem/vfs.Fault to simulate hostile
 	// storage.
 	FS vfs.FS
@@ -126,6 +126,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.BodyReadTimeout == 0 {
 		c.BodyReadTimeout = 30 * time.Second
+	}
+	if c.FS == nil {
+		c.FS = vfs.OS
 	}
 	return nil
 }
@@ -282,6 +285,15 @@ func (s *Server) initMetrics() {
 // so a resumed job finds its own work.
 func (s *Server) jobDir(id string) string {
 	return filepath.Join(s.cfg.StateDir, "jobs", id)
+}
+
+// removeJobDir drops a job's simulation state through Config.FS. A
+// failure leaves only litter: the job's terminal record, not its state
+// dir, is what a restart trusts.
+func (s *Server) removeJobDir(id string) {
+	if err := vfs.RemoveAll(s.cfg.FS, s.jobDir(id)); err != nil {
+		s.log.Warn("removing job state failed", "job", id, "error", err)
+	}
 }
 
 // TraceIDHeader and ParentSpanHeader propagate trace identity from
@@ -744,7 +756,7 @@ func (s *Server) runJob(j *job) {
 		// lands, so no reader that sees the job succeeded finds it. If
 		// the append fails, the job re-simulates from the start on
 		// restart: slower, never wrong.
-		os.RemoveAll(s.jobDir(j.id))
+		s.removeJobDir(j.id)
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job success failed", "job", j.id, "error", serr)
 			s.storageDegraded.Trip(serr)
@@ -783,7 +795,7 @@ func (s *Server) runJob(j *job) {
 			rec.Flight = &FlightRecord{SpecDigest: j.spec.Digest(), Events: f.events()}
 		}
 		s.mFailed.Inc()
-		os.RemoveAll(s.jobDir(j.id))
+		s.removeJobDir(j.id)
 		if serr := s.store.Append(rec); serr != nil {
 			s.log.Error("recording job failure failed", "job", j.id, "error", serr)
 			s.storageDegraded.Trip(serr)
@@ -813,7 +825,7 @@ func (s *Server) abandonExpired(j *job) {
 			time.Since(j.deadline).Round(time.Millisecond)),
 		Timeout: true,
 	}
-	os.RemoveAll(s.jobDir(j.id))
+	s.removeJobDir(j.id)
 	if err := s.store.Append(rec); err != nil {
 		s.log.Error("recording deadline abandonment failed", "job", j.id, "error", err)
 		s.storageDegraded.Trip(err)

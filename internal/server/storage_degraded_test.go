@@ -2,10 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
+	"os"
+	"sync"
 	"testing"
 	"time"
 
+	"rvpsim/internal/exp"
+	"rvpsim/internal/faultinject"
 	"rvpsim/internal/vfs"
 )
 
@@ -100,4 +106,58 @@ func getReadyz(t *testing.T, base string) (int, readyStatus) {
 		t.Fatalf("readyz body: %v", err)
 	}
 	return resp.StatusCode, st
+}
+
+// createRecorder is an FS that notes every file it is asked to create.
+type createRecorder struct {
+	vfs.FS
+	mu      sync.Mutex
+	created map[string]bool
+}
+
+func (c *createRecorder) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	if flag&os.O_CREATE != 0 {
+		c.mu.Lock()
+		c.created[name] = true
+		c.mu.Unlock()
+	}
+	return c.FS.OpenFile(name, flag, perm)
+}
+
+// TestJobStateRemovedThroughFS checks that a finished job's state dir is
+// removed through Config.FS, not the os package: on an in-memory FS, a
+// succeeded job and a failed job each wrote a journal.jsonl while they
+// ran, and neither leaves it behind.
+func TestJobStateRemovedThroughFS(t *testing.T) {
+	m := vfs.NewMem()
+	rec := &createRecorder{FS: m, created: map[string]bool{}}
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.FS = rec
+		c.Faults = map[string]faultinject.Config{"li": {FailAfter: 1}}
+	})
+	for _, c := range []struct {
+		body string
+		want string
+	}{
+		{runBody, StateSucceeded},
+		{`{"kind":"run","workload":"li","predictor":"rvp","insts":5000}`, StateFailed},
+	} {
+		final := waitTerminal(t, ts, decodeStatus(t, postJob(t, ts, c.body, "")).ID)
+		if final.State != c.want {
+			t.Fatalf("%s: job ended %s, want %s", c.body, final.State, c.want)
+		}
+		journal := exp.JournalPath(srv.jobDir(final.ID))
+		rec.mu.Lock()
+		wrote := rec.created[journal]
+		rec.mu.Unlock()
+		if !wrote {
+			t.Fatalf("%s: the job never created %s", c.body, journal)
+		}
+		if _, err := m.Stat(journal); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: %s left behind (stat err %v)", c.body, journal, err)
+		}
+		if _, err := m.Stat(srv.jobDir(final.ID)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: job state dir left behind (stat err %v)", c.body, err)
+		}
+	}
 }

@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -140,5 +142,43 @@ func TestFaultCountsOnlyMutations(t *testing.T) {
 	}
 	if got := f.Ops(); got != 0 {
 		t.Fatalf("read path counted %d ops (trace %v), want 0", got, f.Trace())
+	}
+}
+
+// TestRemoveAllThroughFault: RemoveAll empties a nested tree with one
+// Remove per entry, so a Fault fails exactly the scheduled removal; the
+// error surfaces, and a second call finishes the job. A missing path is
+// no error.
+func TestRemoveAllThroughFault(t *testing.T) {
+	m := NewMem()
+	for _, p := range []string{"/s/a/x", "/s/a/y", "/s/b"} {
+		if err := m.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(m, p, []byte(p), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := NewFault(m)
+	f.FailAt(Plan{At: 1, Kind: KindErr})
+	if err := RemoveAll(f, "/s"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("RemoveAll with the second removal failing = %v, want injected", err)
+	}
+	if _, err := m.Stat("/s"); err != nil {
+		t.Fatalf("the tree vanished although a removal failed: %v", err)
+	}
+	if err := RemoveAll(f, "/s"); err != nil {
+		t.Fatalf("second RemoveAll: %v", err)
+	}
+	if got := f.Ops(); got != 6 {
+		t.Fatalf("ops=%d, want 6: one failed and five successful removals", got)
+	}
+	for _, p := range []string{"/s", "/s/a", "/s/a/x", "/s/b"} {
+		if _, err := m.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s after RemoveAll: stat err %v, want not exist", p, err)
+		}
+	}
+	if err := RemoveAll(f, "/s"); err != nil {
+		t.Fatalf("RemoveAll of a missing path: %v", err)
 	}
 }

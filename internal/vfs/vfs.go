@@ -15,6 +15,7 @@
 package vfs
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -110,6 +111,35 @@ func ReadFile(fsys FS, path string) ([]byte, error) {
 		return nil, err
 	}
 	return data, nil
+}
+
+// RemoveAll is os.RemoveAll through fsys: it removes path and everything
+// below it, children first, with one Remove per entry, so a Fault can
+// fail any one removal. A path that does not exist is no error. It stops
+// at the first failure.
+func RemoveAll(fsys FS, path string) error {
+	fi, err := fsys.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if fi.IsDir() {
+		ents, err := fsys.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			if err := RemoveAll(fsys, filepath.Join(path, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	if err := fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
 // WriteFileAtomic writes data to path through fsys with the full
