@@ -175,11 +175,14 @@ storage-faults:
 # e2e (real workers behind fault-injecting proxies, SIGKILL,
 # byte-identical merge), the fleet's long-poll, poll-pacing and
 # steal-without-ping-pong tests, and the one-daemon e2e (rvpd hosting
-# the coordinator across processes).
+# the coordinator across processes). The partition chaos runs again
+# under a second fault schedule (seed 7), so body flips are exercised
+# under two schedules.
 net-faults:
 	$(GO) test -race -count 1 ./internal/netfault/ ./internal/client/
 	$(GO) test -race -count 1 -run 'Deadline|SlowLoris|StatusWait' ./internal/server/
 	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing|TestLongPollSeesFinishedCellsAtOnce|TestPollPacing|TestCellLongerThanStealAgeFinishes|TestRvpdHostsSweepCoordinator' ./internal/fleet/ -timeout 10m
+	RVP_CHAOS_SEED=7 $(GO) test -race -count 1 -run 'TestFleetPartitionChaos' ./internal/fleet/ -timeout 10m
 
 # Durability-layer errcheck: no discarded Sync/SyncDir/Close error in
 # the packages that own persistent state or pooled connections.

@@ -256,3 +256,62 @@ func BenchmarkProgramDigest(b *testing.B) {
 		})
 	}
 }
+
+// TestRegistryCountsSimulatedCellsOnce: with Options.Registry set, each
+// simulation publishes its Stats once, so rvpsim_committed_total is the
+// sum over the cells actually simulated. A reused cell and a
+// journal-replayed cell add nothing.
+func TestRegistryCountsSimulatedCellsOnce(t *testing.T) {
+	opts := Options{Insts: 30_000, ProfileInsts: 15_000, Parallel: true, StateDir: t.TempDir()}
+	sweep := func(figs ...func(*Runner) error) *obs.Registry {
+		t.Helper()
+		o := opts
+		o.Registry = obs.NewRegistry()
+		r := NewRunner(o)
+		if err := r.EnableResume(); err != nil {
+			t.Fatal(err)
+		}
+		for _, fig := range figs {
+			if err := fig(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return o.Registry
+	}
+	fig6 := func(r *Runner) error { _, err := r.Figure6(); return err }
+	tab2 := func(r *Runner) error { _, _, err := r.Table2(); return err }
+	counter := func(reg *obs.Registry, name string) int64 { return reg.Counter(name, "").Value() }
+
+	// Table 2 after Figure 6 reuses every cell it asks for.
+	reg := sweep(fig6, tab2)
+	if counter(reg, "exp_cells_reused") == 0 {
+		t.Fatal("Table2 after Figure6 reused no cell")
+	}
+	j, err := OpenJournal(JournalPath(opts.StateDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := j.Cells()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, st := range cells {
+		want += int64(st.Committed)
+	}
+	if got := counter(reg, "rvpsim_committed_total"); want == 0 || got != want {
+		t.Errorf("rvpsim_committed_total = %d, want %d: the sum over the %d simulated cells", got, want, len(cells))
+	}
+
+	// A second sweep over the same state dir replays every cell.
+	reg = sweep(fig6)
+	if counter(reg, "exp_journal_replayed") == 0 {
+		t.Fatal("the second sweep replayed no cell")
+	}
+	if got := counter(reg, "rvpsim_committed_total"); got != 0 {
+		t.Errorf("journal replay published rvpsim_committed_total = %d, want 0", got)
+	}
+}

@@ -6,7 +6,7 @@ import "rvpsim/internal/obs"
 // registry. The hierarchy is per-run state, so publishing once at the
 // end of a run adds exactly that run's totals; registries shared across
 // runs accumulate monotonically.
-func (h *Hierarchy) PublishMetrics(reg *obs.CounterCache) {
+func (h *Hierarchy) PublishMetrics(reg *obs.Registry) {
 	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
 		c.PublishMetrics(reg)
 	}
@@ -18,7 +18,7 @@ func (h *Hierarchy) PublishMetrics(reg *obs.CounterCache) {
 
 // PublishMetrics folds the cache's counters into the registry under
 // names derived from the cache's configured name (l1i/l1d/l2).
-func (c *Cache) PublishMetrics(reg *obs.CounterCache) {
+func (c *Cache) PublishMetrics(reg *obs.Registry) {
 	prefix := "rvpsim_" + lowerName(c.cfg.Name)
 	reg.Counter(prefix+"_hits_total", c.cfg.Name+" hits").Add(int64(c.Hits))
 	reg.Counter(prefix+"_misses_total", c.cfg.Name+" misses").Add(int64(c.Misses))

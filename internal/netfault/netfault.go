@@ -24,6 +24,7 @@
 package netfault
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -76,11 +77,11 @@ const (
 	// lease protocols.
 	KindPartitionOneWay
 	// KindFlip delivers the payload with one bit flipped and reports
-	// success — silent corruption in flight. The flip targets the first
-	// ASCII digit (low bit), so a JSON payload usually stays parseable
+	// success — silent corruption in flight. The flip targets the low
+	// bit of an ASCII digit in the HTTP body (see flipDigit), so the
+	// request and status lines survive, a JSON payload stays parseable,
 	// and the corruption reaches the decoded values instead of dying in
-	// the decoder. (A multi-digit number whose first digit is 1 gets a
-	// leading zero, which a JSON decoder rejects.)
+	// the router or the decoder.
 	KindFlip
 	// KindSlowLoris switches the stream to trickle mode: every
 	// subsequent read/write on it waits Dur first, and reads return at
@@ -289,21 +290,46 @@ func Schedule(seed int64, span int64, n int, kinds []Kind, maxDur time.Duration)
 	return plans
 }
 
-// flipDigit flips the low bit of the first ASCII digit in b (in place),
+// flipDigit flips the low bit of one ASCII digit in b (in place),
 // turning it into a different digit — a single-bit corruption that
 // usually keeps JSON parseable so it reaches the decoded values (see
-// KindFlip). Without a digit it falls back to the vfs idiom: flip 0x40
-// in the middle byte.
+// KindFlip). The digit is the last of the first digit run after an HTTP
+// header block ("\r\n\r\n"), so the request or status line survives
+// and the flip lands in the body; flipping a run's last digit never
+// makes a leading zero. A buffer without a header block, or without a
+// digit after it, is searched from its start. Without a digit it falls
+// back to the vfs idiom: flip 0x40 in the middle byte.
 func flipDigit(b []byte) {
-	for i, c := range b {
-		if c >= '0' && c <= '9' {
-			b[i] ^= 0x01
-			return
-		}
+	i := -1
+	if h := bytes.Index(b, []byte("\r\n\r\n")); h >= 0 {
+		i = lastDigitOfRun(b, h+4)
 	}
-	if len(b) > 0 {
+	if i < 0 {
+		i = lastDigitOfRun(b, 0)
+	}
+	switch {
+	case i >= 0:
+		b[i] ^= 0x01
+	case len(b) > 0:
 		b[len(b)/2] ^= 0x40
 	}
+}
+
+// lastDigitOfRun returns the index of the last digit of the first run
+// of ASCII digits in b at or after from, or -1 when there is none.
+func lastDigitOfRun(b []byte, from int) int {
+	isDigit := func(c byte) bool { return '0' <= c && c <= '9' }
+	i := from
+	for i < len(b) && !isDigit(b[i]) {
+		i++
+	}
+	if i == len(b) {
+		return -1
+	}
+	for i+1 < len(b) && isDigit(b[i+1]) {
+		i++
+	}
+	return i
 }
 
 // durOr returns d, or def when d is not positive: a zero Plan.Dur takes

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -219,33 +220,56 @@ func TestTransportOneWayPartitionLosesResponse(t *testing.T) {
 // TestConnFlipCorruptsOneDigit: a flip changes exactly one digit of the
 // bytes it carries, in either direction.
 func TestConnFlipCorruptsOneDigit(t *testing.T) {
-	want := []byte(`{"value":1234567890,"pad":"abc"}`)
-	for _, op := range []Op{OpWrite, OpRead} {
-		near, far := net.Pipe()
-		inj := NewInjector()
-		inj.FailAt(Plan{At: 0, Kind: KindFlip})
-		c := WrapConn(near, inj)
-		src, dst := io.Writer(c), io.Reader(far)
-		if op == OpRead {
-			src, dst = far, c
+	httpMsg := func(first, body string) string {
+		return fmt.Sprintf("%s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", first, len(body), body)
+	}
+	cases := []struct {
+		name    string
+		payload string
+		body    int // offset of the HTTP body; 0 for a bare payload
+	}{
+		{"bare", `{"value":1234567890,"pad":"abc"}`, 0},
+		// An HTTP request and response: the flip must spare the request
+		// and status lines (a "/v1" turned "/v0" is a 404, an
+		// "HTTP/1.1" turned "HTTP/0.1" passes unnoticed) and land in
+		// the JSON body.
+		{"request", httpMsg("POST /v1/jobs HTTP/1.1", `{"kind":"run","insts":1000000}`), -1},
+		{"response", httpMsg("HTTP/1.1 200 OK", `{"id":"j1","committed":10}`), -1},
+	}
+	for _, tc := range cases {
+		want := []byte(tc.payload)
+		if tc.body < 0 {
+			tc.body = bytes.Index(want, []byte("\r\n\r\n")) + 4
 		}
-		go func() { _, _ = src.Write(want) }()
-		got := make([]byte, len(want))
-		if _, err := io.ReadFull(dst, got); err != nil {
-			t.Fatalf("%s: %v", op, err)
-		}
-		c.Close()
-		diff, digits := 0, 0
-		for i := range got {
-			if got[i] != want[i] {
-				diff++
-				if '0' <= got[i] && got[i] <= '9' {
-					digits++
+		for _, op := range []Op{OpWrite, OpRead} {
+			near, far := net.Pipe()
+			inj := NewInjector()
+			inj.FailAt(Plan{At: 0, Kind: KindFlip})
+			c := WrapConn(near, inj)
+			src, dst := io.Writer(c), io.Reader(far)
+			if op == OpRead {
+				src, dst = far, c
+			}
+			go func() { _, _ = src.Write(want) }()
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(dst, got); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, op, err)
+			}
+			c.Close()
+			diff, at := 0, -1
+			for i := range got {
+				if got[i] != want[i] {
+					diff++
+					at = i
 				}
 			}
-		}
-		if diff != 1 || digits != 1 {
-			t.Fatalf("%s: flip changed %d bytes, want exactly one digit\nwant %q\ngot  %q", op, diff, want, got)
+			if diff != 1 || at < tc.body || got[at] < '0' || got[at] > '9' {
+				t.Fatalf("%s %s: flip changed %d bytes, want exactly one body digit\nwant %q\ngot  %q", tc.name, op, diff, want, got)
+			}
+			var v map[string]any
+			if err := json.Unmarshal(got[tc.body:], &v); err != nil {
+				t.Fatalf("%s %s: flipped body no longer decodes: %v\n%q", tc.name, op, err, got[tc.body:])
+			}
 		}
 	}
 }

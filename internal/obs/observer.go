@@ -1,9 +1,9 @@
 package obs
 
-// Observer is what an observed simulation run publishes its metrics into:
-// a registry, which the run's batched counters, stage-latency histograms
-// and subsystem counters are resolved against. Per-commit records are not
-// the observer's business; they go to the pipeline's tracer.
+// Observer names the registry an observed simulation run publishes
+// into. The run adds its final statistics and its memory, branch and
+// value-predictor counters once, when it ends; per-commit records are
+// not the observer's business, they go to the pipeline's tracer.
 type Observer struct {
 	reg *Registry
 }

@@ -5,14 +5,10 @@
 // helpers for the experiment harness. Per-instruction commit records are
 // the pipeline's (pipeline.TraceRecord), and so are their writers.
 //
-// Design for the hot path: instruments are updated with single atomic
-// adds and allocate nothing after registration. Single-writer loops (the
-// timing simulator commits ~10M instructions/s) should batch through the
-// Local* views, which accumulate in plain ints and flush deltas into the
-// shared instruments every few thousand observations; a flush is a
-// handful of atomic adds, so the amortised hot-path cost is near zero
-// while concurrent readers (heartbeats, exporters) still see live,
-// race-free values.
+// Instruments are updated with single atomic adds and allocate nothing
+// after registration. The timing simulator keeps its own plain Stats
+// while it runs and adds them to a registry once, when the run ends;
+// nothing in this package sits on its per-instruction path.
 //
 // Concurrency contract: every instrument method and Registry lookup is
 // safe for concurrent use. Counters and histograms are monotone; values
@@ -23,7 +19,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -33,13 +28,6 @@ type Counter struct {
 	name string
 	help string
 	v    atomic.Int64
-
-	// Pad the struct to one 64-byte cache line. Counters are individually
-	// heap-allocated and hit with atomic adds from every parallel
-	// simulator's batched flush; at 40 bytes two hot counters can share a
-	// line and false-share across cores. The padding costs nothing and
-	// removes that coupling.
-	_ [24]byte
 }
 
 // Name returns the metric name.
@@ -59,9 +47,6 @@ type Gauge struct {
 	name string
 	help string
 	v    atomic.Int64
-
-	// Cache-line padding, for the same false-sharing reason as Counter.
-	_ [24]byte
 }
 
 // Name returns the metric name.
@@ -87,7 +72,6 @@ type Histogram struct {
 	name   string
 	help   string
 	bounds []int64
-	pow2   bool           // bounds are 2,4,8,...: bucket via bit length
 	counts []atomic.Int64 // len(bounds)+1; last is overflow
 	sum    atomic.Int64
 }
@@ -98,26 +82,8 @@ func (h *Histogram) Name() string { return h.name }
 // Bounds returns the bucket upper bounds (not to be mutated).
 func (h *Histogram) Bounds() []int64 { return h.bounds }
 
-// bucket returns the index of the bucket v falls into. The hot-path
-// bounds (ExpBuckets(2, 2, n)) are consecutive powers of two, for which
-// the index is the bit length of v-1; that case is branch-free and keeps
-// this function inlinable into LocalHistogram.Observe.
+// bucket returns the index of the bucket v falls into.
 func (h *Histogram) bucket(v int64) int {
-	if h.pow2 {
-		if v <= 2 {
-			return 0
-		}
-		i := bits.Len64(uint64(v-1)) - 1
-		if i > len(h.bounds) {
-			i = len(h.bounds)
-		}
-		return i
-	}
-	return h.bucketScan(v)
-}
-
-// bucketScan is the general-bounds fallback.
-func (h *Histogram) bucketScan(v int64) int {
 	// Latencies cluster in the low buckets; a linear scan beats binary
 	// search for the common case and is branch-predictor friendly.
 	for i, b := range h.bounds {
@@ -128,40 +94,10 @@ func (h *Histogram) bucketScan(v int64) int {
 	return len(h.bounds)
 }
 
-// isPow2Bounds reports whether b is exactly 2, 4, 8, ..., 2^len(b).
-func isPow2Bounds(b []int64) bool {
-	v := int64(2)
-	for _, x := range b {
-		if x != v {
-			return false
-		}
-		v <<= 1
-	}
-	return len(b) > 0
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	h.counts[h.bucket(v)].Add(1)
 	h.sum.Add(v)
-}
-
-// AddCounts merges pre-aggregated per-bucket counts (len(bounds)+1
-// entries) and a value sum into the histogram. It is the bulk form
-// LocalHistogram flushes use.
-func (h *Histogram) AddCounts(counts []int64, sum int64) error {
-	if len(counts) != len(h.counts) {
-		return fmt.Errorf("obs: histogram %s: merging %d buckets into %d", h.name, len(counts), len(h.counts))
-	}
-	for i, n := range counts {
-		if n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	if sum != 0 {
-		h.sum.Add(sum)
-	}
-	return nil
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -185,47 +121,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Sum = h.sum.Load()
 	return s
-}
-
-// LocalHistogram is a single-writer, non-atomic accumulator bound to a
-// shared Histogram. Observe is a plain bucket search and two integer
-// increments; Flush pushes the accumulated deltas into the shared
-// instrument. It is the zero-overhead path for tight simulation loops.
-type LocalHistogram struct {
-	h      *Histogram
-	counts []int64
-	sum    int64
-	n      int
-}
-
-// Local returns a new local accumulator for the histogram.
-func (h *Histogram) Local() *LocalHistogram {
-	return &LocalHistogram{h: h, counts: make([]int64, len(h.counts))}
-}
-
-// Observe records one value locally.
-func (l *LocalHistogram) Observe(v int64) {
-	l.counts[l.h.bucket(v)]++
-	l.sum += v
-	l.n++
-}
-
-// Pending returns the number of observations not yet flushed.
-func (l *LocalHistogram) Pending() int { return l.n }
-
-// Flush merges the accumulated deltas into the shared histogram and
-// clears the local state.
-func (l *LocalHistogram) Flush() {
-	if l.n == 0 {
-		return
-	}
-	// Bounds match by construction; AddCounts cannot fail.
-	_ = l.h.AddCounts(l.counts, l.sum)
-	for i := range l.counts {
-		l.counts[i] = 0
-	}
-	l.sum = 0
-	l.n = 0
 }
 
 // ExpBuckets returns n exponential bucket bounds: start, start*factor,
@@ -254,8 +149,8 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 // re-state identical bounds). Lookups never block: the name table is an
 // immutable map published through an atomic pointer, and registering a
 // new name copies it and swaps the copy in with compare-and-swap. Parallel
-// simulators resolving their instruments at the same moment therefore
-// never wait on one another; hot code should still hold the returned
+// simulators publishing their runs at the same moment therefore never
+// wait on one another; hot code should still hold the returned
 // instrument rather than the registry.
 type Registry struct {
 	tab atomic.Pointer[regTable]
@@ -335,7 +230,6 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 			name:   name,
 			help:   help,
 			bounds: append([]int64(nil), bounds...),
-			pow2:   isPow2Bounds(bounds),
 			counts: make([]atomic.Int64, len(bounds)+1),
 		}
 	}).(*Histogram)
@@ -430,33 +324,9 @@ func writeHistogram(w io.Writer, name string, s HistogramSnapshot) error {
 	return err
 }
 
-// Publisher is implemented by subsystems that can publish their internal
-// counters at the end of a run (memory hierarchy, branch predictor, value
-// predictors).
+// Publisher is implemented by subsystems that publish their internal
+// counters once at the end of a run (memory hierarchy, branch predictor,
+// value predictors).
 type Publisher interface {
-	PublishMetrics(*CounterCache)
-}
-
-// CounterCache remembers one registry's counters by name for a single
-// goroutine, so a publisher that runs again and again (once per
-// simulation run) consults the registry once per name, not once per run.
-// It is not safe for concurrent use.
-type CounterCache struct {
-	reg  *Registry
-	ctrs map[string]*Counter
-}
-
-// NewCounterCache returns an empty cache over reg.
-func NewCounterCache(reg *Registry) *CounterCache {
-	return &CounterCache{reg: reg, ctrs: map[string]*Counter{}}
-}
-
-// Counter returns (registering if needed) the named counter.
-func (c *CounterCache) Counter(name, help string) *Counter {
-	ctr, ok := c.ctrs[name]
-	if !ok {
-		ctr = c.reg.Counter(name, help)
-		c.ctrs[name] = ctr
-	}
-	return ctr
+	PublishMetrics(*Registry)
 }

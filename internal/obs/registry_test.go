@@ -47,74 +47,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestHistogramPow2FastPathMatchesScan(t *testing.T) {
-	h := NewRegistry().Histogram("h", "", ExpBuckets(2, 2, 14))
-	if !h.pow2 {
-		t.Fatal("ExpBuckets(2,2,14) should take the power-of-two fast path")
-	}
-	for v := int64(-3); v < 70_000; v++ {
-		if got, want := h.bucket(v), h.bucketScan(v); got != want {
-			t.Fatalf("bucket(%d) = %d, scan gives %d", v, got, want)
-		}
-	}
-	for _, v := range []int64{1 << 32, 1 << 62} {
-		if got, want := h.bucket(v), h.bucketScan(v); got != want {
-			t.Fatalf("bucket(%d) = %d, scan gives %d", v, got, want)
-		}
-	}
-	if NewRegistry().Histogram("g", "", []int64{2, 4, 9}).pow2 {
-		t.Error("non-power-of-two bounds must use the scan path")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	h := NewRegistry().Histogram("h", "", []int64{1, 10})
-	h.Observe(1)
-	h.Observe(5)
-	if err := h.AddCounts([]int64{0, 1, 1}, 105); err != nil {
-		t.Fatalf("AddCounts: %v", err)
-	}
-	s := h.Snapshot()
-	for i, want := range []int64{1, 2, 1} {
-		if s.Counts[i] != want {
-			t.Errorf("counts[%d] = %d, want %d", i, s.Counts[i], want)
-		}
-	}
-	if got, want := s.Sum, int64(111); got != want {
-		t.Errorf("sum = %d, want %d", got, want)
-	}
-	if err := h.AddCounts([]int64{1, 2}, 3); err == nil {
-		t.Error("AddCounts with wrong bucket count should fail")
-	}
-}
-
-func TestLocalHistogramFlush(t *testing.T) {
-	h := NewRegistry().Histogram("h", "", []int64{4, 16})
-	l := h.Local()
-	for v := int64(1); v <= 20; v++ {
-		l.Observe(v)
-	}
-	if h.Snapshot().Count != 0 {
-		t.Error("shared histogram should be empty before flush")
-	}
-	if l.Pending() != 20 {
-		t.Errorf("pending = %d, want 20", l.Pending())
-	}
-	l.Flush()
-	if l.Pending() != 0 {
-		t.Errorf("pending after flush = %d, want 0", l.Pending())
-	}
-	s := h.Snapshot()
-	if s.Count != 20 || s.Sum != 210 {
-		t.Errorf("after flush count=%d sum=%d, want 20, 210", s.Count, s.Sum)
-	}
-	// Flushing twice must not double-count.
-	l.Flush()
-	if got := h.Snapshot().Count; got != 20 {
-		t.Errorf("after second flush count = %d, want 20", got)
-	}
-}
-
 func TestExpBucketsDistinctAscending(t *testing.T) {
 	b := ExpBuckets(1, 1.3, 12)
 	if len(b) != 12 {

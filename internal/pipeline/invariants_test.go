@@ -1,12 +1,16 @@
 package pipeline_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"rvpsim/internal/core"
 	"rvpsim/internal/obs"
 	"rvpsim/internal/pipeline"
 	"rvpsim/internal/progtest"
+	"rvpsim/internal/workloads"
 )
 
 // TestTimingInvariants drives random programs through the simulator under
@@ -82,7 +86,8 @@ func TestTimingInvariants(t *testing.T) {
 // attached and checks that the commit stream and the registry agree:
 // records arrive in commit order, stage timestamps are ordered, and both
 // the record count and the prediction accounting reconcile with the
-// registry snapshot and the run Stats.
+// registry snapshot and the run Stats. A run cancelled mid-way must
+// publish exactly the partial Stats it returns.
 func TestObserverInvariants(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -125,39 +130,76 @@ func TestObserverInvariants(t *testing.T) {
 				seed, predicted, correct, st.Predicted, st.PredictCorrect)
 		}
 
-		// The registry snapshot must agree with the run Stats: the sim
-		// flushes its final deltas at end of run, so a fresh registry
+		// The sim publishes once, at end of run, so a fresh registry
 		// holds exactly one run's totals.
-		snap := o.Registry().Snapshot()
-		recon := []struct {
-			metric string
-			want   int64
-		}{
-			{"rvpsim_committed_total", int64(st.Committed)},
-			{"rvpsim_cycles_total", st.Cycles},
-			{"rvpsim_loads_total", int64(st.Loads)},
-			{"rvpsim_stores_total", int64(st.Stores)},
-			{"rvpsim_vp_predicted_total", int64(st.Predicted)},
-			{"rvpsim_vp_correct_total", int64(st.PredictCorrect)},
-			{"rvpsim_vp_wrong_total", int64(st.PredictWrong)},
-			{"rvpsim_cond_mispredict_total", int64(st.CondMispredict)},
-			{"rvpsim_stall_window_cycles_total", st.StallWindow},
+		checkPublished(t, fmt.Sprintf("seed %d", seed), o.Registry().Snapshot(), st)
+	}
+
+	// A run cancelled mid-way publishes its partial Stats, nothing more.
+	p, err := workloads.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := pipeline.MustNew(pipeline.BaselineConfig())
+	o := obs.NewObserver()
+	sim.SetObserver(o)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sim.SetProgress(4096, func(uint64, int64) { cancel() })
+	st, err := sim.RunContext(ctx, p, core.MustDynamicRVP(core.DefaultCounterConfig()), 20_000)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if st.Committed == 0 || st.Committed >= 20_000 {
+		t.Fatalf("cancelled run committed %d, want a partial run", st.Committed)
+	}
+	checkPublished(t, "cancelled run", o.Registry().Snapshot(), st)
+}
+
+// checkPublished asserts that every counter carrying a Stats fact equals
+// st, and that no fact is published under a second name.
+func checkPublished(t *testing.T, what string, snap obs.Snapshot, st pipeline.Stats) {
+	t.Helper()
+	want := map[string]int64{
+		"rvpsim_cycles_total":              st.Cycles,
+		"rvpsim_committed_total":           int64(st.Committed),
+		"rvpsim_loads_total":               int64(st.Loads),
+		"rvpsim_stores_total":              int64(st.Stores),
+		"rvpsim_branches_total":            int64(st.Branches),
+		"rvpsim_cond_branches_total":       int64(st.CondBranches),
+		"rvpsim_cond_mispredict_total":     int64(st.CondMispredict),
+		"rvpsim_target_mispredict_total":   int64(st.TargetMispred),
+		"rvpsim_vp_eligible_total":         int64(st.Eligible),
+		"rvpsim_vp_predicted_total":        int64(st.Predicted),
+		"rvpsim_vp_correct_total":          int64(st.PredictCorrect),
+		"rvpsim_vp_wrong_total":            int64(st.PredictWrong),
+		"rvpsim_vp_port_starved_total":     int64(st.PortStarved),
+		"rvpsim_vp_refetches_total":        int64(st.Refetches),
+		"rvpsim_l1d_hits_total":            int64(st.DL1Hits),
+		"rvpsim_l1d_misses_total":          int64(st.DL1Misses),
+		"rvpsim_l1i_hits_total":            int64(st.IL1Hits),
+		"rvpsim_l1i_misses_total":          int64(st.IL1Misses),
+		"rvpsim_l2_hits_total":             int64(st.L2Hits),
+		"rvpsim_l2_misses_total":           int64(st.L2Misses),
+		"rvpsim_stall_window_cycles_total": st.StallWindow,
+		"rvpsim_stall_intiq_cycles_total":  st.StallIntIQ,
+		"rvpsim_stall_fpiq_cycles_total":   st.StallFPIQ,
+	}
+	for name, w := range want {
+		got, ok := snap.Counters[name]
+		if !ok {
+			t.Errorf("%s: %s not published", what, name)
+		} else if got != w {
+			t.Errorf("%s: %s = %d, registry disagrees with Stats %d", what, name, got, w)
 		}
-		for _, c := range recon {
-			if got := snap.Counters[c.metric]; got != c.want {
-				t.Errorf("seed %d: %s = %d, registry disagrees with Stats %d", seed, c.metric, got, c.want)
-			}
+	}
+	for _, dup := range []string{"rvpsim_bpred_cond_seen_total", "rvpsim_bpred_cond_mispredict_total"} {
+		if _, ok := snap.Counters[dup]; ok {
+			t.Errorf("%s: %s publishes a Stats fact a second time", what, dup)
 		}
-		for _, hname := range []string{"rvpsim_inst_latency_cycles", "rvpsim_issue_wait_cycles", "rvpsim_window_residency_cycles"} {
-			h, ok := snap.Histograms[hname]
-			if !ok {
-				t.Errorf("seed %d: histogram %s missing from snapshot", seed, hname)
-				continue
-			}
-			if h.Count != int64(st.Committed) {
-				t.Errorf("seed %d: %s count %d != committed %d", seed, hname, h.Count, st.Committed)
-			}
-		}
+	}
+	if len(snap.Histograms) != 0 {
+		t.Errorf("%s: a run published histograms %v", what, snap.Histograms)
 	}
 }
 

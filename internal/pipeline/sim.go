@@ -272,7 +272,6 @@ type Sim struct {
 	bp     *bpred.Predictor
 	tracer Tracer
 	obs    *obs.Observer
-	met    *meters // obs's instruments, resolved once per registry
 	faults FaultInjector
 
 	cur       *runState // state of the current / most recent run
@@ -287,11 +286,10 @@ func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
 func (s *Sim) SetFaults(f FaultInjector) { s.faults = f }
 
 // SetObserver attaches a metrics observer (nil disables). With an
-// observer attached, each Run publishes its statistics, stage-latency
-// histograms, and the memory/branch/value-predictor counters into the
-// observer's registry, batched off the hot path. The instruments are
-// resolved once per Sim and registry, not once per run. Per-commit
-// records go to the tracer (SetTracer), not the observer.
+// observer attached, each Run adds its final Stats and the memory,
+// branch and value-predictor counters to the observer's registry once,
+// when it ends; nothing is published per commit. A run that panics
+// publishes nothing. Per-commit records go to the tracer (SetTracer).
 func (s *Sim) SetObserver(o *obs.Observer) { s.obs = o }
 
 // SetProgress arms a periodic progress callback: fn receives the run's
@@ -535,9 +533,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 	prog, pred, st := r.prog, r.pred, r.st
 	var e emu.Exec // reused across iterations (StepInto)
 
-	// Observability: batched metrics.
-	m := s.meters()
-
 	resetFetch := func(to int64) {
 		r.fetchCycle = to
 		r.fetchSlots = 0
@@ -545,10 +540,10 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		r.curLine = ^uint64(0)
 	}
 
-	// finalize publishes end-of-run statistics. It runs on every exit
-	// path — normal completion, oracle error, cancellation, watchdog,
-	// injected fault — so aborted runs still return coherent partial
-	// Stats.
+	// finalize completes and publishes end-of-run statistics. It runs
+	// on every exit path — normal completion, oracle error,
+	// cancellation, watchdog, injected fault — so aborted runs still
+	// return, and publish, coherent partial Stats.
 	finalize := func() {
 		r.stats.Cycles = r.lastCycle
 		r.stats.DL1Hits, r.stats.DL1Misses = s.hier.L1D.Hits, s.hier.L1D.Misses
@@ -557,13 +552,8 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 		r.stats.CondBranches = s.bp.CondSeen
 		r.stats.CondMispredict = s.bp.CondMispred
 		r.stats.TargetMispred = s.bp.TargetMiss + s.bp.RASWrong
-		if m != nil {
-			m.flush(&r.stats)
-			s.hier.PublishMetrics(m.pub)
-			s.bp.PublishMetrics(m.pub)
-			if pub, ok := pred.(obs.Publisher); ok {
-				pub.PublishMetrics(m.pub)
-			}
+		if s.obs != nil {
+			s.publish(s.obs.Registry(), &r.stats, pred)
 		}
 	}
 
@@ -907,12 +897,6 @@ func (s *Sim) loop(ctx context.Context, r *runState, maxInsts uint64) (Stats, er
 			r.lastCycle = commitAt
 		}
 		r.stats.Committed++
-		if m != nil {
-			m.observe(commitAt-myFetch, issueAt-dispatch, commitAt-dispatch)
-			if r.stats.Committed&(flushEvery-1) == 0 {
-				m.flush(&r.stats)
-			}
-		}
 
 		// ---- Train the value predictor (in program order).
 		if e.WroteRd {

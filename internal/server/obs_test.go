@@ -336,3 +336,18 @@ func TestTelemetryConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestRunJobPublishesCommitted: a run job's simulation adds its Stats to
+// the daemon's registry once, when it ends, so after one job
+// rvpsim_committed_total holds exactly that job's Committed.
+func TestRunJobPublishesCommitted(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	final := waitTerminal(t, ts, decodeStatus(t, postJob(t, ts, runBody, "")).ID)
+	if final.State != StateSucceeded || final.Result == nil || final.Result.Stats == nil {
+		t.Fatalf("job did not succeed with stats: %+v", final)
+	}
+	got := srv.Registry().Counter("rvpsim_committed_total", "").Value()
+	if want := int64(final.Result.Stats.Committed); got != want {
+		t.Errorf("rvpsim_committed_total = %d, want the job's Committed %d", got, want)
+	}
+}

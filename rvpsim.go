@@ -158,8 +158,8 @@ type TraceRecord = pipeline.TraceRecord
 // Observability re-exports (see internal/obs and internal/pipeline).
 type (
 	// Registry is the named-instrument metrics registry a run publishes
-	// its statistics, stage-latency histograms and memory, branch and
-	// value-predictor counters into.
+	// its statistics and memory, branch and value-predictor counters
+	// into, once, when it ends.
 	Registry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = obs.Snapshot
