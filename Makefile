@@ -79,11 +79,12 @@ serve-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	echo "serve-smoke OK"
 
-# Observability smoke against a live daemon: watch a job's live event
-# stream end to end (queued -> started -> progress heartbeats -> done)
-# and pull the merged client+server trace, asserting the cross-process
-# spans (client submit, daemon admission and simulation) all landed in
-# one Chrome trace file.
+# Observability smoke against a live daemon: watch a job's events
+# through long-polled status end to end (queued -> started -> progress
+# heartbeats -> done), pull the merged client+server trace, asserting
+# the cross-process spans (client submit, daemon admission and
+# simulation) all landed in one Chrome trace file, then watch the
+# finished job again, which replays its event ring.
 obs-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/rvpd" ./cmd/rvpd; \
@@ -99,6 +100,12 @@ obs-smoke:
 	done; \
 	for span in submit admission queue_wait worker "sim:go/"; do \
 		grep -q "$$span" "$$tmp/trace.json" || { echo "merged trace missing $$span span"; kill $$pid; exit 1; }; \
+	done; \
+	id=$$(sed -n 's/^job \(j[a-f0-9]*\):.*/\1/p' "$$tmp/watch.log" | head -1); \
+	[ -n "$$id" ] || { echo "no job id parsed"; kill $$pid; exit 1; }; \
+	"$$tmp/rvpc" -server "$$addr" watch "$$id" | tee "$$tmp/replay.log"; \
+	for ev in queued started progress done; do \
+		grep -q "$$ev" "$$tmp/replay.log" || { echo "replayed watch missing $$ev event"; kill $$pid; exit 1; }; \
 	done; \
 	kill -TERM $$pid; wait $$pid; \
 	echo "obs-smoke OK"
@@ -169,18 +176,18 @@ storage-faults:
 	$(GO) test -race -count 1 -run 'TornTailMatrix|ENOSPC' ./internal/server/ ./internal/exp/ ./internal/fleet/
 
 # Hostile-network suite under the race detector: the netfault seam's
-# own conformance tests, the client's retry/deadline/SSE-resume tests
+# own conformance tests, the client's retry/deadline/watch-resume tests
 # against injected faults, the server's deadline and slow-loris
-# admission tests and status long-poll tests, the fleet partition-chaos
-# e2e (real workers behind fault-injecting proxies, SIGKILL,
-# byte-identical merge), the fleet's long-poll, poll-pacing and
-# steal-without-ping-pong tests, and the one-daemon e2e (rvpd hosting
-# the coordinator across processes). The partition chaos runs again
-# under a second fault schedule (seed 7), so body flips are exercised
-# under two schedules.
+# admission tests and status long-poll, event and wake-up order tests,
+# the fleet partition-chaos e2e (real workers behind fault-injecting
+# proxies, SIGKILL, byte-identical merge), the fleet's long-poll,
+# poll-pacing and steal-without-ping-pong tests, and the one-daemon e2e
+# (rvpd hosting the coordinator across processes). The partition chaos
+# runs again under a second fault schedule (seed 7), so body flips are
+# exercised under two schedules.
 net-faults:
 	$(GO) test -race -count 1 ./internal/netfault/ ./internal/client/
-	$(GO) test -race -count 1 -run 'Deadline|SlowLoris|StatusWait' ./internal/server/
+	$(GO) test -race -count 1 -run 'Deadline|SlowLoris|StatusWait|StatusEvents|EventsRoute' ./internal/server/
 	$(GO) test -race -count 1 -run 'TestFleetPartitionChaos|TestDigestMismatched|TestLeaseFencing|TestLongPollSeesFinishedCellsAtOnce|TestPollPacing|TestCellLongerThanStealAgeFinishes|TestRvpdHostsSweepCoordinator' ./internal/fleet/ -timeout 10m
 	RVP_CHAOS_SEED=7 $(GO) test -race -count 1 -run 'TestFleetPartitionChaos' ./internal/fleet/ -timeout 10m
 

@@ -18,15 +18,15 @@
 //
 // submit prints the server-assigned job and trace IDs on acceptance;
 // with -wait it polls until the job is terminal and renders the result
-// (exit 1 on a failed job), and with -watch it streams the job's live
+// (exit 1 on a failed job), and with -watch it also prints the job's
 // events (progress heartbeats with committed instructions and IPC,
-// requeues, terminal state) instead of polling. -trace-out writes
-// the merged client+server span trace as a Chrome trace_event file
+// requeues, terminal state) as they happen. -trace-out writes the
+// merged client+server span trace as a Chrome trace_event file
 // loadable in chrome://tracing or ui.perfetto.dev.
 //
-// watch attaches to a job's event stream (reconnecting and resuming
-// via Last-Event-ID on hiccups). trace prints a job's daemon-side
-// spans. health checks /healthz, /readyz and /metrics, failing on any
+// watch follows a job's events through long-polled status; each poll
+// asks for the events past the last one seen, so a dropped poll loses
+// nothing. trace prints a job's daemon-side spans. health checks /healthz, /readyz and /metrics, failing on any
 // non-200. sweep submits a fleet sweep to the coordinator every rvpd
 // hosts, or reports one; point -server at the rvpd whose -peers are the
 // workers. -v logs every request, retry and backoff decision with the
@@ -116,7 +116,7 @@ func submit(ctx context.Context, c *client.Client, args []string) int {
 	n := fs.Uint64("n", 0, "committed-instruction budget (0 = server default)")
 	key := fs.String("key", "", "idempotency key (generated when empty; reuse to retry safely)")
 	wait := fs.Bool("wait", false, "poll until the job is terminal and print the result")
-	watchIt := fs.Bool("watch", false, "stream the job's live events until it is terminal")
+	watchIt := fs.Bool("watch", false, "print the job's events as they happen until it is terminal")
 	poll := fs.Duration("poll", 200*time.Millisecond, "status poll interval with -wait")
 	asJSON := fs.Bool("json", false, "print the job status as JSON")
 	traceOut := fs.String("trace-out", "", "write the merged client+server trace (Chrome trace_event JSON) to this file")

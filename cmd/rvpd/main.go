@@ -21,9 +21,9 @@
 // starts.
 //
 // Endpoints: POST /v1/jobs (submit; 429/503 + Retry-After under
-// overload), GET /v1/jobs/{id} (status/results), GET /v1/jobs/{id}/events
-// (live Server-Sent Events stream: progress heartbeats, requeues,
-// terminal state; resumable via Last-Event-ID), GET /v1/jobs/{id}/trace
+// overload), GET /v1/jobs/{id} (status/results; ?wait= long-polls,
+// and ?after=N adds the job's events past N: progress heartbeats,
+// requeues, terminal state), GET /v1/jobs/{id}/trace
 // (the job's daemon-side spans; ?format=chrome for chrome://tracing),
 // POST /v1/sweeps, GET /v1/sweeps, GET /v1/sweeps/{id} (fleet sweeps
 // and their merged tables), POST /v1/workers (register a worker),

@@ -337,19 +337,28 @@ func (c *Client) trySubmit(ctx context.Context, body []byte, key string, tctx ob
 		req.Header.Set(server.TraceIDHeader, tctx.Trace)
 		req.Header.Set(server.ParentSpanHeader, tctx.Span)
 	}
+	var st server.JobStatus
+	status, err := c.do(req, &st)
+	return st, status, err
+}
+
+// do sends req and decodes a 200 or 202 answer into out (nil discards
+// it). Other statuses come back as *httpError, transport errors as 0.
+func (c *Client) do(req *http.Request, out any) (int, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return server.JobStatus{}, 0, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
-		var st server.JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return server.JobStatus{}, resp.StatusCode, fmt.Errorf("decoding response: %w", err)
-		}
-		return st, resp.StatusCode, nil
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return resp.StatusCode, decodeError(resp)
 	}
-	return server.JobStatus{}, resp.StatusCode, decodeError(resp)
+	if out == nil {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+	} else if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return resp.StatusCode, fmt.Errorf("decoding %s: %w", req.URL.Path, err)
+	}
+	return resp.StatusCode, nil
 }
 
 // decodeError turns a non-2xx response into an *httpError.
@@ -380,51 +389,88 @@ func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error
 // durable or wait passes (it caps wait). A daemon that predates the
 // wait parameter ignores it and answers at once.
 func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) (server.JobStatus, error) {
-	path := "/v1/jobs/" + id
+	return c.status(ctx, id, wait, -1)
+}
+
+// status is StatusWait that, for after >= 0, also asks for events.
+func (c *Client) status(ctx context.Context, id string, wait time.Duration, after int64) (server.JobStatus, error) {
+	q := url.Values{}
 	if wait > 0 {
-		path += "?" + url.Values{"wait": {wait.String()}}.Encode()
+		q.Set("wait", wait.String())
 	}
-	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return server.JobStatus{}, err
+	if after >= 0 {
+		q.Set("after", strconv.FormatInt(after, 10))
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return server.JobStatus{}, decodeError(resp)
+	path := "/v1/jobs/" + id
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	var st server.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return server.JobStatus{}, fmt.Errorf("decoding status: %w", err)
+	if err := c.getJSON(ctx, path, &st); err != nil {
+		return server.JobStatus{}, err
 	}
 	return st, nil
 }
 
+// getJSON GETs path and decodes its answer into v.
+func (c *Client) getJSON(ctx context.Context, path string, v any) error {
+	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
+	}
+	_, err = c.do(req, v)
+	return err
+}
+
+// Watch follows a job's events through long-polled status, calling fn
+// for every event past after (0 from the start) up to and including the
+// terminal done/failed one, and returns the last event seen. Each poll
+// asks for the events past the last one seen, so a dropped poll loses
+// nothing the server's event ring holds. A poll waits at most a second.
+func (c *Client) Watch(ctx context.Context, id string, after int64, fn func(server.JobEvent)) (server.JobEvent, error) {
+	last := server.JobEvent{Seq: max(after, 0)}
+	_, err := c.follow(ctx, id, time.Second, last.Seq, func(ev server.JobEvent) { last = ev; fn(ev) })
+	return last, err
+}
+
 // Wait long-polls the job until it reaches a terminal state, with poll
-// as each request's wait window (default 200ms). Polls start at least
+// as each request's wait window (default 200ms).
+func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
+	return c.follow(ctx, id, poll, -1, nil)
+}
+
+// follow long-polls job id with poll as each request's wait window
+// (default 200ms) until the job is terminal. With after >= 0 it also
+// watches: each poll asks for the events past after, fn sees every one
+// in order, and the watch ends at the terminal event. An answer that
+// brought an event is followed at once; otherwise polls start at least
 // poll apart, so a daemon that ignores the wait is not hammered.
 // Transport errors and 5xx during polling are tolerated (the daemon may
 // be restarting mid-drain).
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
+func (c *Client) follow(ctx context.Context, id string, poll time.Duration, after int64, fn func(server.JobEvent)) (server.JobStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
 	for {
-		began := time.Now()
-		st, err := c.StatusWait(ctx, id, poll)
-		if err == nil && st.Terminal() {
+		began, seen := time.Now(), after
+		st, err := c.status(ctx, id, poll, after)
+		var he *httpError
+		if errors.As(err, &he) && he.status == http.StatusNotFound {
+			// A restarted daemon replays its store first: 404 is final.
+			return server.JobStatus{}, err
+		}
+		for _, ev := range st.Events {
+			after = ev.Seq
+			fn(ev)
+			if ev.Type == server.EvDone || ev.Type == server.EvFailed {
+				return st, nil
+			}
+		}
+		if st.Terminal() {
 			return st, nil
 		}
-		if err != nil {
-			var he *httpError
-			if errors.As(err, &he) && he.status == http.StatusNotFound {
-				// A restarted daemon replays its store before serving, so
-				// a 404 here means the job truly never existed.
-				return server.JobStatus{}, err
-			}
+		if after > seen {
+			continue
 		}
 		t := time.NewTimer(time.Until(began.Add(poll)))
 		select {
@@ -462,16 +508,7 @@ func (c *Client) tryRegister(ctx context.Context, body []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, decodeError(resp)
+	return c.do(req, nil)
 }
 
 // CheckEndpoint GETs one of the daemon's plumbing endpoints (/healthz,
@@ -495,3 +532,15 @@ func (c *Client) CheckEndpoint(ctx context.Context, path string) (string, error)
 	}
 	return string(raw), nil
 }
+
+// Trace fetches the daemon-side spans of a job's trace. Merge them
+// with the client tracer's own spans for the cross-process picture.
+func (c *Client) Trace(ctx context.Context, id string) ([]obs.Span, error) {
+	var spans []obs.Span
+	err := c.getJSON(ctx, "/v1/jobs/"+id+"/trace", &spans)
+	return spans, err
+}
+
+// Spans returns the client tracer's collected spans (nil without
+// WithTracer).
+func (c *Client) Spans() []obs.Span { return c.tracer.Spans() }

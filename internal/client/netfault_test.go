@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -119,56 +120,63 @@ func TestSubmitPropagatesCallerDeadline(t *testing.T) {
 	}
 }
 
-// sseBackend serves a job event stream that honors Last-Event-ID,
-// recording the resume points clients present. Events run 1..total with
-// the last one terminal.
-type sseBackend struct {
+// pollBackend serves one job's status the way rvpd answers a watcher:
+// each poll with ?after=N gets the next event past N, after a short
+// wait, and the last event is terminal. It records the resume point and
+// connection of every poll.
+type pollBackend struct {
 	total int
 
-	mu      sync.Mutex
-	conns   int
-	resumes []int64
+	mu    sync.Mutex
+	polls []pollSeen
 }
 
-func (s *sseBackend) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, r *http.Request) {
-		var after int64
-		if v := r.Header.Get("Last-Event-ID"); v != "" {
-			fmt.Sscanf(v, "%d", &after)
-		}
-		s.mu.Lock()
-		s.conns++
-		s.resumes = append(s.resumes, after)
-		s.mu.Unlock()
+type pollSeen struct {
+	conn  string // the client's address: one per TCP connection
+	after int64
+}
 
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.WriteHeader(http.StatusOK)
-		fl, _ := w.(http.Flusher)
-		for seq := after + 1; seq <= int64(s.total); seq++ {
-			ev := server.JobEvent{Seq: seq, Job: "j1", Type: server.EvProgress}
-			if seq == int64(s.total) {
-				ev.Type = server.EvDone
-			}
-			b, _ := json.Marshal(ev)
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", seq, b)
-			if fl != nil {
-				fl.Flush()
-			}
-			time.Sleep(15 * time.Millisecond)
+func (b *pollBackend) handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		after, err := strconv.ParseInt(r.URL.Query().Get("after"), 10, 64)
+		if err != nil {
+			http.Error(w, "watch without after", http.StatusBadRequest)
+			return
 		}
+		b.mu.Lock()
+		b.polls = append(b.polls, pollSeen{conn: r.RemoteAddr, after: after})
+		b.mu.Unlock()
+
+		// The status line and headers go out first, the body after the
+		// wait, so a reset can cut a poll between the two.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		time.Sleep(15 * time.Millisecond)
+		st := server.JobStatus{ID: "j1", State: server.StateRunning}
+		if seq := after + 1; seq <= int64(b.total) {
+			ev := server.JobEvent{Seq: seq, Job: "j1", Type: server.EvProgress}
+			if seq == int64(b.total) {
+				ev.Type = server.EvDone
+				st.State = server.StateSucceeded
+			}
+			st.Events = []server.JobEvent{ev}
+		}
+		json.NewEncoder(w).Encode(st)
 	})
 	return mux
 }
 
-// TestWatchResumesAcrossInjectedReset puts the SSE stream behind a
-// netfault proxy that resets the connection mid-stream, and asserts the
-// watcher resumes via Last-Event-ID with a dense, duplicate-free event
-// sequence. The backend replays from the presented resume point, so an
-// ignored Last-Event-ID would surface as duplicates and an overshot one
-// as a gap — the assertions are self-enforcing.
+// TestWatchResumesAcrossInjectedReset puts the watched job's status
+// behind a netfault proxy that resets the connection mid-poll, and
+// asserts the watcher resumes from its last seen event with a dense,
+// duplicate-free event sequence. The backend answers from the resume
+// point each poll presents, so an ignored resume point would surface as
+// duplicates and an overshot one as a gap — the assertions are
+// self-enforcing.
 func TestWatchResumesAcrossInjectedReset(t *testing.T) {
-	be := &sseBackend{total: 6}
+	be := &pollBackend{total: 6}
 	ts := httptest.NewServer(be.handler())
 	defer ts.Close()
 	tu, err := url.Parse(ts.URL)
@@ -177,10 +185,11 @@ func TestWatchResumesAcrossInjectedReset(t *testing.T) {
 	}
 
 	inj := netfault.NewInjector()
-	// Reset a response-direction read a few ops in: past the connect and
-	// response headers, mid event stream. Everything later flows clean,
-	// so the reconnect succeeds.
-	inj.FailAt(netfault.Plan{At: 4, Kind: netfault.KindReset})
+	// Each poll is a request write and two response reads (headers,
+	// then body). Op 6 is the second poll's body read: after the accept
+	// and the first poll, the backend has answered and the answer is
+	// lost. Everything later flows clean, so the next poll succeeds.
+	inj.FailAt(netfault.Plan{At: 6, Kind: netfault.KindReset})
 	proxy, err := netfault.NewProxy(tu.Host, inj)
 	if err != nil {
 		t.Fatal(err)
@@ -206,23 +215,24 @@ func TestWatchResumesAcrossInjectedReset(t *testing.T) {
 	}
 	for i, s := range seqs {
 		if s != int64(i+1) {
-			t.Fatalf("event %d has seq %d; stream not dense: %v", i, s, seqs)
+			t.Fatalf("event %d has seq %d; events not dense: %v", i, s, seqs)
 		}
 	}
 	be.mu.Lock()
-	conns, resumes := be.conns, append([]int64(nil), be.resumes...)
+	polls := append([]pollSeen(nil), be.polls...)
 	be.mu.Unlock()
-	if conns < 2 {
-		t.Fatalf("stream was never cut (%d connections); the injected reset did not land: trace %v", conns, inj.Trace())
-	}
-	// At least one reconnect presented a non-zero resume point.
+	// The backend answered a poll past an event whose answer the reset
+	// cut, and the watcher asked again on a new connection.
 	var resumed bool
-	for _, r := range resumes[1:] {
-		if r > 0 {
-			resumed = true
+	for i, p := range polls {
+		for _, q := range polls[i+1:] {
+			if p.after > 0 && q.after == p.after && q.conn != p.conn {
+				resumed = true
+			}
 		}
 	}
 	if !resumed {
-		t.Fatalf("no reconnect carried Last-Event-ID: resumes %v", resumes)
+		t.Fatalf("no cut poll was resumed on a new connection: polls %+v; the injected reset did not land mid-poll: trace %v",
+			polls, inj.Trace())
 	}
 }

@@ -103,7 +103,7 @@ func TestRunJobInvalidSpec(t *testing.T) {
 
 // TestRunJobTransientRetry proves the job entry retries once on a
 // failure the simulator marks transient: one injected transient
-// checkpoint fault fails the first attempt, and the retry (same
+// commit-batch fault fails the first attempt, and the retry (same
 // injector, counters past the fault) succeeds.
 func TestRunJobTransientRetry(t *testing.T) {
 	reg := obs.NewRegistry()

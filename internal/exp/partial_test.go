@@ -42,21 +42,21 @@ func one(f func(*Runner) (*stats.Table, error)) func(*Runner) ([]*stats.Table, e
 // workload failing on its first run, one failing part-way through its
 // series, a failure and a panic in two workloads at once, and a
 // transient fault retried into a later failure. A run at 20k passes
-// about 21 fault checkpoints.
+// about 21 commit batches.
 var partialFaults = []struct {
 	name   string
 	faults map[string]faultinject.Config
 	want   string // digest of every grid driver's tables and error
 }{
 	{"li_fail1", map[string]faultinject.Config{"li": {FailAfter: 1}},
-		"42b55ee0c25e0db8d7a738bc1cb4c0b0f07d0f83118ae3a24f4e8d32734d788f"},
+		"fdc7785873ca2d78387471cbcf311a7c5a6ed358ae8d213bf3e81e323e3d9378"},
 	{"mgrid_fail45", map[string]faultinject.Config{"mgrid": {FailAfter: 45}},
-		"2a9eedfdac5bbef4b067605be419ee8decbed767786bbea346fd1fba77b68eeb"},
+		"0642ba08d47711dfdc71da92a896961b454927269270de8f3ff723384b06b508"},
 	{"hydro2d_fail70_go_panic30", map[string]faultinject.Config{
 		"hydro2d": {FailAfter: 70}, "go": {PanicAfter: 30}},
-		"8ca798614ce562e46296f6889ec805df16f9519c074b63228be617e667273be2"},
+		"f5e035694ca6750eb22e4f07de72559173cd88e8adaca90f0ab0d3376718db50"},
 	{"su2cor_transient1_fail50", map[string]faultinject.Config{"su2cor": {Transient: 1, FailAfter: 50}},
-		"571fff07a2b7120c74d96c134771dcf708685fc6023141f6d73042b44ae5a3d0"},
+		"ee8edd6561320ba9d845ef6c1b88eba626582fff6bc9792d9c91f7402569f661"},
 }
 
 // TestPartialTablesPinned runs every grid driver at 20k under each of
@@ -64,7 +64,7 @@ var partialFaults = []struct {
 // rendered tables plus the joined error. The benchmark's goldens cover
 // only successful tables; this keeps ERR cells, "not measured" reasons,
 // footnotes and partial averages fixed. A fault injector counts every
-// checkpoint of its workload across runs, so the digest also pins the
+// commit batch of its workload across runs, so the digest also pins the
 // order in which each workload's cells run.
 func TestPartialTablesPinned(t *testing.T) {
 	for _, fc := range partialFaults {

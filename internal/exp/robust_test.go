@@ -51,7 +51,7 @@ func requireFailed(t *testing.T, tab *stats.Table, wl string) {
 }
 
 // TestPartialSweepOnError forces one workload's runs to fail at the
-// first fault checkpoint: the sweep reports the failure but the other
+// first commit batch: the sweep reports the failure but the other
 // eight workloads' results survive.
 func TestPartialSweepOnError(t *testing.T) {
 	r := robustRunner(t, map[string]faultinject.Config{
@@ -135,7 +135,7 @@ func TestPartialSweepOnHang(t *testing.T) {
 
 // TestTransientFaultRetried checks a fault marked transient is retried
 // by forEach and the sweep succeeds end to end: the same injector keeps
-// counting, so the retry's checkpoints pass.
+// counting, so the retry's commit batches pass.
 func TestTransientFaultRetried(t *testing.T) {
 	r := robustRunner(t, map[string]faultinject.Config{
 		"su2cor": {Transient: 1},

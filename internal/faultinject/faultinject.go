@@ -1,9 +1,10 @@
 // Package faultinject deterministically perturbs simulation runs for
 // robustness testing: stretching memory latencies, flipping value-
-// prediction confidence decisions, failing or panicking at checkpoints,
-// and truncating programs. An Injector implements pipeline.FaultInjector;
-// every perturbation is a pure function of the configuration and the
-// run's own event stream, so a faulted run is exactly reproducible.
+// prediction confidence decisions, failing or panicking at commit-batch
+// boundaries (every 1024 commits), and truncating programs. An Injector
+// implements pipeline.FaultInjector; every perturbation is a pure
+// function of the configuration and the run's own event stream, so a
+// faulted run is exactly reproducible.
 //
 // Faults perturb *timing* and *speculation*, never architecture: the
 // oracle-driven pipeline still commits the emulator's correct values, so
@@ -35,15 +36,15 @@ type Config struct {
 	// state flip.
 	FlipEvery uint64
 
-	// PanicAfter makes every checkpoint from the Nth on panic
+	// PanicAfter makes every commit batch from the Nth on panic
 	// (0 disables). Panics are sticky so a retried run fails again.
 	PanicAfter uint64
 
-	// FailAfter makes every checkpoint from the Nth on return an error
+	// FailAfter makes every commit batch from the Nth on return an error
 	// wrapping simerr.ErrInjected (0 disables). Sticky, like PanicAfter.
 	FailAfter uint64
 
-	// Transient makes the first N checkpoints return an error marked
+	// Transient makes the first N commit batches return an error marked
 	// transient (simerr.IsTransient), then succeed — a fault one retry
 	// recovers from (0 disables).
 	Transient uint64
@@ -62,9 +63,9 @@ func (c Config) Enabled() bool {
 type Injector struct {
 	cfg Config
 
-	mems        uint64 // data accesses seen
-	decisions   uint64 // eligible predict decisions seen
-	checkpoints uint64 // checkpoints seen
+	mems      uint64 // data accesses seen
+	decisions uint64 // eligible predict decisions seen
+	batches   uint64 // commit batches seen
 
 	// Statistics for tests.
 	MemFaults  uint64
@@ -105,18 +106,18 @@ func (f *Injector) FlipPredict(idx int) bool {
 
 // CheckPoint implements pipeline.FaultInjector.
 func (f *Injector) CheckPoint(committed uint64, cycle int64) error {
-	f.checkpoints++
-	if f.cfg.PanicAfter > 0 && f.checkpoints >= f.cfg.PanicAfter {
-		panic(fmt.Sprintf("faultinject: injected panic at checkpoint %d (committed %d, cycle %d)",
-			f.checkpoints, committed, cycle))
+	f.batches++
+	if f.cfg.PanicAfter > 0 && f.batches >= f.cfg.PanicAfter {
+		panic(fmt.Sprintf("faultinject: injected panic at commit batch %d (committed %d, cycle %d)",
+			f.batches, committed, cycle))
 	}
-	if f.cfg.FailAfter > 0 && f.checkpoints >= f.cfg.FailAfter {
-		return fmt.Errorf("checkpoint %d (committed %d): %w",
-			f.checkpoints, committed, simerr.ErrInjected)
+	if f.cfg.FailAfter > 0 && f.batches >= f.cfg.FailAfter {
+		return fmt.Errorf("commit batch %d (committed %d): %w",
+			f.batches, committed, simerr.ErrInjected)
 	}
-	if f.cfg.Transient > 0 && f.checkpoints <= f.cfg.Transient {
-		return simerr.Transient(fmt.Errorf("transient checkpoint %d: %w",
-			f.checkpoints, simerr.ErrInjected))
+	if f.cfg.Transient > 0 && f.batches <= f.cfg.Transient {
+		return simerr.Transient(fmt.Errorf("transient commit batch %d: %w",
+			f.batches, simerr.ErrInjected))
 	}
 	return nil
 }

@@ -151,7 +151,7 @@ func TestFaultWatchdogTrip(t *testing.T) {
 	}
 }
 
-// TestFaultInjectedFailure checks a sticky checkpoint failure surfaces
+// TestFaultInjectedFailure checks a sticky commit-batch failure surfaces
 // as a non-transient error wrapping ErrInjected with partial stats, and
 // stays failed on a retry (the same injector keeps counting).
 func TestFaultInjectedFailure(t *testing.T) {
@@ -170,7 +170,7 @@ func TestFaultInjectedFailure(t *testing.T) {
 	}
 }
 
-// TestFaultTransient checks a transient checkpoint failure is marked
+// TestFaultTransient checks a transient commit-batch failure is marked
 // transient and clears on retry with the same injector.
 func TestFaultTransient(t *testing.T) {
 	p := asm.MustAssemble("loadloop", loadLoopSrc, asm.Options{})
@@ -185,7 +185,7 @@ func TestFaultTransient(t *testing.T) {
 	}
 }
 
-// TestFaultPanicPropagates checks an injected checkpoint panic escapes
+// TestFaultPanicPropagates checks an injected commit-batch panic escapes
 // Run (the experiment runner, not the pipeline, owns recovery) and is
 // sticky across a retry.
 func TestFaultPanicPropagates(t *testing.T) {

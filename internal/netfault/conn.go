@@ -1,6 +1,7 @@
 package netfault
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"time"
@@ -19,7 +20,16 @@ type Conn struct {
 	done   chan struct{}
 	closed bool
 	// drip is the slow-loris per-op pause (0 = full speed).
-	drip time.Duration
+	drip   time.Duration
+	last   int        // the direction data moved in last
+	frames [2]framing // reads, then writes
+}
+
+// framing follows one direction's byte stream, so flips land in bodies.
+type framing struct {
+	http   bool   // the message began with a method or "HTTP/"
+	inBody bool   // the current message's header block has passed
+	tail   []byte // the last bytes seen, to find a terminator across ops
 }
 
 // WrapConn wraps inner so its I/O goes through inj.
@@ -81,8 +91,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 		b = b[:16]
 	}
 	n, err := c.inner.Read(b)
-	if flip && n > 0 {
-		flipDigit(b[:n])
+	if i := c.flipAt(0, b[:n], flip); i >= 0 {
+		b[i] ^= 0x01
 	}
 	return n, err
 }
@@ -95,11 +105,59 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if flip {
+	if i := c.flipAt(1, b, flip); i >= 0 {
 		b = append([]byte(nil), b...)
-		flipDigit(b)
+		b[i] ^= 0x01
 	}
 	return c.inner.Write(b)
+}
+
+// flipAt follows the framing of b, the next data moving in direction d
+// (0 reads, 1 writes), and returns the index of the digit a flip
+// changes in it, or -1; flip says one was scheduled on this op.
+// HTTP/1.1 does not pipeline, so data in the other direction from the
+// last starts a new message. A flip takes the last digit of the first
+// digit run in the message's body (anywhere, in a stream that is not
+// HTTP), so it never makes a leading zero; data with no such digit
+// passes it on to the link's next data in that direction.
+func (c *Conn) flipAt(d int, b []byte, flip bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := &c.frames[d]
+	if c.last != d {
+		c.last = d
+		f.inBody, f.tail = false, nil
+	}
+	from := 0
+	if !f.inBody {
+		if f.tail == nil && len(b) > 0 { // the message's first bytes
+			f.http = 'A' <= b[0] && b[0] <= 'Z'
+		}
+		seen := append(f.tail, b...)
+		if h := bytes.Index(seen, []byte("\r\n\r\n")); h >= 0 {
+			f.inBody, from = true, max(h+4-len(f.tail), 0)
+		} else if f.http {
+			from = len(b)
+		}
+		f.tail = append([]byte(nil), seen[max(len(seen)-3, 0):]...)
+	}
+	c.inj.mu.Lock()
+	defer c.inj.mu.Unlock()
+	pending := &c.inj.pendingFlips[d]
+	if flip {
+		*pending++
+	}
+	if *pending == 0 {
+		return -1
+	}
+	i := lastDigitOfRun(b, from)
+	if i >= 0 {
+		*pending--
+		if f.http {
+			c.inj.bodyFlips.Add(1)
+		}
+	}
+	return i
 }
 
 // Close implements net.Conn; it releases any partition waiters.

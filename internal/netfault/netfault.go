@@ -24,12 +24,12 @@
 package netfault
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -78,10 +78,11 @@ const (
 	KindPartitionOneWay
 	// KindFlip delivers the payload with one bit flipped and reports
 	// success — silent corruption in flight. The flip targets the low
-	// bit of an ASCII digit in the HTTP body (see flipDigit), so the
+	// bit of an ASCII digit in an HTTP body (see Conn.flipAt), so the
 	// request and status lines survive, a JSON payload stays parseable,
 	// and the corruption reaches the decoded values instead of dying in
-	// the router or the decoder.
+	// the router or the decoder. A flip on an accept, which moves no
+	// bytes, corrupts the link's next response body.
 	KindFlip
 	// KindSlowLoris switches the stream to trickle mode: every
 	// subsequent read/write on it waits Dur first, and reads return at
@@ -152,6 +153,10 @@ type Injector struct {
 	// (both directions, or responses only with partOneWay).
 	partUntil  time.Time
 	partOneWay bool
+
+	// pendingFlips counts flips waiting for a body digit (reads, writes).
+	pendingFlips [2]int
+	bodyFlips    atomic.Int64
 }
 
 // NewInjector returns an injector with an empty schedule.
@@ -191,6 +196,10 @@ func (inj *Injector) Trace() []Op {
 	return append([]Op(nil), inj.ops...)
 }
 
+// BodyFlips returns how many flips changed a digit in an HTTP body. The
+// plans that fired are those before Ops(); Trace() names their ops.
+func (inj *Injector) BodyFlips() int64 { return inj.bodyFlips.Load() }
+
 // step counts one operation and returns the plan scheduled for it, if
 // any. Partition plans also arm the injector's partition state here, so
 // the triggering op and every later op observe the blackhole.
@@ -210,6 +219,10 @@ func (inj *Injector) step(op Op) (Plan, bool) {
 		if until.After(inj.partUntil) {
 			inj.partUntil = until
 			inj.partOneWay = p.Kind == KindPartitionOneWay
+		}
+	case KindFlip:
+		if op == OpAccept {
+			inj.pendingFlips[0]++
 		}
 	}
 	return p, true
@@ -288,31 +301,6 @@ func Schedule(seed int64, span int64, n int, kinds []Kind, maxDur time.Duration)
 		}
 	}
 	return plans
-}
-
-// flipDigit flips the low bit of one ASCII digit in b (in place),
-// turning it into a different digit — a single-bit corruption that
-// usually keeps JSON parseable so it reaches the decoded values (see
-// KindFlip). The digit is the last of the first digit run after an HTTP
-// header block ("\r\n\r\n"), so the request or status line survives
-// and the flip lands in the body; flipping a run's last digit never
-// makes a leading zero. A buffer without a header block, or without a
-// digit after it, is searched from its start. Without a digit it falls
-// back to the vfs idiom: flip 0x40 in the middle byte.
-func flipDigit(b []byte) {
-	i := -1
-	if h := bytes.Index(b, []byte("\r\n\r\n")); h >= 0 {
-		i = lastDigitOfRun(b, h+4)
-	}
-	if i < 0 {
-		i = lastDigitOfRun(b, 0)
-	}
-	switch {
-	case i >= 0:
-		b[i] ^= 0x01
-	case len(b) > 0:
-		b[len(b)/2] ^= 0x40
-	}
 }
 
 // lastDigitOfRun returns the index of the last digit of the first run

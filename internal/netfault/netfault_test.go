@@ -270,6 +270,9 @@ func TestConnFlipCorruptsOneDigit(t *testing.T) {
 			if err := json.Unmarshal(got[tc.body:], &v); err != nil {
 				t.Fatalf("%s %s: flipped body no longer decodes: %v\n%q", tc.name, op, err, got[tc.body:])
 			}
+			if want := int64(min(tc.body, 1)); inj.BodyFlips() != want {
+				t.Fatalf("%s %s: BodyFlips = %d, want %d", tc.name, op, inj.BodyFlips(), want)
+			}
 		}
 	}
 }
@@ -355,11 +358,16 @@ func TestProxyReadReset(t *testing.T) {
 	t.Fatalf("no request succeeded after the schedule drained: %v\ntrace: %v", lastErr, inj.Trace())
 }
 
-// TestProxyFlipCorruptsPayload: a flip on the response path reaches the
-// client as a changed byte, not a transport error.
+// TestProxyFlipCorruptsPayload flips at every op of a proxied GET: the
+// request has no body, so its flips wait, and the response's land in
+// its JSON body. The status line survives, the body still decodes, and
+// its number changed.
 func TestProxyFlipCorruptsPayload(t *testing.T) {
 	srv, _, _ := newBackend(t)
 	inj := NewInjector()
+	for i := int64(0); i < 16; i++ {
+		inj.FailAt(Plan{At: i, Kind: KindFlip})
+	}
 	px, err := NewProxy(srv.Listener.Addr().String(), inj)
 	if err != nil {
 		t.Fatal(err)
@@ -369,27 +377,73 @@ func TestProxyFlipCorruptsPayload(t *testing.T) {
 
 	resp, err := hc.Get(px.URL())
 	if err != nil {
+		t.Fatalf("GET through flipping proxy: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body error %v: the flip hit the framing", resp.StatusCode, err)
+	}
+	var v struct{ Value int64 }
+	if err := json.Unmarshal(got, &v); err != nil || v.Value == 1234567890 {
+		t.Fatalf("body %q (decode error %v): want the value's digit flipped", got, err)
+	}
+	if inj.BodyFlips() == 0 {
+		t.Fatalf("BodyFlips = 0 after a body changed")
+	}
+}
+
+// TestConnFlipWaitsOutTrickledHeaders: a response read 16 bytes at a
+// time, as under slow-loris, shows no CRLF in its first read. A flip
+// scheduled there must still spare the status line and headers and
+// change the body.
+func TestConnFlipWaitsOutTrickledHeaders(t *testing.T) {
+	body := `{"id":"j1","committed":10}`
+	want := []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	near, far := net.Pipe()
+	inj := NewInjector()
+	inj.FailAt(Plan{At: 0, Kind: KindFlip})
+	c := WrapConn(near, inj)
+	defer c.Close()
+	go func() { _, _ = far.Write(want) }()
+	var got []byte
+	for len(got) < len(want) {
+		buf := make([]byte, 16)
+		n, err := c.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	at := len(want) - len(body)
+	if !bytes.Equal(got[:at], want[:at]) || bytes.Equal(got, want) || inj.BodyFlips() != 1 {
+		t.Fatalf("flip landed outside the body, or nowhere (%d body flips):\nwant %q\ngot  %q", inj.BodyFlips(), want, got)
+	}
+}
+
+// TestProxyFlipOnAcceptHitsResponseBody: an accept moves no bytes, so a
+// flip planned on one changes the first response body instead.
+func TestProxyFlipOnAcceptHitsResponseBody(t *testing.T) {
+	srv, _, _ := newBackend(t)
+	inj := NewInjector()
+	inj.FailAt(Plan{At: 0, Kind: KindFlip})
+	px, err := NewProxy(srv.Listener.Addr().String(), inj)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-
-	// Corrupt every read op for the next request. The proxy faults the
-	// raw TCP stream, so the flip may land in the HTTP headers (framing
-	// damage surfacing as a client error) or in the body (a changed
-	// byte); either way the payload must not arrive intact.
-	n := inj.Ops()
-	for i := n; i < n+16; i++ {
-		inj.FailAt(Plan{At: i, Kind: KindFlip})
-	}
-	resp, err = hc.Get(px.URL())
+	defer px.Close()
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(px.URL())
 	if err != nil {
-		return // framing corrupted: the client saw the damage
+		t.Fatalf("GET through flipping proxy: %v", err)
 	}
-	got, rerr := io.ReadAll(resp.Body)
+	got, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if rerr == nil && bytes.Equal(got, want) {
-		t.Fatalf("flip left the payload intact: %q", got)
+	var v struct{ Value int64 }
+	if err != nil || json.Unmarshal(got, &v) != nil || v.Value == 1234567890 || inj.BodyFlips() != 1 {
+		t.Fatalf("body %q (error %v), %d body flips: want one digit flipped", got, err, inj.BodyFlips())
+	}
+	if tr := inj.Trace(); tr[0] != OpAccept {
+		t.Fatalf("op 0 is %s, want accept", tr[0])
 	}
 }
 

@@ -299,7 +299,7 @@ func (s *Sim) SetObserver(o *obs.Observer) { s.obs = o }
 // instructions, where the emulator state handed to RunFromContext is at
 // an instruction boundary; fn must only read, so arming progress cannot
 // change the committed instruction/value stream. It feeds the service's
-// SSE job streams and lockstep's periodic architectural-state check.
+// job progress events and lockstep's periodic architectural-state check.
 // every == 0 or fn == nil disables.
 func (s *Sim) SetProgress(every uint64, fn func(committed uint64, cycles int64)) {
 	s.progEvery, s.progFn = every, fn

@@ -28,10 +28,13 @@
 //     record is durable, when the wait passes (with the current
 //     record), or when the daemon finishes draining. A malformed or
 //     negative wait is 400. Without ?wait= the answer is immediate.
-//   - GET /v1/jobs/{id}/events streams the job's lifecycle as
-//     Server-Sent Events (queued, started, progress heartbeats with
-//     committed/IPC, requeued, done/failed); Last-Event-ID
-//     resumes a dropped stream from the job's bounded event ring.
+//   - ?after=N (N >= 0, the last event sequence number seen) follows
+//     the job's lifecycle: queued, started, progress heartbeats with
+//     committed/IPC, requeued, done/failed. The answer's "events" holds
+//     the job's bounded event ring past N, and a wait also ends as
+//     soon as there is one. A terminal job's events end with its
+//     terminal event, made from the record if the feed lacks it (after
+//     a restart); none follow it. A malformed or negative after is 400.
 //   - GET /v1/jobs/{id}/trace returns the daemon-side spans of the
 //     job's trace (?format=chrome for a chrome://tracing file). Clients
 //     propagate trace identity via X-Rvp-Trace-Id/X-Rvp-Parent-Span.
@@ -92,6 +95,8 @@ type JobStatus struct {
 	// Flight is the flight recorder's dump, present only on failed jobs:
 	// the most recent events leading up to the failure.
 	Flight *FlightRecord `json:"flight,omitempty"`
+	// Events answers a status request's ?after=; the store never has it.
+	Events []JobEvent `json:"events,omitempty"`
 }
 
 // FlightRecord is the bounded pre-failure event history embedded in a

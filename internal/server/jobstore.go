@@ -28,9 +28,9 @@ type Store struct {
 	jobs  map[string]JobStatus
 	order []string          // first-seen order, for deterministic recovery
 	byKey map[string]string // idempotency key -> job ID
-	// waiters holds, per job ID, a channel the next append for that job
-	// closes (and drops): the wake-up for long-polling status reads.
-	waiters map[string]chan struct{}
+	// notify, when set, runs after each durable append with the job's
+	// ID: the server wakes the job's status waits with it.
+	notify func(id string)
 
 	// Truncated reports how many damaged tail records were dropped on
 	// open.
@@ -47,7 +47,7 @@ func OpenStore(path string) (*Store, error) { return OpenStoreFS(path, nil, nil)
 // OpenStoreFS is OpenStore through an explicit filesystem seam (nil
 // means vfs.OS) with optional wal metrics.
 func OpenStoreFS(path string, fsys vfs.FS, met *wal.Metrics) (*Store, error) {
-	s := &Store{jobs: map[string]JobStatus{}, byKey: map[string]string{}, waiters: map[string]chan struct{}{}}
+	s := &Store{jobs: map[string]JobStatus{}, byKey: map[string]string{}}
 	w, err := wal.Open(path, wal.Options{FS: fsys, Name: "jobstore", Metrics: met}, func(raw json.RawMessage) error {
 		var rec JobStatus
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -79,19 +79,20 @@ func (s *Store) apply(rec JobStatus) {
 	}
 }
 
-// Append records one job state transition, fsyncing before it returns.
+// Append records one job state transition (never a status answer's
+// Events), fsyncing before it returns, then notifies.
 func (s *Store) Append(rec JobStatus) error {
+	rec.Events = nil
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.w.Append(rec); err != nil {
-		return err
+	err := s.w.Append(rec)
+	if err == nil {
+		s.apply(rec)
 	}
-	s.apply(rec)
-	if ch, ok := s.waiters[rec.ID]; ok {
-		close(ch)
-		delete(s.waiters, rec.ID)
+	s.mu.Unlock()
+	if err == nil && s.notify != nil {
+		s.notify(rec.ID)
 	}
-	return nil
+	return err
 }
 
 // Probe checks that the store's storage still takes durable writes; a
@@ -104,20 +105,6 @@ func (s *Store) Get(id string) (JobStatus, bool) {
 	defer s.mu.Unlock()
 	rec, ok := s.jobs[id]
 	return rec, ok
-}
-
-// Watch returns the latest record for id together with a channel that
-// the next durable append for id closes. Reading both under one lock
-// means no append can slip between the read and the wait.
-func (s *Store) Watch(id string) (JobStatus, <-chan struct{}) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := s.waiters[id]
-	if ch == nil {
-		ch = make(chan struct{})
-		s.waiters[id] = ch
-	}
-	return s.jobs[id], ch
 }
 
 // ByKey returns the latest record for the job an idempotency key maps to.

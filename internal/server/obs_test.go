@@ -2,11 +2,12 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -15,148 +16,141 @@ import (
 	"rvpsim/internal/faultinject"
 )
 
-// sseFrame is one parsed SSE frame.
-type sseFrame struct {
-	id    int64
-	event string
-	data  JobEvent
-}
-
-// readSSE consumes an event stream until a terminal event, maxFrames
-// frames, or the body ends, returning the parsed frames.
-func readSSE(t *testing.T, body *bufio.Scanner, maxFrames int) []sseFrame {
+// watchStatus follows job id through long-polled status from after,
+// the way a watching client does, and returns the events it saw up to
+// the terminal one. It reports failures with t.Errorf, so watchers may
+// run on their own goroutines.
+func watchStatus(t *testing.T, ts *httptest.Server, id string, after int64) []JobEvent {
 	t.Helper()
-	var frames []sseFrame
-	var cur sseFrame
-	var data string
-	for body.Scan() {
-		line := body.Text()
-		switch {
-		case line == "":
-			if data == "" {
-				continue
+	var evs []JobEvent
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/jobs/%s?wait=5s&after=%d", ts.URL, id, after))
+		if err != nil {
+			t.Errorf("job %s: GET status: %v", id, err)
+			return evs
+		}
+		var st JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Errorf("job %s: status = %d (decode: %v)", id, resp.StatusCode, err)
+			return evs
+		}
+		for _, ev := range st.Events {
+			evs = append(evs, ev)
+			after = ev.Seq
+			if terminalEvent(ev.Type) {
+				return evs
 			}
-			if err := json.Unmarshal([]byte(data), &cur.data); err != nil {
-				t.Fatalf("bad data line %q: %v", data, err)
-			}
-			frames = append(frames, cur)
-			if terminalEvent(cur.event) || len(frames) >= maxFrames {
-				return frames
-			}
-			cur, data = sseFrame{}, ""
-		case strings.HasPrefix(line, "id: "):
-			n, err := strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64)
-			if err != nil {
-				t.Fatalf("bad id line %q: %v", line, err)
-			}
-			cur.id = n
-		case strings.HasPrefix(line, "event: "):
-			cur.event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case strings.HasPrefix(line, ":"):
-			// keepalive comment
-		default:
-			t.Fatalf("unexpected SSE line %q", line)
 		}
 	}
-	return frames
+	t.Errorf("job %s: no terminal event within 30s (%d events)", id, len(evs))
+	return evs
 }
 
-func getSSE(t *testing.T, ts *httptest.Server, id string, lastEventID int64) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		t.Fatalf("NewRequest: %v", err)
-	}
-	if lastEventID > 0 {
-		req.Header.Set("Last-Event-ID", fmt.Sprint(lastEventID))
-	}
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatalf("GET events: %v", err)
-	}
-	return resp
-}
-
-// TestSSEStreamFramingAndResume walks a whole job through its event
-// stream: correct SSE framing (id/event/data triplets, ids dense and
-// increasing), the full lifecycle sequence (queued, started, progress
-// heartbeats with committed counts and IPC, done), and Last-Event-ID
-// resume — a second subscription after N sees exactly the events past N
-// replayed from the ring, including after the job finished.
-func TestSSEStreamFramingAndResume(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
+// TestStatusEventsDenseAndResume walks a whole job through status
+// watching: sequence numbers dense from 1, the full lifecycle in order
+// (queued, started, progress heartbeats with committed counts and IPC,
+// done), and resume — a status request with after=N answers exactly the
+// events past N from the ring, including after the job finished. The
+// job store never records those events.
+func TestStatusEventsDenseAndResume(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) {
 		c.ProgressEvery = 1_000
 	})
 	st := decodeStatus(t, postJob(t, ts, `{"kind":"run","workload":"go","predictor":"rvp","insts":30000}`, ""))
 
-	resp := getSSE(t, ts, st.ID, 0)
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", got)
+	evs := watchStatus(t, ts, st.ID, 0)
+	if len(evs) < 4 {
+		t.Fatalf("got %d events, want at least queued/started/progress/done", len(evs))
 	}
-	frames := readSSE(t, bufio.NewScanner(resp.Body), 10_000)
-	if len(frames) < 4 {
-		t.Fatalf("got %d frames, want at least queued/started/progress/done", len(frames))
-	}
-	for i, f := range frames {
-		if f.id != int64(i+1) {
-			t.Fatalf("frame %d has id %d, want dense 1-based ids", i, f.id)
+	for i, ev := range evs {
+		if ev.Seq != int64(i+1) {
+			t.Fatalf("event %d has seq %d, want dense 1-based seqs", i, ev.Seq)
 		}
-		if f.id != f.data.Seq {
-			t.Fatalf("frame id %d != payload seq %d", f.id, f.data.Seq)
-		}
-		if f.event != f.data.Type {
-			t.Fatalf("frame event %q != payload type %q", f.event, f.data.Type)
-		}
-		if f.data.Job != st.ID {
-			t.Fatalf("event for job %q, want %q", f.data.Job, st.ID)
+		if ev.Job != st.ID {
+			t.Fatalf("event for job %q, want %q", ev.Job, st.ID)
 		}
 	}
-	if frames[0].event != EvQueued || frames[1].event != EvStarted {
-		t.Fatalf("stream starts %q,%q, want queued,started", frames[0].event, frames[1].event)
+	if evs[0].Type != EvQueued || evs[1].Type != EvStarted {
+		t.Fatalf("events start %q,%q, want queued,started", evs[0].Type, evs[1].Type)
 	}
-	last := frames[len(frames)-1]
-	if last.event != EvDone {
-		t.Fatalf("stream ends with %q, want done", last.event)
+	last := evs[len(evs)-1]
+	if last.Type != EvDone {
+		t.Fatalf("events end with %q, want done", last.Type)
 	}
 	progress := 0
-	for _, f := range frames {
-		if f.event == EvProgress {
-			progress++
-			if f.data.Committed == 0 || f.data.Cycles <= 0 || f.data.IPC <= 0 {
-				t.Fatalf("progress payload incomplete: %+v", f.data)
-			}
+	for _, ev := range evs[2 : len(evs)-1] {
+		if ev.Type != EvProgress {
+			t.Fatalf("%q between started and done, want only progress", ev.Type)
+		}
+		progress++
+		if ev.Committed == 0 || ev.Cycles <= 0 || ev.IPC <= 0 {
+			t.Fatalf("progress payload incomplete: %+v", ev)
 		}
 	}
 	if progress == 0 {
 		t.Fatalf("no progress heartbeats over 30k insts at 1k cadence")
 	}
 
-	// Resume after the job is done: Last-Event-ID = N-2 must replay
-	// exactly the last two events from the ring.
-	resume := getSSE(t, ts, st.ID, last.id-2)
-	defer resume.Body.Close()
-	replayed := readSSE(t, bufio.NewScanner(resume.Body), 10_000)
-	if len(replayed) != 2 {
-		t.Fatalf("resume replayed %d frames, want 2", len(replayed))
+	// Resume after the job is done: after = N-2 must answer exactly the
+	// last two events from the ring, at once.
+	code, done, took := getStatus(t, context.Background(),
+		fmt.Sprintf("%s/v1/jobs/%s?wait=5s&after=%d", ts.URL, st.ID, last.Seq-2))
+	if code != http.StatusOK || done.State != StateSucceeded || took > 2*time.Second {
+		t.Fatalf("resume = %d %s after %v, want 200 succeeded at once", code, done.State, took)
 	}
-	if replayed[0].id != last.id-1 || replayed[1].id != last.id {
-		t.Fatalf("resume ids = %d,%d, want %d,%d", replayed[0].id, replayed[1].id, last.id-1, last.id)
+	if len(done.Events) != 2 || done.Events[0] != evs[len(evs)-2] || done.Events[1] != last {
+		t.Fatalf("resume events = %+v, want the last two %+v", done.Events, evs[len(evs)-2:])
 	}
-	if replayed[1].event != EvDone {
-		t.Fatalf("resume did not end on the terminal event: %q", replayed[1].event)
+	// Past the terminal event there is nothing more, not a second one.
+	if _, past, _ := getStatus(t, context.Background(), fmt.Sprintf("%s/v1/jobs/%s?after=%d", ts.URL, st.ID, last.Seq)); past.Events != nil {
+		t.Fatalf("status after the terminal event answers %+v, want no events", past.Events)
+	}
+	// Without after, no events.
+	if _, plain, _ := getStatus(t, context.Background(), ts.URL+"/v1/jobs/"+st.ID); plain.Events != nil {
+		t.Fatalf("status without after carries events: %+v", plain.Events)
+	}
+	for _, a := range []string{"-1", "x", "1.5"} {
+		if code, _, _ := getStatus(t, context.Background(), ts.URL+"/v1/jobs/"+st.ID+"?after="+a); code != http.StatusBadRequest {
+			t.Errorf("after=%s: %d, want 400", a, code)
+		}
+	}
+
+	// No job store line holds a status answer's events.
+	raw, err := os.ReadFile(StorePath(srv.cfg.StateDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var env struct {
+			Rec map[string]json.RawMessage `json:"rec"`
+		}
+		if err := json.Unmarshal([]byte(line), &env); err != nil || env.Rec == nil {
+			t.Fatalf("jobs.jsonl line %d unreadable (%v): %s", n+1, err, line)
+		}
+		if _, ok := env.Rec["events"]; ok {
+			t.Fatalf("jobs.jsonl line %d stores events: %s", n+1, line)
+		}
 	}
 }
 
-// TestSSEUnknownJob pins the 404 on streaming a job that never existed.
-func TestSSEUnknownJob(t *testing.T) {
+// TestEventsRouteRemoved pins that job events are served by status
+// alone: the old event-stream route is gone, and watching a job that
+// never existed is a 404.
+func TestEventsRouteRemoved(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	resp := getSSE(t, ts, "jnope", 0)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("events for unknown job = %d, want 404", resp.StatusCode)
+	st := decodeStatus(t, postJob(t, ts, runBody, ""))
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("events route = %d, want 404 or 405", resp.StatusCode)
+	}
+	if code, _, _ := getStatus(t, context.Background(), ts.URL+"/v1/jobs/jnope?wait=1s&after=0"); code != http.StatusNotFound {
+		t.Fatalf("watching unknown job = %d, want 404", code)
 	}
 }
 
@@ -198,8 +192,8 @@ func TestFlightRecorderOnFailure(t *testing.T) {
 }
 
 // TestSyntheticTerminalEventAfterRestart covers watching a job whose
-// feed no longer exists (daemon restarted after it finished): the
-// stream serves one synthetic terminal frame from the store record.
+// feed no longer exists (daemon restarted after it finished): status
+// answers one synthetic terminal event from the store record.
 func TestSyntheticTerminalEventAfterRestart(t *testing.T) {
 	state := t.TempDir()
 	srv1, ts1 := newTestServer(t, func(c *Config) { c.StateDir = state })
@@ -209,11 +203,9 @@ func TestSyntheticTerminalEventAfterRestart(t *testing.T) {
 	srv1.Close()
 
 	_, ts2 := newTestServer(t, func(c *Config) { c.StateDir = state })
-	resp := getSSE(t, ts2, st.ID, 0)
-	defer resp.Body.Close()
-	frames := readSSE(t, bufio.NewScanner(resp.Body), 10)
-	if len(frames) != 1 || frames[0].event != EvDone {
-		t.Fatalf("restarted watch frames = %+v, want one synthetic done", frames)
+	evs := watchStatus(t, ts2, st.ID, 0)
+	if len(evs) != 1 || evs[0].Type != EvDone || evs[0].Seq != 1 {
+		t.Fatalf("restarted watch events = %+v, want one synthetic done", evs)
 	}
 }
 
@@ -238,32 +230,18 @@ func TestWorkerPoolGauge(t *testing.T) {
 	}
 }
 
-// TestFeedOverflowResubscribe pins the hub's no-blocking contract: a
-// subscriber that stops draining is closed, not waited on, and a
-// resubscription from its last seen sequence replays what the ring
-// still holds.
-func TestFeedOverflowResubscribe(t *testing.T) {
+// TestFeedReplayAfterEviction pins the ring's replay contract: a
+// watcher whose last seen event has been evicted gets what the ring
+// still holds, dense and ending at the latest event.
+func TestFeedReplayAfterEviction(t *testing.T) {
 	f := newJobFeed("j1", 4)
-	_, sub := f.subscribe(0)
-	for i := 0; i < 10; i++ { // channel cap is the ring cap (4): overflow
+	for i := 0; i < 10; i++ {
 		f.publish(JobEvent{Type: EvProgress})
 	}
-	var lastSeen int64
-	for ev := range sub.ch { // closed by the overflow
-		lastSeen = ev.Seq
-	}
-	if lastSeen == 0 {
-		t.Fatalf("subscriber saw nothing before overflow close")
-	}
-	replay, sub2 := f.subscribe(lastSeen)
-	if sub2 == nil {
-		t.Fatalf("feed terminal without a terminal event")
-	}
-	defer f.unsubscribe(sub2)
-	// The ring holds the last 4 events (seqs 7-10); everything after
-	// lastSeen that survived eviction must replay in order.
-	if len(replay) == 0 {
-		t.Fatalf("no replay after overflow")
+	// The ring holds the last 4 events (seqs 7-10); seq 2 is long gone.
+	replay, _, _ := f.since(2)
+	if len(replay) != 4 || replay[0].Seq != 7 {
+		t.Fatalf("replay = %+v, want seqs 7-10", replay)
 	}
 	for i := 1; i < len(replay); i++ {
 		if replay[i].Seq != replay[i-1].Seq+1 {
@@ -276,10 +254,10 @@ func TestFeedOverflowResubscribe(t *testing.T) {
 }
 
 // TestTelemetryConcurrent hammers the telemetry layer from every
-// direction at once — parallel submissions, concurrent SSE watchers,
-// metrics and trace readers — and is the service-level -race exercise
-// for concurrent span emission and event publishing from the worker
-// pool plus HTTP handlers.
+// direction at once — parallel submissions, concurrent long-poll
+// watchers, metrics and trace readers — and is the service-level -race
+// exercise for concurrent span emission and event publishing from the
+// worker pool plus HTTP handlers.
 func TestTelemetryConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 4
@@ -295,16 +273,21 @@ func TestTelemetryConcurrent(t *testing.T) {
 		st := decodeStatus(t, postJob(t, ts, body, fmt.Sprintf("conc-%d", i)))
 		ids[i] = st.ID
 	}
-	// Watchers: one SSE stream per job, drained to the terminal event.
-	for _, id := range ids {
+	// Watchers: two status watchers per job, followed to the terminal
+	// event.
+	for _, id := range append(ids, ids...) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			resp := getSSE(t, ts, id, 0)
-			defer resp.Body.Close()
-			frames := readSSE(t, bufio.NewScanner(resp.Body), 100_000)
-			if len(frames) == 0 || !terminalEvent(frames[len(frames)-1].event) {
-				t.Errorf("job %s: stream ended without terminal event (%d frames)", id, len(frames))
+			evs := watchStatus(t, ts, id, 0)
+			if len(evs) == 0 || !terminalEvent(evs[len(evs)-1].Type) {
+				t.Errorf("job %s: watch ended without terminal event (%d events)", id, len(evs))
+			}
+			for i, ev := range evs {
+				if ev.Seq != int64(i+1) {
+					t.Errorf("job %s: event %d has seq %d, want dense", id, i, ev.Seq)
+					return
+				}
 			}
 		}(id)
 	}

@@ -135,9 +135,9 @@ func (c *Config) setDefaults() error {
 
 // maxFeeds bounds how many per-job event feeds the telemetry hub
 // retains (terminal feeds are evicted oldest-first past this);
-// flightRecorderSize is how many recent events each feed keeps for SSE
-// replay and the failure dump; tracerCapacity bounds the daemon's
-// retained spans.
+// flightRecorderSize is how many recent events each feed keeps for
+// status-wait replay and the failure dump; tracerCapacity bounds the
+// daemon's retained spans.
 const (
 	maxFeeds           = 1024
 	flightRecorderSize = 256
@@ -154,7 +154,7 @@ type Server struct {
 	log   *slog.Logger
 
 	// tel and tracer are the observability layer: per-job event feeds
-	// (SSE + flight recorder) and the daemon's span collector.
+	// (replay, wake-ups, flight recorder) and the daemon's span collector.
 	tel    *telemetry
 	tracer *obs.Tracer
 
@@ -210,6 +210,7 @@ func New(cfg Config) (*Server, error) {
 		tel:      newTelemetry(flightRecorderSize, maxFeeds),
 		tracer:   obs.NewTracer("rvpd", tracerCapacity),
 	}
+	store.notify = s.tel.wake
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.initMetrics()
 	s.storageDegraded = wal.NewGuard(store.Probe, cfg.StorageProbeEvery, s.gStorageDegraded, s.log)
@@ -241,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 			id: rec.ID, spec: rec.Spec, enqueued: time.Now(),
 			tctx: obs.SpanContext{Trace: rec.TraceID}, deadline: deadline,
 		})
-		s.tel.publish(rec.ID, JobEvent{Type: EvQueued, Attempt: rec.Attempts})
+		s.tel.feed(rec.ID).publish(JobEvent{Type: EvQueued, Attempt: rec.Attempts})
 		s.log.Info("recovered job", "job", rec.ID, "kind", rec.Spec.Kind, "trace", rec.TraceID)
 	}
 	s.gDepth.Set(int64(s.queue.depthNow()))
@@ -328,7 +329,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -513,7 +513,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		// Publish before admitting: a worker may start the job, and
 		// publish its started event, as soon as admitted closes.
-		s.tel.publish(id, JobEvent{Type: EvQueued})
+		s.tel.feed(id).publish(JobEvent{Type: EvQueued})
 	}
 	close(j.admitted)
 	if err != nil {
@@ -563,37 +563,57 @@ func parseStatusWait(v string) (time.Duration, error) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	wait, err := parseStatusWait(r.URL.Query().Get("wait"))
+	q := r.URL.Query()
+	wait, err := parseStatusWait(q.Get("wait"))
 	if err != nil {
 		reject(w, http.StatusBadRequest, err.Error(), 0)
 		return
+	}
+	after := int64(-1) // not watching
+	if v := q.Get("after"); v != "" {
+		if after, err = strconv.ParseInt(v, 10, 64); err != nil || after < 0 {
+			reject(w, http.StatusBadRequest, fmt.Sprintf("invalid after %q: want a non-negative event sequence number", v), 0)
+			return
+		}
 	}
 	rec, ok := s.store.Get(id)
 	if !ok {
 		reject(w, http.StatusNotFound, "unknown job "+id, 0)
 		return
 	}
-	if wait > 0 && !rec.Terminal() {
-		rec = s.awaitTerminal(r.Context(), id, wait)
+	switch {
+	case !rec.Terminal() && (wait > 0 || after >= 0):
+		rec = s.awaitStatus(r.Context(), id, wait, after)
+	case after >= 0:
+		var evs []JobEvent
+		var ended bool
+		if f, ok := s.tel.lookup(id); ok {
+			evs, ended, _ = f.since(after)
+		}
+		rec.Events = endStory(rec, evs, after, ended)
 	}
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// awaitTerminal long-polls one job: it returns the job's record once a
-// terminal record is durable in the store, or with the current record
-// when wait passes, the client goes away, or the daemon finishes
-// draining. The store's per-job wake channel drives it, not the
-// telemetry feed.
-func (s *Server) awaitTerminal(ctx context.Context, id string, wait time.Duration) JobStatus {
+// awaitStatus long-polls a live job until its record is terminal or,
+// for a watcher (after >= 0), carries events; until the wait passes,
+// the client goes away, or the daemon drains. Each round takes the wake
+// channel before it reads the record, which an append it misses closes.
+func (s *Server) awaitStatus(ctx context.Context, id string, wait time.Duration, after int64) JobStatus {
+	f := s.tel.feed(id)
 	t := time.NewTimer(wait)
 	defer t.Stop()
 	for {
-		rec, changed := s.store.Watch(id)
-		if rec.Terminal() {
+		evs, ended, wake := f.since(after)
+		rec, _ := s.store.Get(id)
+		if after >= 0 {
+			rec.Events = endStory(rec, evs, after, ended)
+		}
+		if rec.Terminal() || len(rec.Events) > 0 {
 			return rec
 		}
 		select {
-		case <-changed:
+		case <-wake:
 		case <-t.C:
 			return rec
 		case <-ctx.Done():
@@ -602,6 +622,28 @@ func (s *Server) awaitTerminal(ctx context.Context, id string, wait time.Duratio
 			return rec
 		}
 	}
+}
+
+// endStory ends a terminal record's events with one made from the
+// record unless the feed published its own (ended): a restart or an
+// eviction dropped the feed, or the terminal publish has not yet
+// followed the append.
+func endStory(rec JobStatus, evs []JobEvent, after int64, ended bool) []JobEvent {
+	if !rec.Terminal() || ended {
+		return evs
+	}
+	if n := len(evs); n > 0 {
+		after = evs[n-1].Seq
+	}
+	ev := JobEvent{Seq: after + 1, Type: EvDone, TimeUS: time.Now().UnixMicro(),
+		Job: rec.ID, Attempt: rec.Attempts}
+	if rec.State == StateFailed {
+		ev.Type = EvFailed
+		if rec.Error != nil {
+			ev.Error = rec.Error.Message
+		}
+	}
+	return append(evs, ev)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -705,7 +747,7 @@ func (s *Server) runJob(j *job) {
 		s.inflight.Add(-1)
 		s.gInflight.Set(s.inflight.Load())
 	}()
-	s.tel.publish(j.id, JobEvent{Type: EvStarted, Attempt: rec.Attempts})
+	s.tel.feed(j.id).publish(JobEvent{Type: EvStarted, Attempt: rec.Attempts})
 	s.log.Info("job started", "job", j.id, "attempt", rec.Attempts, "trace", rec.TraceID)
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
@@ -735,7 +777,7 @@ func (s *Server) runJob(j *job) {
 			if cycles > 0 {
 				ev.IPC = float64(committed) / float64(cycles)
 			}
-			s.tel.publish(j.id, ev)
+			s.tel.feed(j.id).publish(ev)
 		},
 	}
 	start := time.Now()
@@ -762,7 +804,7 @@ func (s *Server) runJob(j *job) {
 			s.storageDegraded.Trip(serr)
 			return
 		}
-		s.tel.publish(j.id, JobEvent{Type: EvDone, Attempt: rec.Attempts})
+		s.tel.feed(j.id).publish(JobEvent{Type: EvDone, Attempt: rec.Attempts})
 		s.log.Info("job succeeded", "job", j.id, "attempt", rec.Attempts, "trace", rec.TraceID)
 
 	case s.baseCtx.Err() != nil:
@@ -775,7 +817,7 @@ func (s *Server) runJob(j *job) {
 			s.log.Error("recording job requeue failed", "job", j.id, "error", serr)
 			s.storageDegraded.Trip(serr)
 		}
-		s.tel.publish(j.id, JobEvent{Type: EvRequeued, Attempt: rec.Attempts})
+		s.tel.feed(j.id).publish(JobEvent{Type: EvRequeued, Attempt: rec.Attempts})
 		s.log.Info("job cancelled and requeued by drain", "job", j.id)
 
 	default:
@@ -791,9 +833,8 @@ func (s *Server) runJob(j *job) {
 		// durable record before the terminal event lands, so the dump is
 		// the pre-failure story. The events are redacted by construction
 		// — they reference the spec only through its digest.
-		if f, ok := s.tel.lookup(j.id); ok {
-			rec.Flight = &FlightRecord{SpecDigest: j.spec.Digest(), Events: f.events()}
-		}
+		evs, _, _ := s.tel.feed(j.id).since(0)
+		rec.Flight = &FlightRecord{SpecDigest: j.spec.Digest(), Events: evs}
 		s.mFailed.Inc()
 		s.removeJobDir(j.id)
 		if serr := s.store.Append(rec); serr != nil {
@@ -801,7 +842,7 @@ func (s *Server) runJob(j *job) {
 			s.storageDegraded.Trip(serr)
 			return
 		}
-		s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: err.Error()})
+		s.tel.feed(j.id).publish(JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: err.Error()})
 		s.log.Warn("job failed", "job", j.id, "attempt", rec.Attempts,
 			"trace", rec.TraceID, "error", err)
 	}
@@ -830,7 +871,7 @@ func (s *Server) abandonExpired(j *job) {
 		s.log.Error("recording deadline abandonment failed", "job", j.id, "error", err)
 		s.storageDegraded.Trip(err)
 	}
-	s.tel.publish(j.id, JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: rec.Error.Message})
+	s.tel.feed(j.id).publish(JobEvent{Type: EvFailed, Attempt: rec.Attempts, Error: rec.Error.Message})
 	s.log.Warn("job abandoned: caller deadline expired while queued",
 		"job", j.id, "trace", rec.TraceID)
 }

@@ -1,5 +1,5 @@
 // Soak/chaos test: N concurrent retrying clients against an in-process
-// daemon whose simulations have injected faults (transient checkpoint
+// daemon whose simulations have injected faults (transient commit-batch
 // failures, stretched memory latencies, and one workload with a sticky
 // hard fault). The invariants under load:
 //
@@ -48,7 +48,7 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 		JobTimeout:   2 * time.Minute,
 		DrainTimeout: 10 * time.Second,
 		Faults: map[string]faultinject.Config{
-			// One transient checkpoint failure: the first attempt fails,
+			// One transient commit-batch failure: the first attempt fails,
 			// the runner's retry recovers.
 			"go": {Transient: 1},
 			// Timing chaos only: stretched memory latencies perturb the

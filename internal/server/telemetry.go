@@ -6,11 +6,10 @@ import (
 )
 
 // This file is the service's live-telemetry spine: every accepted job
-// gets a bounded event feed that three consumers share. The SSE
-// endpoint streams it (with Last-Event-ID replay from the ring), the
-// flight recorder dumps it into the job record on failure, and tests
-// read it directly. One buffer, three views — the ring is the single
-// source of truth for "what happened to this job recently".
+// gets a bounded event feed. A status wait with ?after=N answers with
+// its ring's events past N, the flight recorder dumps the ring into a
+// failed job's record, and every status wait blocks on its one wake
+// channel.
 
 // Job event types, in lifecycle order. "progress" repeats; the others
 // appear at most once per attempt.
@@ -23,12 +22,12 @@ const (
 	EvFailed   = "failed"
 )
 
-// terminalEvent reports whether typ ends a job's stream.
+// terminalEvent reports whether typ ends a job's events.
 func terminalEvent(typ string) bool { return typ == EvDone || typ == EvFailed }
 
 // JobEvent is one entry in a job's event stream. Seq is the job-scoped
-// sequence number (1-based, dense) that SSE clients resume from via
-// Last-Event-ID. Events carry no job spec — a flight record embedded in
+// sequence number (1-based, dense) that a status wait's ?after= resumes
+// from. Events carry no job spec — a flight record embedded in
 // a job status must not duplicate (or leak) the spec, which the record
 // already identifies by digest.
 type JobEvent struct {
@@ -50,40 +49,31 @@ type JobEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// feedSub is one SSE subscriber's delivery channel. The channel is
-// buffered to the ring size; a subscriber that falls further behind
-// than the ring could replay anyway is closed (never blocked on), and
-// the SSE handler resubscribes from its last-seen sequence number.
-type feedSub struct {
-	ch chan JobEvent
-}
-
-// jobFeed is one job's bounded event history plus its live subscribers.
+// jobFeed is one job's bounded event history plus its wake channel.
 type jobFeed struct {
-	mu         sync.Mutex
-	job        string
-	cap        int
-	seq        int64
-	ring       []JobEvent // oldest first, len <= cap
-	subs       map[*feedSub]struct{}
+	mu   sync.Mutex
+	job  string
+	cap  int
+	seq  int64
+	ring []JobEvent // oldest first, len <= cap
+	// wake is closed and replaced by each publish and record append.
+	wake       chan struct{}
 	terminal   bool
 	terminalAt time.Time
 }
 
 func newJobFeed(job string, capacity int) *jobFeed {
-	return &jobFeed{job: job, cap: capacity, subs: map[*feedSub]struct{}{}}
+	return &jobFeed{job: job, cap: capacity, wake: make(chan struct{})}
 }
 
 // publish assigns the next sequence number, records ev in the ring
-// (evicting the oldest past capacity), and fans it out to subscribers.
-// Delivery never blocks: a full subscriber is closed instead, which the
-// SSE handler observes as "resubscribe and replay what you missed". A
-// terminal event closes every subscriber after delivery.
-func (f *jobFeed) publish(ev JobEvent) JobEvent {
+// (evicting the oldest past capacity), and wakes every waiter. Nothing
+// is published after a terminal event.
+func (f *jobFeed) publish(ev JobEvent) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.terminal {
-		return ev // nothing follows done/failed
+		return // nothing follows done/failed
 	}
 	f.seq++
 	ev.Seq = f.seq
@@ -96,59 +86,28 @@ func (f *jobFeed) publish(ev JobEvent) JobEvent {
 		f.ring = f.ring[:len(f.ring)-1]
 	}
 	f.ring = append(f.ring, ev)
-	for sub := range f.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			close(sub.ch)
-			delete(f.subs, sub)
-		}
-	}
 	if terminalEvent(ev.Type) {
 		f.terminal = true
 		f.terminalAt = time.Now()
-		for sub := range f.subs {
-			close(sub.ch)
-			delete(f.subs, sub)
-		}
 	}
-	return ev
+	close(f.wake)
+	f.wake = make(chan struct{})
 }
 
-// subscribe returns the ring events after seq `after` plus a live
-// subscription. The replay and the subscription are atomic with
-// respect to publish, so no event can fall between them. For a
-// terminal feed the subscription is nil: the replay is the whole
-// remaining story.
-func (f *jobFeed) subscribe(after int64) ([]JobEvent, *feedSub) {
+// since returns the ring events after seq `after` (none for a negative
+// after: a wait that is not watching), whether the feed has published
+// its terminal event, and the wake channel, under one lock, so no event
+// can fall between them.
+func (f *jobFeed) since(after int64) ([]JobEvent, bool, <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var replay []JobEvent
+	var evs []JobEvent
 	for _, ev := range f.ring {
-		if ev.Seq > after {
-			replay = append(replay, ev)
+		if after >= 0 && ev.Seq > after {
+			evs = append(evs, ev)
 		}
 	}
-	if f.terminal {
-		return replay, nil
-	}
-	sub := &feedSub{ch: make(chan JobEvent, f.cap)}
-	f.subs[sub] = struct{}{}
-	return replay, sub
-}
-
-// unsubscribe detaches sub (idempotent; safe after an overflow close).
-func (f *jobFeed) unsubscribe(sub *feedSub) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.subs, sub)
-}
-
-// events returns a copy of the ring: the flight-recorder read.
-func (f *jobFeed) events() []JobEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]JobEvent(nil), f.ring...)
+	return evs, f.terminal, f.wake
 }
 
 // telemetry owns the per-job feeds. Feeds for terminal jobs are kept
@@ -193,7 +152,7 @@ func (t *telemetry) lookup(id string) (*jobFeed, bool) {
 
 // evictLocked drops the feed whose job finished longest ago. When no
 // feed is terminal the hub grows past maxFeeds — correctness (live
-// streams staying attached) beats the bound.
+// jobs keeping their feeds) beats the bound.
 func (t *telemetry) evictLocked() {
 	var victim string
 	var oldest time.Time
@@ -210,8 +169,13 @@ func (t *telemetry) evictLocked() {
 	}
 }
 
-// publish is the server's one-line event emitter: resolve the feed and
-// publish.
-func (t *telemetry) publish(id string, ev JobEvent) {
-	t.feed(id).publish(ev)
+// wake wakes the waiters on job id's feed, if it has one (a wait takes
+// its channel from the feed): the job store calls it after each append.
+func (t *telemetry) wake(id string) {
+	if f, ok := t.lookup(id); ok {
+		f.mu.Lock()
+		close(f.wake)
+		f.wake = make(chan struct{})
+		f.mu.Unlock()
+	}
 }
