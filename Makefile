@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 determinism:
-	$(GO) test -run 'TestDeterminism|TestCellCache|TestPinnedConfigDigests|TestBooksMatchReference|TestIssueGrowthPinned|TestFixedRingStatsPinned|TestRunFootprint|TestSerialMatchesParallel|TestPartialTablesPinned|TestLastValueStatsPinned|TestEligibleMatchesRule|TestPinnedWarmDigests|TestFigure7ReallocWarmedOnItself|TestPinnedProfileDigests|TestPinnedReallocDigests' ./...
+	$(GO) test -run 'TestDeterminism|TestCellCache|TestFingerprint|TestBooksMatchReference|TestRunFootprint|TestSerialMatchesParallel|TestEligibleMatchesRule|TestFigure7ReallocWarmedOnItself' ./...
 
 # Differential validation: run the timing pipeline and the reference
 # emulator in lockstep over all nine workloads under every recovery

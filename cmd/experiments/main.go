@@ -15,7 +15,9 @@
 // instructions), Table 2 (coverage/accuracy), Figure 7 (realistic
 // re-allocation), Figure 8 (16-wide machine), plus the extension tables
 // (predictor cost/benefit and the confidence-threshold sweep) under
-// "ext". With -md, a markdown report is also written.
+// "ext". With -md, a markdown report is also written. Tables go to
+// stdout and each figure's "[<fig> done in …]" timing line to stderr,
+// so the stdout of two runs compares with cmp.
 //
 // Observability: -manifest writes one machine-readable JSON run manifest
 // per figure (options, git describe, wall clock, result tables, and a
@@ -218,7 +220,9 @@ func run() int {
 			failed = append(failed, j.key)
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("[%s done in %v]\n\n", j.key, elapsed.Round(time.Millisecond))
+		// Timing goes to stderr, so two runs' stdout compare byte for byte.
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", j.key, elapsed.Round(time.Millisecond))
+		fmt.Println()
 		if *manifestDir != "" {
 			if err := writeManifest(*manifestDir, j.key, gitRev, opts, start, elapsed, jobTables, reg); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: manifest %s: %v\n", j.key, err)

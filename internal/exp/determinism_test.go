@@ -7,6 +7,34 @@ import (
 	"rvpsim/internal/stats"
 )
 
+// gridDrivers are the drivers that build their tables from a grid of
+// simulations (every result driver but Figure 1's profiler table), in
+// the order cmd/experiments runs them.
+var gridDrivers = []struct {
+	name string
+	run  func(*Runner) ([]*stats.Table, error)
+}{
+	{"fig3", one((*Runner).Figure3)},
+	{"fig4", one((*Runner).Figure4)},
+	{"fig5", one((*Runner).Figure5)},
+	{"fig6", one((*Runner).Figure6)},
+	{"tab2", func(r *Runner) ([]*stats.Table, error) {
+		cov, acc, err := r.Table2()
+		return []*stats.Table{cov, acc}, err
+	}},
+	{"fig7", one((*Runner).Figure7)},
+	{"fig8", one((*Runner).Figure8)},
+	{"storage", one((*Runner).StorageTable)},
+	{"threshold", one((*Runner).ThresholdTable)},
+}
+
+func one(f func(*Runner) (*stats.Table, error)) func(*Runner) ([]*stats.Table, error) {
+	return func(r *Runner) ([]*stats.Table, error) {
+		t, err := f(r)
+		return []*stats.Table{t}, err
+	}
+}
+
 // TestExperimentsDeterministic: the same driver run twice (including the
 // parallel path) renders byte-identical tables — no map-iteration or
 // scheduling dependence may leak into results.

@@ -9,6 +9,19 @@
 // than 300M instructions; profiling uses the same program with a separate
 // (smaller) budget, standing in for the paper's train-vs-ref input split,
 // which the paper itself reports to be stable across inputs.
+//
+// Behaviour is pinned to the last digit by one text file,
+// testdata/fingerprint.txt, which TestFingerprint recomputes: a Stats
+// line for every distinct figure cell at 100k instructions and for
+// machines the figures do not run, each workload's profile and
+// re-allocation, and the partial tables under four fault plans. A
+// mismatch lists every moved field as old → new with the IPC and
+// speedup change. After a deliberate model change, regenerate it with
+//
+//	go test ./internal/exp -run TestFingerprint -update
+//
+// and, until the benchmark reads this file, the benchmark's goldens
+// with rvpbench -update-golden.
 package exp
 
 import (
@@ -133,6 +146,10 @@ type Runner struct {
 	simPools  map[pipeline.Config]*sync.Pool
 	journal   *Journal
 	warnings  []string
+	// gridDone, when set, sees every grid a driver finishes and the
+	// machine its baseline ran on (nil without one); the fingerprint
+	// test names each figure cell through it.
+	gridDone func(g *grid, base *pipeline.Config)
 }
 
 // NewRunner builds a Runner.

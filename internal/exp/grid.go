@@ -78,6 +78,9 @@ func (r *Runner) grid(names []string, base *pipeline.Config, rows ...series) *gr
 		}
 		return nil
 	})
+	if r.gridDone != nil {
+		r.gridDone(g, base)
+	}
 	return g
 }
 

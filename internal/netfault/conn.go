@@ -52,7 +52,7 @@ func (c *Conn) fault(op Op) (flip, trickle bool, err error) {
 	if p, ok := c.inj.step(op); ok {
 		switch p.Kind {
 		case KindLatency:
-			if !sleepOr(durOr(p.Dur, 50*time.Millisecond), c.done) {
+			if !sleepOr(durOr(p.Dur, defaultLatency), c.done) {
 				return false, false, net.ErrClosed
 			}
 		case KindReset:
@@ -67,7 +67,7 @@ func (c *Conn) fault(op Op) (flip, trickle bool, err error) {
 			flip = true
 		case KindSlowLoris:
 			c.mu.Lock()
-			c.drip = durOr(p.Dur, 10*time.Millisecond)
+			c.drip = durOr(p.Dur, defaultDrip)
 			c.mu.Unlock()
 		}
 	}

@@ -60,7 +60,8 @@ var ErrReset = fmt.Errorf("%w: %w", ErrInjected, syscall.ECONNRESET)
 type Kind int
 
 const (
-	// KindLatency delays the operation by Dur, then lets it proceed.
+	// KindLatency delays the operation by Dur, then lets it proceed. On
+	// an accept, a Proxy waits Dur before serving the connection.
 	KindLatency Kind = iota
 	// KindReset kills the connection: the operation fails with ErrReset.
 	// On a read, the request written before it has already been
@@ -86,7 +87,8 @@ const (
 	KindFlip
 	// KindSlowLoris switches the stream to trickle mode: every
 	// subsequent read/write on it waits Dur first, and reads return at
-	// most 16 bytes.
+	// most 16 bytes. On an accept, the connection a Proxy serves
+	// trickles from its first read or write.
 	KindSlowLoris
 )
 
@@ -319,6 +321,12 @@ func lastDigitOfRun(b []byte, from int) int {
 	}
 	return i
 }
+
+// The Plan.Dur a zero duration takes for latency and slow-loris.
+const (
+	defaultLatency = 50 * time.Millisecond
+	defaultDrip    = 10 * time.Millisecond
+)
 
 // durOr returns d, or def when d is not positive: a zero Plan.Dur takes
 // its kind's default.

@@ -447,6 +447,48 @@ func TestProxyFlipOnAcceptHitsResponseBody(t *testing.T) {
 	}
 }
 
+// TestProxyAcceptLatencyAndSlowLoris: a latency plan on an accept
+// delays serving that connection, and a slow-loris plan there makes it
+// trickle from its first op; neither is spent doing nothing.
+func TestProxyAcceptLatencyAndSlowLoris(t *testing.T) {
+	srv, _, _ := newBackend(t)
+	get := func(p Plan) (*Injector, time.Duration) {
+		t.Helper()
+		inj := NewInjector()
+		inj.FailAt(p)
+		px, err := NewProxy(srv.Listener.Addr().String(), inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer px.Close()
+		start := time.Now()
+		resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(px.URL())
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		drainClose(resp)
+		if tr := inj.Trace(); tr[0] != OpAccept {
+			t.Fatalf("%v: op 0 is %s, want accept", p, tr[0])
+		}
+		return inj, time.Since(start)
+	}
+	if _, d := get(Plan{At: 0, Kind: KindLatency, Dur: 150 * time.Millisecond}); d < 150*time.Millisecond {
+		t.Errorf("latency on the accept: request served in %v, want at least 150ms", d)
+	}
+	// A response of well over 128 bytes at ≤16 bytes per read, each
+	// read after a 5ms pause: ≥8 reads.
+	inj, d := get(Plan{At: 0, Kind: KindSlowLoris, Dur: 5 * time.Millisecond})
+	reads := 0
+	for _, op := range inj.Trace() {
+		if op == OpRead {
+			reads++
+		}
+	}
+	if reads < 8 || d < 40*time.Millisecond {
+		t.Errorf("slow-loris on the accept: response arrived in %d reads over %v", reads, d)
+	}
+}
+
 // TestConnPartitionBlocksThenHeals: a full partition on a Proxy stalls
 // both directions, then delivery resumes.
 func TestConnPartitionBlocksThenHeals(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Proxy is a TCP proxy that forwards every connection to a fixed target
@@ -12,6 +13,10 @@ import (
 // rvpd worker) behind a hostile link. The target-side connection is a
 // wrapped Conn, so Read faults hit the response direction and Write
 // faults the request direction; accepts themselves count as OpAccept.
+// A fault planned on an accept applies to that connection: a reset
+// drops it, latency delays serving it, slow-loris starts it trickling,
+// a partition blackholes the link and a flip waits for the next
+// response body.
 type Proxy struct {
 	inj    *Injector
 	target string
@@ -20,6 +25,7 @@ type Proxy struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
+	done   chan struct{} // closes with the proxy, ending accept delays
 	wg     sync.WaitGroup
 }
 
@@ -31,7 +37,7 @@ func NewProxy(target string, inj *Injector) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{inj: inj, target: target, ln: ln, conns: map[net.Conn]struct{}{}}
+	p := &Proxy{inj: inj, target: target, ln: ln, conns: map[net.Conn]struct{}{}, done: make(chan struct{})}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -54,6 +60,7 @@ func (p *Proxy) Close() error {
 		return nil
 	}
 	p.closed = true
+	close(p.done)
 	conns := make([]net.Conn, 0, len(p.conns))
 	for c := range p.conns {
 		conns = append(conns, c)
@@ -92,32 +99,44 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		plan, ok := p.inj.step(OpAccept)
-		if ok && plan.Kind == KindReset {
-			_ = client.Close()
-			continue
+		var delay, drip time.Duration
+		if plan, ok := p.inj.step(OpAccept); ok {
+			switch plan.Kind {
+			case KindReset:
+				_ = client.Close()
+				continue
+			case KindLatency:
+				delay = durOr(plan.Dur, defaultLatency)
+			case KindSlowLoris:
+				drip = durOr(plan.Dur, defaultDrip)
+			}
 		}
 		p.wg.Add(1)
-		go p.serve(client)
+		go p.serve(client, delay, drip)
 	}
 }
 
 // serve forwards one client connection to the target through a faulted
-// conn. A dial failure (the target was SIGKILLed, say) just drops the
-// client — exactly what a dead backend looks like.
-func (p *Proxy) serve(client net.Conn) {
+// conn, after waiting delay, with the conn trickling at drip from its
+// first op when drip is set. A dial failure (the target was SIGKILLed,
+// say) just drops the client — exactly what a dead backend looks like.
+func (p *Proxy) serve(client net.Conn, delay, drip time.Duration) {
 	defer p.wg.Done()
 	if !p.track(client) {
 		_ = client.Close()
 		return
 	}
 	defer func() { p.untrack(client); _ = client.Close() }()
+	if !sleepOr(delay, p.done) {
+		return
+	}
 
 	raw, err := net.Dial("tcp", p.target)
 	if err != nil {
 		return
 	}
 	target := WrapConn(raw, p.inj)
+	target.drip = drip
 	if !p.track(target) {
 		_ = target.Close()
 		return

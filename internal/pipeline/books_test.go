@@ -3,6 +3,10 @@ package pipeline
 import (
 	"math/rand"
 	"testing"
+
+	"rvpsim/internal/core"
+	"rvpsim/internal/faultinject"
+	"rvpsim/internal/workloads"
 )
 
 // count reads the number book k holds at cycle t: zero when the slot
@@ -24,6 +28,24 @@ func TestBooksMatchReference(t *testing.T) {
 		limit := 1 + rng.Intn(8)
 		seqBookStream(t, rng, limit)
 		issueStream(t, rng, limit)
+	}
+}
+
+// TestIssueBooksGrow stretches memory latencies until the issue books
+// grow inside the run loop, which no figure cell does. The exp
+// package's fingerprint pins this run's Stats (issue_growth/li/rvp).
+func TestIssueBooksGrow(t *testing.T) {
+	prog, err := workloads.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := MustNew(BaselineConfig())
+	sim.SetFaults(faultinject.New(faultinject.Config{MemEvery: 1000, MemExtra: 3000}))
+	if _, err := sim.Run(prog, core.MustDynamicRVP(core.DefaultCounterConfig()), 40_000); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sim.cur.issue.slot); n <= issueRingStart {
+		t.Errorf("issue books never grew: %d slots", n)
 	}
 }
 

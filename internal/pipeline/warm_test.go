@@ -263,10 +263,3 @@ func runWarm(t testing.TB, sim *pipeline.Sim, prog *program.Program, snap emu.Sn
 	}
 	return sim.RunFromContext(t.Context(), st, pred, budget)
 }
-
-// warmRun fast-forwards prog warmN instructions on the emulator and runs
-// the timed phase for budget instructions on sim from there.
-func warmRun(t *testing.T, sim *pipeline.Sim, prog *program.Program, pred core.Predictor, warmN, budget uint64) (pipeline.Stats, error) {
-	t.Helper()
-	return runWarm(t, sim, prog, warmSnapshot(t, prog, warmN), pred, budget)
-}
